@@ -5,12 +5,14 @@ stream: fit the base predictor on the training segment, seed per-(region,
 flow) calibration windows from the calibration segment, then walk the
 deployment segment one step at a time running predict -> interval -> observe
 -> score -> adapt for every region. Regions are independent, so they can be
-replayed on worker threads; results are reduced in region order, which keeps
-every output file byte-identical regardless of the worker count.
+replayed on worker threads; each region's outcomes fill its own slice of the
+dense (region, step, flow) ledger, which keeps every output file
+byte-identical regardless of the worker count.
 
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
 ledger, final per-region states, and a manifest that allows an exact re-run.
+``read_ledger_csv`` parses a ledger file back in bulk.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -34,13 +38,16 @@ from .streams import (
     DemandStream,
     StreamSpec,
     generate,
+    parse_region,
     read_demand_csv,
     region_filter,
+    region_sort_key,
     split,
 )
 from .tracker import METHODS, ConformalIntervalTracker
 from .validation import check_in_range, check_positive, check_positive_int
 
+LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
 SUMMARY_COLUMNS = [
     "period", "start_t", "end_t", "steps", "cov", "min_rc", "min_rc_region",
     "length", "empty_rate", "coverage_gap_bound",
@@ -356,20 +363,13 @@ def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
     else:
         results = [_replay_region(*job) for job in jobs]
 
-    times = deploy.window_times()
-    n_steps = deploy.horizon
-    t_col = np.tile(np.repeat(times, 2), n)
-    region_col = np.repeat(np.arange(n, dtype=np.intp), 2 * n_steps)
-    flow_col = np.tile(np.array([0, 1], dtype=np.intp), n * n_steps)
-    stacked = np.concatenate([r[0].reshape(-1, 3) for r in results], axis=0)
+    grid = np.stack([r[0] for r in results])  # (region, step, flow, outcome)
     ledger = RunLedger(
         region_ids=stream.region_ids,
-        t=t_col,
-        region_idx=region_col,
-        flow_idx=flow_col,
-        covered=stacked[:, 0] != 0.0,
-        length=stacked[:, 1],
-        empty=stacked[:, 2] != 0.0,
+        times=deploy.window_times(),
+        covered=grid[..., 0] != 0.0,
+        length=grid[..., 1],
+        empty=grid[..., 2] != 0.0,
     )
     audit_rec = next((r[2] for r in results if r[2] is not None), None)
     return RunResult(
@@ -432,19 +432,7 @@ def write_report(result: RunResult, out_dir) -> dict:
         "manifest": os.path.join(out_dir, "manifest.json"),
     }
     ledger = result.ledger
-    with open(paths["ledger"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "region", "flow", "covered", "length", "empty"])
-        region_ids = ledger.region_ids
-        for k in range(len(ledger.t)):
-            w.writerow([
-                int(ledger.t[k]),
-                region_ids[ledger.region_idx[k]],
-                FLOWS[ledger.flow_idx[k]],
-                int(ledger.covered[k]),
-                _fmt(ledger.length[k]),
-                int(ledger.empty[k]),
-            ])
+    _write_ledger(ledger, paths["ledger"])
 
     _write_summary(ledger, result.config, paths["summary"])
     _write_daily(ledger, result.config.steps_per_day, paths["daily"])
@@ -477,39 +465,41 @@ def _version() -> str:
     return __version__
 
 
-def _period_slices(times: np.ndarray, periods: int):
-    bounds = np.linspace(0, len(times), periods + 1).astype(int)
+def _write_ledger(ledger: RunLedger, path) -> None:
+    """Write ``ledger.csv`` in (region, t, flow) row order, one region at a time."""
+    t_col = np.repeat(ledger.times, 2).tolist()
+    flow_col = list(FLOWS) * ledger.horizon
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(LEDGER_COLUMNS)
+        for i, region in enumerate(ledger.region_ids):
+            w.writerows(zip(
+                t_col, repeat(region), flow_col,
+                ledger.covered_grid[i].reshape(-1).view(np.uint8).tolist(),
+                ledger.length_grid[i].reshape(-1).tolist(),
+                ledger.empty_grid[i].reshape(-1).view(np.uint8).tolist(),
+            ))
+
+
+def _period_slices(horizon: int, periods: int):
+    bounds = np.linspace(0, horizon, periods + 1).astype(int)
     return [(f"P{p + 1}", bounds[p], bounds[p + 1]) for p in range(periods)
             if bounds[p + 1] > bounds[p]]
-
-
-def _sub_ledger(ledger: RunLedger, mask: np.ndarray) -> RunLedger:
-    return RunLedger(
-        region_ids=ledger.region_ids,
-        t=ledger.t[mask],
-        region_idx=ledger.region_idx[mask],
-        flow_idx=ledger.flow_idx[mask],
-        covered=ledger.covered[mask],
-        length=ledger.length[mask],
-        empty=ledger.empty[mask],
-    )
 
 
 def _write_summary(ledger: RunLedger, config: ExperimentConfig, path) -> None:
     hp = config.hyperparams()
     c = coverage_gap_constant(hp).value
-    times = np.unique(ledger.t)
+    times = ledger.times
     rows = []
-    chunks = _period_slices(times, config.periods) + [("AVG", 0, len(times))]
+    chunks = _period_slices(len(times), config.periods) + [("AVG", 0, len(times))]
     for label, a, b in chunks:
-        t_lo, t_hi = times[a], times[b - 1]
-        mask = (ledger.t >= t_lo) & (ledger.t <= t_hi)
-        sub = _sub_ledger(ledger, mask)
+        sub = ledger.steps(a, b)
         min_rc = metrics.min_regional_coverage(sub)
         rows.append([
             label,
-            int(t_lo),
-            int(t_hi),
+            int(times[a]),
+            int(times[b - 1]),
             b - a,
             _fmt(metrics.average_coverage(sub)),
             _fmt(min_rc.value),
@@ -528,31 +518,83 @@ def _write_daily(ledger: RunLedger, steps_per_day: int, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["day", "region", "coverage"])
-        for day, region, cov in metrics.daily_regional_coverage(ledger, steps_per_day):
-            w.writerow([day, region, _fmt(cov)])
+        w.writerows(metrics.daily_regional_coverage(ledger, steps_per_day))
 
 
 def read_ledger_csv(path) -> RunLedger:
-    """Load a ledger.csv written by ``write_report``."""
-    records = []
+    """Load a ledger.csv written by ``write_report``.
+
+    The columns are parsed in bulk; the rows may come in any order. A
+    malformed file raises DataFormatError naming its first bad line, and a
+    file whose rows do not form a complete (region, t, flow) grid gives a
+    ledger whose ``validate_complete`` raises LedgerError.
+    """
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: {e}") from None
+    if header != LEDGER_COLUMNS:
+        raise DataFormatError(f"{path}: not a ledger file")
+    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1,
+                encoding="utf-8")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # blank lines are skipped
+            nums = np.loadtxt(path, usecols=(0, 3, 5), dtype=np.int64, **opts)
+            length = np.loadtxt(path, usecols=4, dtype=np.float64, **opts)
+            labels = np.loadtxt(path, usecols=(1, 2), dtype=str, **opts)
+    except ValueError as e:
+        _raise_bad_ledger_line(path, e)
+    if nums.size == 0:
+        raise DataFormatError(f"{path}: no records")
+    nums, labels = nums.reshape(-1, 3), labels.reshape(-1, 2)
+    is_out = labels[:, 1] == FLOWS[1]
+    flags_ok = ((nums[:, 1:] == 0) | (nums[:, 1:] == 1)).all()
+    if not flags_ok or not (is_out | (labels[:, 1] == FLOWS[0])).all():
+        _raise_bad_ledger_line(path, ValueError("bad flow or flag field"))
+    region_idx, region_ids = _region_codes(labels[:, 0])
+    return RunLedger._from_long(
+        region_ids, t=nums[:, 0], region_idx=region_idx, flow_idx=is_out.astype(np.intp),
+        covered=nums[:, 1] == 1, length=length, empty=nums[:, 2] == 1,
+    )
+
+
+def _region_codes(column: np.ndarray):
+    """Region index of each row and the region ids in canonical order."""
+    labels, codes = np.unique(column, return_inverse=True)
+    parsed = [parse_region(s) for s in labels.tolist()]
+    region_ids = sorted(parsed, key=region_sort_key)
+    index = {r: i for i, r in enumerate(region_ids)}
+    return np.array([index[r] for r in parsed], dtype=np.intp)[codes], region_ids
+
+
+def _raise_bad_ledger_line(path, error):
+    """Rescan the ledger row by row and raise DataFormatError at its first bad line."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "region", "flow", "covered", "length", "empty"]:
-            raise DataFormatError(f"{path}: not a ledger file")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                region = int(row[1]) if row[1].lstrip("-").isdigit() else row[1]
-                records.append((int(row[0]), region, row[2], bool(int(row[3])),
-                                float(row[4]), bool(int(row[5]))))
-            except (ValueError, IndexError) as e:
-                raise DataFormatError(f"{path}:{lineno}: {e}") from None
-    if not records:
-        raise DataFormatError(f"{path}: no records")
-    region_ids = sorted({r[1] for r in records}, key=lambda x: (isinstance(x, str), x))
-    return RunLedger.from_records(records, region_ids=region_ids)
+        next(reader)
+        try:
+            for row in reader:
+                if row:
+                    _check_ledger_row(row, f"{path}:{reader.line_num}")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: {e}") from None
+    raise DataFormatError(f"{path}: {error}")
+
+
+def _check_ledger_row(row, where):
+    if len(row) != len(LEDGER_COLUMNS):
+        raise DataFormatError(f"{where}: expected {len(LEDGER_COLUMNS)} fields, got {len(row)}")
+    if row[2] not in FLOWS:
+        raise DataFormatError(f"{where}: flow must be in/out, got {row[2]!r}")
+    if row[3] not in ("0", "1") or row[5] not in ("0", "1"):
+        raise DataFormatError(f"{where}: covered and empty must be 0 or 1")
+    try:
+        int(row[0])
+        float(row[4])
+    except ValueError as e:
+        raise DataFormatError(f"{where}: {e}") from None
 
 
 def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:

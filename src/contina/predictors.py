@@ -27,7 +27,7 @@ import numpy as np
 from ._params import ParamsMixin
 from .errors import DataFormatError, MissingForecastError, NotFittedError
 from .intervals import QuantileForecast
-from .streams import FLOWS, DemandStream, Observation
+from .streams import FLOWS, DemandStream, Observation, parse_region
 from .validation import check_in_range, check_positive, check_positive_int
 from .windows import quantile_rank
 
@@ -315,8 +315,7 @@ class FileBackedForecasts(ParamsMixin):
                     hi = float(row[4])
                 except ValueError as e:
                     raise DataFormatError(f"{path}:{lineno}: {e}") from None
-                region = row[1].strip()
-                region = int(region) if region.lstrip("-").isdigit() else region
+                region = parse_region(row[1].strip())
                 flow = row[2].strip()
                 if flow not in FLOWS:
                     raise DataFormatError(f"{path}:{lineno}: flow must be in/out, got {flow!r}")

@@ -361,9 +361,26 @@ def write_demand_csv(stream: DemandStream, path) -> None:
                 )
 
 
-def _region_sort_key(region):
-    s = str(region)
-    return (0, int(s), "") if s.lstrip("-").isdigit() else (1, 0, s)
+def parse_region(label: str):
+    """The region identity of a label as written in a CSV file.
+
+    A label becomes an int only when it is that int's canonical spelling
+    (``str(int(label)) == label``: ASCII digits, an optional leading ``-``,
+    no leading zeros); any other label stays the string it was written as.
+    The rule is one-to-one, so distinct labels stay distinct regions, and a
+    region written back with ``str`` parses to itself.
+    """
+    try:
+        value = int(label)
+    except ValueError:
+        return label
+    return value if str(value) == label else label
+
+
+def region_sort_key(region):
+    """Canonical region order: integer labels by value, then string labels."""
+    label = parse_region(str(region))
+    return (0, label, "") if isinstance(label, int) else (1, 0, label)
 
 
 def read_demand_csv(path, gap_policy: str = "abort", steps_per_day: int = 24) -> DemandStream:
@@ -373,6 +390,7 @@ def read_demand_csv(path, gap_policy: str = "abort", steps_per_day: int = 24) ->
     negative demand, or duplicate (t, region) pairs. Time gaps (missing steps
     or missing region cells) follow ``gap_policy``: ``abort`` raises, while
     ``drop_day`` removes every step of each affected day and logs a warning.
+    Region labels follow ``parse_region``.
     """
     if gap_policy not in ("abort", "drop_day"):
         raise ValueError(f"gap_policy must be 'abort' or 'drop_day', got {gap_policy!r}")
@@ -408,7 +426,7 @@ def read_demand_csv(path, gap_policy: str = "abort", steps_per_day: int = 24) ->
     if not cells:
         raise DataFormatError(f"{path}: no data rows")
 
-    regions = sorted({r for _, r in cells}, key=_region_sort_key)
+    regions = sorted({r for _, r in cells}, key=region_sort_key)
     t_seen = sorted({t for t, _ in cells})
     full_range = range(t_seen[0], t_seen[-1] + 1)
     gaps = [t for t in full_range if not all((t, r) in cells for r in regions)]
@@ -433,11 +451,8 @@ def read_demand_csv(path, gap_policy: str = "abort", steps_per_day: int = 24) ->
     for p, t in enumerate(times):
         for i, r in enumerate(regions):
             y[i, 0, p], y[i, 1, p] = cells[(t, r)]
-    # Region labels that parse as integers come back as ints so synthetic
-    # round-trips compare equal.
-    labels = tuple(int(r) if str(r).lstrip("-").isdigit() else r for r in regions)
     return DemandStream(
-        region_ids=labels,
+        region_ids=tuple(parse_region(r) for r in regions),
         history=y,
         times=np.asarray(times, dtype=np.int64),
     )

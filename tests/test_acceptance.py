@@ -253,6 +253,7 @@ class TestCriterion6RegionalDispersion:
         )
 
 
+@pytest.mark.slow
 class TestCriterion7WorstRegionBound:
     @pytest.mark.parametrize("k_lag", [6, 24])
     def test_min_regional_coverage_respects_bound(self, k_lag):

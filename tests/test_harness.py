@@ -6,14 +6,17 @@ pure update functions) and demands record-for-record agreement with the
 engine's ledger.
 """
 
+import csv
 import filecmp
+import functools
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from contina import metrics
+from contina import harness, metrics
 from contina.adaptation import AdaptHyperParams, RegionAdaptState, update_alpha_adaptive
 from contina.errors import ConfigError, MissingForecastError
 from contina.harness import (
@@ -30,11 +33,13 @@ from contina.predictors import PredictorSpec, make_predictor, write_forecast_csv
 from contina.streams import (
     FLOWS,
     DemandStream,
+    Observation,
     StreamSpec,
     generate,
     split,
     write_demand_csv,
 )
+from contina.tracker import METHODS
 from contina.windows import CalibrationWindow
 
 
@@ -51,7 +56,10 @@ def small_config(**kw):
 
 
 def oracle_replay(config):
-    """Slow reference replay over the object-path API."""
+    """Slow reference replay over the object-path API.
+
+    Records come out in (region, t, flow) order, the ledger's row order.
+    """
     stream = generate(config.synthetic)
     train, calib, deploy = split(stream, config.train_frac, config.calib_frac)
     predictor = make_predictor(config.predictor, config.alpha, config.steps_per_day)
@@ -84,15 +92,21 @@ def oracle_replay(config):
                 q = windows[j].quantile_with_rules(level)
                 from contina.intervals import build_interval_cp, build_interval_qcp
 
+                clamp = config.clamp_nonnegative
                 if config.method == "cp":
-                    band = build_interval_cp(fc.lo, q)
+                    band = build_interval_cp(fc.lo, q, clamp_nonnegative=clamp)
                 else:
-                    band = build_interval_qcp(fc, q)
+                    band = build_interval_qcp(fc, q, clamp_nonnegative=clamp)
                 cov = contains(band, y)
                 records.append((int(t), region, flow, cov, interval_length(band),
                                 band.empty))
                 hits.append(cov)
                 windows[j].push(max(y - fc.hi, fc.lo - y))
+            if config.predictor_updates:
+                for j, flow in enumerate(FLOWS):
+                    predictor.update(Observation(int(t), region, flow,
+                                                 float(deploy.cell_series(i, j)[p]),
+                                                 tuple(lags[j][p])))
             err = 1.0 - (hits[0] + hits[1]) / 2.0
             if config.method == "contina":
                 state = update_alpha_adaptive(state, err, hp)
@@ -339,6 +353,99 @@ class TestReports:
         paths = write_report(result, tmp_path / "rep")
         back = read_ledger_csv(paths["ledger"])
         assert sorted(back.records) == sorted(result.ledger.records)
+
+
+LAYOUT_CASES = [
+    (method, clamp, updates)
+    for method in METHODS
+    for clamp in (False, True)
+    for updates in (False, True)
+]
+
+
+def layout_config(method, clamp, updates):
+    # Low, noisy demand so widened lower bounds go negative and the clamp binds.
+    return small_config(
+        method=method, clamp_nonnegative=clamp, predictor_updates=updates,
+        synthetic=StreamSpec(n_regions=3, horizon=400, seed=21,
+                             base_level=(0.5, 3.0), sigma_frac=1.0),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def layout_run(method, clamp, updates):
+    return run_replay(layout_config(method, clamp, updates))
+
+
+class TestLedgerLayout:
+    """The dense ledger's long-format views keep the (region, t, flow) layout."""
+
+    @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
+    def test_views_match_hand_built_layout_and_oracle(self, method, clamp, updates):
+        ledger = layout_run(method, clamp, updates).ledger
+        n, steps = ledger.n_regions, ledger.horizon
+        assert np.array_equal(ledger.t, np.tile(np.repeat(ledger.times, 2), n))
+        assert np.array_equal(ledger.region_idx, np.repeat(np.arange(n), 2 * steps))
+        assert np.array_equal(ledger.flow_idx, np.tile([0, 1], n * steps))
+        want = oracle_replay(layout_config(method, clamp, updates))
+        assert ledger.records == want
+        for k, name in ((3, "covered"), (4, "length"), (5, "empty")):
+            column = getattr(ledger, name)
+            assert column.tolist() == [r[k] for r in want]
+            assert np.array_equal(getattr(ledger, f"{name}_grid"), column.reshape(n, steps, 2))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_clamp_changes_the_layout_runs(self, method):
+        off = layout_run(method, False, False).ledger
+        on = layout_run(method, True, False).ledger
+        assert not np.array_equal(off.length_grid, on.length_grid)
+
+
+class TestReportRoundTrip:
+    @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
+    def test_write_read_and_rewrite(self, tmp_path, method, clamp, updates):
+        result = layout_run(method, clamp, updates)
+        paths = write_report(result, tmp_path)
+        back = read_ledger_csv(paths["ledger"])
+        assert back.region_ids == result.ledger.region_ids
+        for name in ("times", "covered_grid", "length_grid", "empty_grid"):
+            assert np.array_equal(getattr(back, name), getattr(result.ledger, name))
+        before = {k: open(paths[k], "rb").read() for k in ("summary", "daily")}
+        rebuilt = report_from_dir(tmp_path)
+        assert {k: open(rebuilt[k], "rb").read() for k in before} == before
+
+    def test_labels_that_need_quoting_round_trip(self, tmp_path):
+        regions = (7, " s ", "#h", "007", "a\nb", "c,d", 'q"x')
+        recs = [(t, r, f, t % 2 == 0, 0.5 * t, False)
+                for r in regions for t in range(3) for f in FLOWS]
+        ledger = metrics.RunLedger.from_records(recs)
+        path = tmp_path / "ledger.csv"
+        harness._write_ledger(ledger, path)
+        back = read_ledger_csv(path)
+        assert back.region_ids == ledger.region_ids == regions
+        assert back.records == ledger.records == recs
+
+    @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
+    def test_period_cells_equal_exact_counts(self, tmp_path, method, clamp, updates):
+        result = layout_run(method, clamp, updates)
+        write_report(result, tmp_path)
+        paths = report_from_dir(tmp_path, periods=2)
+        with open(paths["summary"], newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == ["P1", "P2", "AVG"]
+        records = result.ledger.records
+        for row in rows:
+            lo, hi, steps = int(row[1]), int(row[2]), int(row[3])
+            cells = [r for r in records if lo <= r[0] <= hi]
+            assert len(cells) == 2 * steps * result.ledger.n_regions
+            assert row[4] == repr(float(Fraction(sum(r[3] for r in cells), len(cells))))
+            per_region = {
+                region: Fraction(sum(r[3] for r in cells if r[1] == region), 2 * steps)
+                for region in result.ledger.region_ids
+            }
+            worst = min(per_region.values())
+            assert row[5] == repr(float(worst))
+            assert row[6] == str(min(r for r, v in per_region.items() if v == worst))
 
 
 class TestConfigValidation:

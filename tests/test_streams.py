@@ -11,8 +11,10 @@ from contina.streams import (
     Observation,
     StreamSpec,
     generate,
+    parse_region,
     read_demand_csv,
     region_filter,
+    region_sort_key,
     split,
     write_demand_csv,
 )
@@ -268,6 +270,31 @@ class TestDemandCsv:
         path.write_text("time,region,in,out\n0,a,1,2\n")
         with pytest.raises(DataFormatError, match="header"):
             read_demand_csv(path)
+
+
+class TestRegionLabels:
+    @pytest.mark.parametrize("label, want", [
+        ("7", 7), ("-5", -5), ("0", 0), ("1234567890123", 1234567890123),
+        ("007", "007"), ("-0", "-0"), ("--5", "--5"), ("+5", "+5"), ("5_0", "5_0"),
+        (" 5", " 5"), ("\u00b2", "\u00b2"), ("\u0663", "\u0663"), ("a", "a"), ("", ""),
+    ])
+    def test_int_only_for_canonical_spelling(self, label, want):
+        got = parse_region(label)
+        assert got == want and type(got) is type(want)
+        assert str(got) == label
+
+    def test_sort_key_puts_ints_by_value_before_strings(self):
+        labels = ["b", "007", 10, "--5", -3, 2, "a"]
+        assert sorted(labels, key=region_sort_key) == [-3, 2, 10, "--5", "007", "a", "b"]
+
+    def test_distinct_spellings_stay_distinct_regions(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_text("t,region,inflow,outflow\n"
+                        "0,7,1,2\n0,007,3,4\n0,--5,5,6\n"
+                        "1,7,1,2\n1,007,3,4\n1,--5,5,6\n")
+        stream = read_demand_csv(path)
+        assert stream.region_ids == (7, "--5", "007")
+        assert stream.history[:, :, 0].tolist() == [[1, 2], [5, 6], [3, 4]]
 
 
 class TestSpecRoundtrip:
