@@ -91,7 +91,6 @@ _RUN_FLAGS = [
     ("calib-frac", float),
     ("steps-per-day", int),
     ("periods", int),
-    ("workers", int),
     ("region-threshold", float),
     ("gap-policy", click.Choice(["abort", "drop_day"])),
     ("demand-csv", click.Path(exists=True, dir_okay=False)),

@@ -4,10 +4,11 @@
 stream: fit the base predictor on the training segment, seed per-(region,
 flow) calibration windows from the calibration segment, then walk the
 deployment segment one step at a time running predict -> interval -> observe
--> score -> adapt for every region. Regions are independent, so they can be
-replayed on worker threads; each region's outcomes fill its own slice of the
-dense (region, step, flow) ledger, which keeps every output file
-byte-identical regardless of the worker count.
+-> score -> adapt for every region. Regions are independent and replayed one
+after another; each region's outcomes fill its own slice of the dense
+(region, step, flow) ledger. With ``predictor_updates`` the base predictor
+forecasts each step and learns from its demand in time order; otherwise its
+deployment forecasts are taken in one ``predict_series`` call per flow.
 
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
@@ -21,7 +22,6 @@ import csv
 import json
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -30,12 +30,13 @@ import numpy as np
 from . import metrics
 from .adaptation import AdaptHyperParams
 from .errors import ConfigError, DataFormatError, LedgerError
-from .intervals import QuantileForecast
+from .intervals import QuantileForecast, contains, interval_length
 from .metrics import BoundParams, RunLedger, coverage_gap_constant
 from .predictors import PredictorSpec, make_predictor
 from .streams import (
     FLOWS,
     DemandStream,
+    Observation,
     StreamSpec,
     generate,
     parse_region,
@@ -74,7 +75,6 @@ class ExperimentConfig:
     region_threshold: float = 0.0
     filter_mode: str = "joint"
     gap_policy: str = "abort"
-    workers: int = 1
     predictor_updates: bool = False
     predictor: PredictorSpec = field(default_factory=PredictorSpec)
     synthetic: StreamSpec | None = None
@@ -92,7 +92,6 @@ class ExperimentConfig:
             check_positive(self.epsilon, "epsilon")
             check_positive_int(self.steps_per_day, "steps_per_day")
             check_positive_int(self.periods, "periods")
-            check_positive_int(self.workers, "workers")
             if self.window is not None:
                 check_positive_int(self.window, "window")
             if self.region_threshold < 0:
@@ -122,9 +121,6 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        # workers is an execution knob with no effect on results, so it is
-        # not part of the experiment identity (manifests stay byte-identical
-        # across parallelism degrees).
         d = {
             "method": self.method,
             "alpha": self.alpha,
@@ -224,14 +220,17 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
     region = stream.region_ids[i]
     is_cp = config.method == "cp"
 
-    def cell_forecasts(segment, j):
-        lo, hi = predictor.predict_series(
-            region, FLOWS[j], segment.window_times(), segment.lags_matrix(i, j)
-        )
+    def effective(lo, hi):
+        # cp centres its interval on the forecast midpoint (floats or arrays).
         if is_cp:
             mid = 0.5 * (lo + hi)
             return mid, mid
         return lo, hi
+
+    def cell_forecasts(segment, j):
+        return effective(*predictor.predict_series(
+            region, FLOWS[j], segment.window_times(), segment.lags_matrix(i, j)
+        ))
 
     calib_scores = []
     for j in (0, 1):
@@ -249,23 +248,26 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
     times = deploy.window_times()
     y1 = deploy.cell_series(i, 0).tolist()
     y2 = deploy.cell_series(i, 1).tolist()
-
-    if config.predictor_updates:
-        return _replay_region_online(
-            i, region, deploy, predictor, tracker, times, y1, y2, audit_pos
-        )
-
-    f1_lo, f1_hi = cell_forecasts(deploy, 0)
-    f2_lo, f2_hi = cell_forecasts(deploy, 1)
-    f1_lo = f1_lo.tolist()
-    f1_hi = f1_hi.tolist()
-    f2_lo = f2_lo.tolist()
-    f2_hi = f2_hi.tolist()
+    updates = config.predictor_updates
+    if updates:
+        # Each forecast depends on the updates of the steps before it, so the
+        # lists are filled one step at a time inside the loop.
+        lags = [deploy.lags_matrix(i, j) for j in (0, 1)]
+        f1_lo, f1_hi, f2_lo, f2_hi = ([0.0] * n_steps for _ in range(4))
+        forecast_lists = ((f1_lo, f1_hi), (f2_lo, f2_hi))
+    else:
+        f1_lo, f1_hi = (a.tolist() for a in cell_forecasts(deploy, 0))
+        f2_lo, f2_hi = (a.tolist() for a in cell_forecasts(deploy, 1))
 
     observe = tracker.observe_fast
     audit = None
     steps = [None] * n_steps
     for p in range(n_steps):
+        if updates:
+            t = int(times[p])
+            for j, (los, his) in enumerate(forecast_lists):
+                fc = predictor.predict(region, FLOWS[j], t, lags[j][p])
+                los[p], his[p] = effective(fc.lo, fc.hi)
         if p == audit_pos:
             audit = _snapshot(tracker, int(times[p]), region,
                               (f1_lo[p], f1_hi[p], f2_lo[p], f2_hi[p]),
@@ -275,49 +277,10 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
             c1, l1, e1, c2, l2, e2, err = steps[p]
             audit.outcome = ((c1, l1, e1), (c2, l2, e2))
             audit.err = err
+        if updates:
+            for j, y in enumerate((y1[p], y2[p])):
+                predictor.update(Observation(t, region, FLOWS[j], y, tuple(lags[j][p])))
     out = np.asarray(steps)[:, :6].reshape(n_steps, 2, 3)
-
-    state = RegionFinalState(
-        region=region, alpha=tracker.alpha_t_, moment=tracker.moment_,
-        rate=tracker.rate_, update_sum=tracker.update_sum_,
-    )
-    return out, state, audit, tracker.windows_[0].capacity
-
-
-def _replay_region_online(i, region, deploy, predictor, tracker, times, y1, y2,
-                          audit_pos):
-    """Slow path with per-step predictor updates."""
-    from .streams import Observation
-
-    n_steps = deploy.horizon
-    lags = [deploy.lags_matrix(i, j) for j in (0, 1)]
-    out = np.empty((n_steps, 2, 3))
-    is_cp = tracker.method == "cp"
-    audit = None
-    for p in range(n_steps):
-        t = int(times[p])
-        fcs = []
-        for j in (0, 1):
-            fc = predictor.predict(region, FLOWS[j], t, lags[j][p])
-            if is_cp:
-                m = fc.midpoint
-                fc = QuantileForecast(m, m)
-            fcs.append(fc)
-        if p == audit_pos:
-            audit = _snapshot(tracker, t, region,
-                              (fcs[0].lo, fcs[0].hi, fcs[1].lo, fcs[1].hi),
-                              (y1[p], y2[p]))
-        c1, l1, e1, c2, l2, e2, err = tracker.observe_fast(
-            fcs[0].lo, fcs[0].hi, fcs[1].lo, fcs[1].hi, y1[p], y2[p]
-        )
-        out[p, 0] = (c1, l1, e1)
-        out[p, 1] = (c2, l2, e2)
-        if p == audit_pos:
-            audit.outcome = ((c1, l1, e1), (c2, l2, e2))
-            audit.err = err
-        for j in (0, 1):
-            predictor.update(Observation(t, region, FLOWS[j],
-                                         (y1[p], y2[p])[j], tuple(lags[j][p])))
 
     state = RegionFinalState(
         region=region, alpha=tracker.alpha_t_, moment=tracker.moment_,
@@ -351,17 +314,11 @@ def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
         audit_region = int(rng.integers(stream.n_regions))
         audit_pos = int(rng.integers(deploy.horizon))
 
-    n = stream.n_regions
-    jobs = [
-        (i, stream, calib, deploy, predictor, config,
-         audit_pos if i == audit_region else None)
-        for i in range(n)
+    results = [
+        _replay_region(i, stream, calib, deploy, predictor, config,
+                       audit_pos if i == audit_region else None)
+        for i in range(stream.n_regions)
     ]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda args: _replay_region(*args), jobs))
-    else:
-        results = [_replay_region(*job) for job in jobs]
 
     grid = np.stack([r[0] for r in results])  # (region, step, flow, outcome)
     ledger = RunLedger(
@@ -389,7 +346,9 @@ def verify_audit(result: RunResult) -> bool:
     Proves the emitted intervals were a pure function of data strictly before
     the step plus the step's forecasts: a fresh tracker is rebuilt from the
     snapshot and must reproduce the recorded outcome exactly, through the
-    object-path API rather than the replay hot path.
+    object-path API rather than the replay hot path. Coverage and the step's
+    miscoverage are recomputed from the rebuilt intervals, so nothing in the
+    check comes from ``observe_fast``.
     """
     snap = result.audit
     if snap is None:
@@ -403,18 +362,13 @@ def verify_audit(result: RunResult) -> bool:
     tracker.alpha_t_ = snap.alpha_t
     tracker.moment_ = snap.moment
     forecasts = tuple(QuantileForecast(lo, hi) for lo, hi in snap.forecasts)
-    outcome = tracker.observe(forecasts, snap.ys)
-    for j in (0, 1):
-        rec_cov, rec_len, rec_emp = snap.outcome[j]
-        interval = outcome.intervals[j]
-        if outcome.covered[j] != bool(rec_cov):
+    intervals = tracker.predict(forecasts)
+    hits = [contains(band, y) for band, y in zip(intervals, snap.ys)]
+    for band, hit, (rec_cov, rec_len, rec_emp) in zip(intervals, hits, snap.outcome):
+        if (hit != bool(rec_cov) or band.empty != bool(rec_emp)
+                or interval_length(band) != rec_len):
             return False
-        if interval.empty != bool(rec_emp):
-            return False
-        length = 0.0 if interval.empty else interval.up - interval.low
-        if length != rec_len:
-            return False
-    return outcome.err == snap.err
+    return 1.0 - (hits[0] + hits[1]) / 2.0 == snap.err
 
 
 def _fmt(x) -> str:

@@ -68,11 +68,17 @@ class RunLedger:
         if region_ids is None:
             region_ids = sorted({r[1] for r in records}, key=region_sort_key)
         index = {r: i for i, r in enumerate(region_ids)}
+        flow_index = {f: j for j, f in enumerate(FLOWS)}
+        for r in records:
+            if r[1] not in index:
+                raise LedgerError(f"record {r!r}: region {r[1]!r} is not in region_ids")
+            if r[2] not in flow_index:
+                raise LedgerError(f"record {r!r}: flow must be in/out, got {r[2]!r}")
         return cls._from_long(
             region_ids,
             t=np.array([r[0] for r in records], dtype=np.int64),
             region_idx=np.array([index[r[1]] for r in records], dtype=np.intp),
-            flow_idx=np.array([FLOWS.index(r[2]) for r in records], dtype=np.intp),
+            flow_idx=np.array([flow_index[r[2]] for r in records], dtype=np.intp),
             covered=np.array([r[3] for r in records], dtype=bool),
             length=np.array([r[4] for r in records], dtype=np.float64),
             empty=np.array([r[5] for r in records], dtype=bool),

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import DataFormatError, MissingForecastError, NotFittedError
 from .intervals import QuantileForecast
 from .streams import FLOWS, DemandStream, Observation, parse_region
 from .validation import check_in_range, check_positive, check_positive_int
-from .windows import quantile_rank
+from .windows import CalibrationWindow, quantile_rank
 
 PREDICTOR_KINDS = ("seasonal_window", "online_pinball_linear", "file_backed")
 
@@ -92,9 +91,10 @@ class SeasonalWindowPredictor(ParamsMixin):
     """Empirical-quantile forecasts from a trailing window of past demand.
 
     History is bucketed by (region, flow, hour-of-day); with ``by_hour``
-    disabled a single bucket per (region, flow) is used. Cold buckets fall
-    back to per-flow quantiles over the whole training window (or raise,
-    per ``fallback``).
+    disabled a single bucket per (region, flow) is used. Each bucket is a
+    :class:`CalibrationWindow` of the last ``window_len`` values. Cold
+    buckets fall back to per-flow quantiles over the whole training window
+    (or raise, per ``fallback``).
     """
 
     def __init__(self, alpha=0.1, window_len=168, by_hour=True, steps_per_day=24,
@@ -124,15 +124,18 @@ class SeasonalWindowPredictor(ParamsMixin):
                 flow_values[flow].append(ys)
                 for h in np.unique(hours):
                     bucket_ys = ys[hours == h]
-                    dq = deque(bucket_ys[-self.window_len :], maxlen=self.window_len)
+                    win = CalibrationWindow(self.window_len, bucket_ys[-self.window_len :])
                     key = (region, flow, int(h))
-                    self._buckets[key] = dq
-                    self._pairs[key] = _empirical_pair(np.sort(dq), self.alpha)
+                    self._buckets[key] = win
+                    self._pairs[key] = self._window_pair(win)
         self._fallback_pair = {}
         for flow in FLOWS:
             allv = np.sort(np.concatenate(flow_values[flow]))
             self._fallback_pair[flow] = _empirical_pair(allv, self.alpha)
         return self
+
+    def _window_pair(self, win: CalibrationWindow) -> tuple[float, float]:
+        return win.quantile(self.alpha / 2.0), win.quantile(1.0 - self.alpha / 2.0)
 
     def _pair_for(self, region, flow, t):
         if self._pairs is None:
@@ -168,12 +171,11 @@ class SeasonalWindowPredictor(ParamsMixin):
         if self._buckets is None:
             raise NotFittedError("predictor must be fitted before updating")
         key = (obs.region, obs.flow, self._hour(obs.t))
-        dq = self._buckets.get(key)
-        if dq is None:
-            dq = deque(maxlen=self.window_len)
-            self._buckets[key] = dq
-        dq.append(obs.y)
-        self._pairs[key] = _empirical_pair(np.sort(dq), self.alpha)
+        win = self._buckets.get(key)
+        if win is None:
+            win = self._buckets[key] = CalibrationWindow(self.window_len)
+        win.push(obs.y)
+        self._pairs[key] = self._window_pair(win)
 
 
 class OnlinePinballLinearPredictor(ParamsMixin):

@@ -17,6 +17,8 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyCalibrationError
 from .validation import check_positive_int
 
@@ -76,15 +78,23 @@ class CalibrationWindow:
 
     Keeps a deque in arrival order for eviction plus a parallel sorted list,
     so pushes cost one binary search + memmove and rank queries are O(1).
+    The constructor sorts its first ``capacity`` scores in one stable pass,
+    which orders equal scores exactly as pushing them one by one would, and
+    pushes the rest.
     """
 
     __slots__ = ("_capacity", "_fifo", "_sorted")
 
     def __init__(self, capacity: int, scores=()):
         self._capacity = check_positive_int(capacity, "capacity")
-        self._fifo: deque[float] = deque()
-        self._sorted: list[float] = []
-        for s in scores:
+        values = np.asarray(scores, dtype=np.float64)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"score must be finite, got {float(values[~finite][0])!r}")
+        head = values[: self._capacity].tolist()
+        self._fifo: deque[float] = deque(head)
+        self._sorted: list[float] = sorted(head)
+        for s in values[self._capacity :].tolist():
             self.push(s)
 
     @property

@@ -96,6 +96,15 @@ class TestRun:
         result = runner.invoke(main, ["run", "--method", "qcp"])
         assert result.exit_code == 2
 
+    def test_workers_key_and_flag_are_config_errors(self, runner, tmp_path):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("workers: 2\nsynthetic:\n  n_regions: 2\n  horizon: 300\n")
+        result = runner.invoke(main, ["run", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "unknown config keys: ['workers']" in result.output
+        result = runner.invoke(main, ["run", "--regions", "2", "--workers", "2"])
+        assert result.exit_code == 2
+
     def test_conflicting_sources_rejected(self, runner, tmp_path):
         demand = tmp_path / "demand.csv"
         run_cli(runner, ["generate", "--regions", "1", "--horizon", "60",

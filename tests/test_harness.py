@@ -39,7 +39,7 @@ from contina.streams import (
     split,
     write_demand_csv,
 )
-from contina.tracker import METHODS
+from contina.tracker import METHODS, ConformalIntervalTracker
 from contina.windows import CalibrationWindow
 
 
@@ -126,6 +126,33 @@ class TestReplayAgainstOracle:
         got = sorted(result.ledger.records)
         assert got == want
 
+    @pytest.mark.parametrize("method", ["aci_fixed", "contina"])
+    @pytest.mark.parametrize("updates", [False, True])
+    def test_high_rate_leaves_unit_interval_both_ways(self, monkeypatch, method, updates):
+        # A rate this large moves alpha_t by at least 0.5 per step, so the
+        # working level leaves [0, 1] on both sides; the clamp and a small
+        # window are on as well.
+        def config():
+            return small_config(
+                method=method, clamp_nonnegative=True, predictor_updates=updates,
+                window=12, gamma=5.0, gamma1=5.0,
+                synthetic=StreamSpec(n_regions=3, horizon=400, seed=21,
+                                     base_level=(0.5, 3.0), sigma_frac=1.0),
+            )
+
+        levels = []
+        fast = ConformalIntervalTracker.observe_fast
+
+        def recording(self, *args):
+            levels.append(1.0 - self.alpha_t_)
+            return fast(self, *args)
+
+        monkeypatch.setattr(ConformalIntervalTracker, "observe_fast", recording)
+        ledger = run_replay(config()).ledger
+        assert min(levels) < 0.0 and max(levels) > 1.0
+        assert ledger.empty.any()
+        assert ledger.records == oracle_replay(config())
+
 
 class TestDeterminismAndParallelism:
     def test_same_config_same_ledger(self):
@@ -133,16 +160,6 @@ class TestDeterminismAndParallelism:
         b = run_replay(small_config())
         assert np.array_equal(a.ledger.covered, b.ledger.covered)
         assert np.array_equal(a.ledger.length, b.ledger.length)
-
-    def test_worker_count_does_not_change_reports(self, tmp_path):
-        out = {}
-        for workers in (1, 3):
-            cfg = small_config(workers=workers,
-                               synthetic=StreamSpec(n_regions=5, horizon=500, seed=5))
-            result = run_replay(cfg)
-            out[workers] = write_report(result, tmp_path / f"w{workers}")
-        for name in ("ledger", "summary", "daily", "states"):
-            assert filecmp.cmp(out[1][name], out[3][name], shallow=False)
 
     def test_region_relabeling_preserves_aggregates(self):
         cfg = small_config()
@@ -189,13 +206,16 @@ class TestAudit:
         result = run_replay(cfg, audit=True)
         assert verify_audit(result)
 
-    def test_online_update_path_matches_frozen_when_updates_off(self):
-        # predictor_updates=False must equal the vectorized path's output
-        cfg_a = small_config(method="contina")
-        res_a = run_replay(cfg_a)
-        cfg_b = small_config(method="contina", workers=2)
-        res_b = run_replay(cfg_b)
-        assert np.array_equal(res_a.ledger.covered, res_b.ledger.covered)
+    def test_audit_catches_a_wrong_fast_path_coverage(self, monkeypatch):
+        fast = ConformalIntervalTracker.observe_fast
+
+        def flipped(self, *args):
+            cov1, *rest = fast(self, *args)
+            return (not cov1, *rest)
+
+        monkeypatch.setattr(ConformalIntervalTracker, "observe_fast", flipped)
+        result = run_replay(small_config(method="contina"), audit=True)
+        assert verify_audit(result) is False
 
 
 class TestTelescopingIdentity:
@@ -249,10 +269,13 @@ class TestFileBackedRuns:
         rows = []
         for t in range(80, 200):  # calibration + deployment cells only
             for region in stream.region_ids:
-                for flow in FLOWS:
+                for j, flow in enumerate(FLOWS):
                     if (t, region, flow) == drop_cell:
                         continue
-                    rows.append((t, region, flow, 5.0, 15.0))
+                    # Bands that differ from cell to cell, so a forecast read
+                    # for the wrong cell changes the outcome.
+                    lo = 3.0 + (t + 2 * region + j) % 5
+                    rows.append((t, region, flow, lo, lo + 9.0))
         forecasts = tmp_path / "forecasts.csv"
         write_forecast_csv(forecasts, rows)
         return demand, forecasts
@@ -263,6 +286,22 @@ class TestFileBackedRuns:
                                train_frac=0.4, calib_frac=0.2, method="qcp")
         result = run_replay(cfg)
         assert metrics.average_coverage(result.ledger) > 0.5
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_predictor_updates_on_and_off_write_identical_reports(self, tmp_path, method):
+        # A file-backed predictor ignores updates, so the per-step forecasts
+        # of the update path must reproduce the bulk forecasts bit for bit.
+        demand, forecasts = self.make_inputs(tmp_path)
+        paths = {}
+        for updates in (False, True):
+            cfg = ExperimentConfig(demand_csv=str(demand), forecast_csv=str(forecasts),
+                                   train_frac=0.4, calib_frac=0.2, method=method,
+                                   predictor_updates=updates)
+            result = run_replay(cfg, audit=True)
+            assert verify_audit(result)
+            paths[updates] = write_report(result, tmp_path / f"updates{updates}")
+        for name in ("ledger", "summary", "daily", "states"):
+            assert filecmp.cmp(paths[False][name], paths[True][name], shallow=False)
 
     def test_missing_cell_aborts_with_identity(self, tmp_path):
         demand, forecasts = self.make_inputs(tmp_path, drop_cell=(150, 1, "out"))

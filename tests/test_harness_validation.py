@@ -22,7 +22,7 @@ def base(**kw):
         {"epsilon": 0.0},
         {"window": 0},
         {"periods": 0},
-        {"workers": 0},
+        {"steps_per_day": 0},
         {"region_threshold": -1.0},
         {"filter_mode": "sometimes"},
         {"gap_policy": "ignore"},

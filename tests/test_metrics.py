@@ -94,6 +94,15 @@ class TestAverageCoverage:
         with pytest.raises(LedgerError):
             average_coverage(RunLedger.from_records(recs))
 
+    @pytest.mark.parametrize("record, message", [
+        ((0, "b", "in", True, 1.0, False), r"record \(0, 'b', 'in'.*region 'b' is not in"),
+        ((0, "a", "sideways", True, 1.0, False), r"record \(0, 'a', 'sideways'.*flow"),
+    ])
+    def test_bad_record_names_itself(self, record, message):
+        recs = [(0, "a", "in", True, 1.0, False), record]
+        with pytest.raises(LedgerError, match=message):
+            RunLedger.from_records(recs, region_ids=("a",))
+
 
 class TestMinRegionalCoverage:
     def test_identical_regions_degenerate_minimum(self):

@@ -64,6 +64,29 @@ class TestPush:
                 assert w.scores == tuple(model)
 
 
+    @pytest.mark.parametrize("n_scores", [5, 12, 40])
+    def test_bulk_build_equals_push_by_push(self, n_scores):
+        """Scores below, at and above capacity, with ties and signed zeros."""
+        scores = ([0.0, -0.0, 1.0, -1.0, -0.0, 0.0, 2.0] * 6)[:n_scores]
+        bulk = CalibrationWindow(12, scores)
+        model = CalibrationWindow(12)
+        for x in scores:
+            model.push(x)
+        for x in [-0.0, 0.0, 3.0, -0.0, -1.0, 0.0, None]:
+            n = len(model)
+            ranks = [k / n for k in range(1, n + 1)]
+            assert [repr(bulk.quantile(q)) for q in ranks] == \
+                [repr(model.quantile(q)) for q in ranks]
+            assert list(map(repr, bulk.scores)) == list(map(repr, model.scores))
+            if x is not None:
+                bulk.push(x)
+                model.push(x)
+
+    def test_bulk_build_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationWindow(4, [1.0, float("nan")])
+
+
 class TestQuantile:
     def test_ninth_of_ten(self):
         w = CalibrationWindow(10, range(1, 11))
