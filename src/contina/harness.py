@@ -2,13 +2,16 @@
 
 ``run_replay`` executes the full protocol over a synthetic or ingested demand
 stream: fit the base predictor on the training segment, seed per-(region,
-flow) calibration windows from the calibration segment, then walk the
-deployment segment one step at a time running predict -> interval -> observe
--> score -> adapt for every region. Regions are independent and replayed one
-after another; each region's outcomes fill its own slice of the dense
-(region, step, flow) ledger. With ``predictor_updates`` the base predictor
-forecasts each step and learns from its demand in time order; otherwise its
-deployment forecasts are taken in one ``predict_series`` call per flow.
+flow) calibration windows from the calibration segment, then run the
+deployment segment's interval -> observe -> score -> adapt cycle for every
+region. Regions are independent and replayed one after another; each region's
+whole deployment is one ``ConformalIntervalTracker.observe_series`` call (two
+for the audited region, split at the audit step so the pre-step state can be
+snapshotted), and its outcomes fill its own slice of the dense (region, step,
+flow) ledger. The forecasts are computed before that call: in one
+``predict_series`` call per flow, or, with ``predictor_updates``, by a
+predict-then-update pass in time order. Neither forecasts nor updates depend
+on alpha_t, so nothing is reordered.
 
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
@@ -244,43 +247,43 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
         window=config.window, clamp_nonnegative=config.clamp_nonnegative,
     ).fit(calib_scores[0], calib_scores[1])
 
-    n_steps = deploy.horizon
     times = deploy.window_times()
-    y1 = deploy.cell_series(i, 0).tolist()
-    y2 = deploy.cell_series(i, 1).tolist()
-    updates = config.predictor_updates
-    if updates:
+    y1 = deploy.cell_series(i, 0)
+    y2 = deploy.cell_series(i, 1)
+    if config.predictor_updates:
         # Each forecast depends on the updates of the steps before it, so the
-        # lists are filled one step at a time inside the loop.
+        # lists are filled in time order. Updates see only the demand, never
+        # the intervals, so all of them can run before the tracker does.
         lags = [deploy.lags_matrix(i, j) for j in (0, 1)]
-        f1_lo, f1_hi, f2_lo, f2_hi = ([0.0] * n_steps for _ in range(4))
-        forecast_lists = ((f1_lo, f1_hi), (f2_lo, f2_hi))
-    else:
-        f1_lo, f1_hi = (a.tolist() for a in cell_forecasts(deploy, 0))
-        f2_lo, f2_hi = (a.tolist() for a in cell_forecasts(deploy, 1))
-
-    observe = tracker.observe_fast
-    audit = None
-    steps = [None] * n_steps
-    for p in range(n_steps):
-        if updates:
-            t = int(times[p])
-            for j, (los, his) in enumerate(forecast_lists):
+        ys = (y1.tolist(), y2.tolist())
+        forecasts = ([], [], [], [])
+        for p, t in enumerate(times.tolist()):
+            for j in (0, 1):
                 fc = predictor.predict(region, FLOWS[j], t, lags[j][p])
-                los[p], his[p] = effective(fc.lo, fc.hi)
-        if p == audit_pos:
-            audit = _snapshot(tracker, int(times[p]), region,
-                              (f1_lo[p], f1_hi[p], f2_lo[p], f2_hi[p]),
-                              (y1[p], y2[p]))
-        steps[p] = observe(f1_lo[p], f1_hi[p], f2_lo[p], f2_hi[p], y1[p], y2[p])
-        if p == audit_pos:
-            c1, l1, e1, c2, l2, e2, err = steps[p]
-            audit.outcome = ((c1, l1, e1), (c2, l2, e2))
-            audit.err = err
-        if updates:
-            for j, y in enumerate((y1[p], y2[p])):
-                predictor.update(Observation(t, region, FLOWS[j], y, tuple(lags[j][p])))
-    out = np.asarray(steps)[:, :6].reshape(n_steps, 2, 3)
+                lo, hi = effective(fc.lo, fc.hi)
+                forecasts[2 * j].append(lo)
+                forecasts[2 * j + 1].append(hi)
+            for j in (0, 1):
+                predictor.update(Observation(t, region, FLOWS[j], ys[j][p],
+                                             tuple(lags[j][p])))
+    else:
+        forecasts = (*cell_forecasts(deploy, 0), *cell_forecasts(deploy, 1))
+    series = (*forecasts, y1, y2)
+
+    audit = None
+    if audit_pos is None:
+        cols = tracker.observe_series(*series)
+    else:
+        head = tracker.observe_series(*(a[:audit_pos] for a in series))
+        tail = [a[audit_pos:] for a in series]
+        audit = _snapshot(tracker, int(times[audit_pos]), region,
+                          [float(a[0]) for a in tail])
+        tail = tracker.observe_series(*tail)
+        c1, l1, e1, c2, l2, e2 = (col[0] for col in tail)
+        audit.outcome = ((c1, l1, e1), (c2, l2, e2))
+        audit.err = 1.0 - (c1 + c2) / 2.0
+        cols = [a + b for a, b in zip(head, tail)]
+    out = np.array(cols, dtype=np.float64).T.reshape(deploy.horizon, 2, 3)
 
     state = RegionFinalState(
         region=region, alpha=tracker.alpha_t_, moment=tracker.moment_,
@@ -289,14 +292,14 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
     return out, state, audit, tracker.windows_[0].capacity
 
 
-def _snapshot(tracker, t, region, flat_forecasts, ys):
+def _snapshot(tracker, t, region, step):
+    """Pre-step state; ``step`` is (lo1, hi1, lo2, hi2, y1, y2) of the step."""
     return AuditRecord(
         t=t, region=region, alpha_t=tracker.alpha_t_, moment=tracker.moment_,
         window_scores=tuple(w.scores for w in tracker.windows_),
         window_capacity=tracker.windows_[0].capacity,
-        forecasts=((flat_forecasts[0], flat_forecasts[1]),
-                   (flat_forecasts[2], flat_forecasts[3])),
-        ys=tuple(ys), outcome=None, err=None,
+        forecasts=((step[0], step[1]), (step[2], step[3])),
+        ys=(step[4], step[5]), outcome=None, err=None,
     )
 
 
@@ -348,7 +351,7 @@ def verify_audit(result: RunResult) -> bool:
     snapshot and must reproduce the recorded outcome exactly, through the
     object-path API rather than the replay hot path. Coverage and the step's
     miscoverage are recomputed from the rebuilt intervals, so nothing in the
-    check comes from ``observe_fast``.
+    check comes from ``observe_series``.
     """
     snap = result.audit
     if snap is None:

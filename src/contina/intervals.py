@@ -72,8 +72,10 @@ def _band(low: float, up: float, clamp_nonnegative: bool) -> PredictionInterval:
     if low > up:
         return PredictionInterval.empty_set()
     if clamp_nonnegative:
-        low = max(low, 0.0)
-        up = max(up, low)
+        # Comparisons rather than max(): a -0.0 bound clamps to +0.0, as in
+        # the tracker's bulk kernel, so both paths give the same length bits.
+        low = low if low > 0.0 else 0.0
+        up = up if up > low else low
     return PredictionInterval(low, up)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, asdict
+from itertools import chain
 
 import numpy as np
 
@@ -350,11 +351,14 @@ class FileBackedForecasts(ParamsMixin):
         return QuantileForecast(lo, hi)
 
     def predict_series(self, region, flow, times, lags=None):
-        lo = np.empty(len(times))
-        hi = np.empty(len(times))
-        for p, t in enumerate(times):
-            lo[p], hi[p] = self._lookup(t, region, flow)
-        return lo, hi
+        times = np.asarray(times).tolist()
+        table = self._table
+        pairs = [table.get((t, region, flow)) for t in times]
+        if None in pairs:
+            # Raises MissingForecastError naming the earliest missing step.
+            self._lookup(times[pairs.index(None)], region, flow)
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.float64, count=2 * len(pairs))
+        return flat[0::2], flat[1::2]
 
     def update(self, obs: Observation) -> None:
         return None

@@ -15,12 +15,25 @@ Methods
 
 The tracker follows the scikit-learn estimator protocol (``fit`` seeds the
 windows from calibration scores; ``get_params``/``set_params`` work as usual).
+
+Hot path
+--------
+``observe_series`` runs a whole segment of steps in one call on raw float
+sequences. Conformity scores depend only on forecasts and demand, never on
+alpha_t, so it computes them for the segment first; the per-step loop then
+inlines the window quantile, the out-of-range level rules, the clamp, the
+FIFO eviction and the alpha update over plain Python lists. ``observe_fast``
+is its one-step form and ``observe`` its object-path form, so the cycle is
+implemented once.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._params import ParamsMixin
 from .errors import EmptyCalibrationError, NotFittedError
@@ -32,7 +45,7 @@ from .intervals import (
     conformity_score,
 )
 from .validation import check_in_range, check_positive
-from .windows import CalibrationWindow
+from .windows import _RANK_SLACK, CalibrationWindow
 
 METHODS = ("cp", "qcp", "aci_fixed", "contina")
 ADAPTIVE_METHODS = ("aci_fixed", "contina")
@@ -90,9 +103,10 @@ class ConformalIntervalTracker(ParamsMixin):
 
     def fit(self, calib_scores_in, calib_scores_out):
         """Seed the two calibration windows and reset the adaptive state."""
-        scores = (list(calib_scores_in), list(calib_scores_out))
+        scores = (np.asarray(calib_scores_in, dtype=np.float64),
+                  np.asarray(calib_scores_out, dtype=np.float64))
         for flow, s in zip(("in", "out"), scores):
-            if not s:
+            if not s.size:
                 raise EmptyCalibrationError(f"no calibration scores for flow {flow!r}")
         self.windows_ = tuple(
             CalibrationWindow(self.window or len(s), s) for s in scores
@@ -164,72 +178,128 @@ class ConformalIntervalTracker(ParamsMixin):
     # -- hot path ----------------------------------------------------------
 
     def observe_fast(self, lo1, hi1, lo2, hi2, y1, y2):
-        """Per-step cycle on raw floats; forecasts must be pre-collapsed for cp.
+        """One step of :meth:`observe_series` on raw floats.
 
         Returns (covered1, length1, empty1, covered2, length2, empty2, err).
-        Must stay behaviorally identical to predict() + observe(); the replay
-        audit re-derives steps through the object path to enforce that.
         """
-        level = 1.0 - self.alpha_t_
-        clamp = self.clamp_nonnegative
+        c1, l1, e1, c2, l2, e2 = self.observe_series(
+            (lo1,), (hi1,), (lo2,), (hi2,), (y1,), (y2,)
+        )
+        return c1[0], l1[0], e1[0], c2[0], l2[0], e2[0], 1.0 - (c1[0] + c2[0]) / 2.0
+
+    def observe_series(self, lo1, hi1, lo2, hi2, y1, y2):
+        """Run a segment of deployment steps in one call.
+
+        Each argument is a per-step sequence (inflow band, outflow band,
+        realized demand); forecasts must be pre-collapsed for cp. Returns six
+        per-step lists: covered1, length1, empty1, covered2, length2, empty2.
+        The tracker ends in the state that running the steps one at a time
+        leaves, and each step's outcome is that of the intervals predict()
+        builds from the state before it; the replay audit re-derives a step
+        through the object path to enforce that.
+
+        Scores are computed up front for the whole segment: they depend on
+        the base forecast and the demand, never on alpha_t, and are pushed
+        whether or not the emitted interval was empty. A non-finite score
+        raises ValueError before any state changes.
+        """
+        self._check_fitted()
+        segment = (lo1, hi1, lo2, hi2, y1, y2)
+        if len({len(a) for a in segment}) != 1:
+            raise ValueError("observe_series takes six sequences of one length")
+        data = np.array(segment, dtype=np.float64)
+        if data.ndim != 2:
+            raise ValueError("observe_series takes six 1-D sequences")
+        # Scores max(y - hi, lo - y), shape (flow, step). np.where keeps the
+        # builtin max's tie rule that conformity_score uses: np.maximum returns
+        # its second argument for zeros of opposite sign, max its first.
+        above = data[4:] - data[1:4:2]
+        below = data[0:4:2] - data[4:]
+        scores = np.where(below > above, below, above)
+        finite = np.isfinite(scores)
+        if not finite.all():
+            k = int(np.argmin(finite.all(axis=0)))
+            bad = scores[0, k] if not finite[0, k] else scores[1, k]
+            raise ValueError(f"score must be finite, got {float(bad)!r}")
+        lo1, hi1, lo2, hi2, y1, y2 = data.tolist()
+        s1, s2 = scores.tolist()
+
+        n_steps = len(s1)
+        # Defaults are the empty-interval outcome; only non-empty steps write.
+        cov1, len1, emp1 = [False] * n_steps, [0.0] * n_steps, [True] * n_steps
+        cov2, len2, emp2 = [False] * n_steps, [0.0] * n_steps, [True] * n_steps
+
         w1, w2 = self.windows_
+        fifo1, sorted1 = w1.buffers()
+        fifo2, sorted2 = w2.buffers()
+        cap1, cap2 = w1.capacity, w2.capacity
+        n1, n2 = len(sorted1), len(sorted2)
+        clamp = self.clamp_nonnegative
+        contina = self.method == "contina"
+        fixed = self.method == "aci_fixed"
+        target, gamma, gamma1 = self.alpha, self.gamma, self.gamma1
+        beta, epsilon = self.beta, self.epsilon
+        alpha_t, moment, update_sum = self.alpha_t_, self.moment_, self.update_sum_
+        sqrt, ceil = math.sqrt, math.ceil
 
-        if level < 0.0:
-            cov1 = False
-            len1 = 0.0
-            emp1 = True
-            cov2 = False
-            len2 = 0.0
-            emp2 = True
-        else:
-            if level > 1.0:
-                v1 = 2.0 * w1.max_score
-                v2 = 2.0 * w2.max_score
-            else:
-                v1 = w1.quantile(level)
-                v2 = w2.quantile(level)
-            low = lo1 - v1
-            up = hi1 + v1
-            if low > up:
-                cov1 = False
-                len1 = 0.0
-                emp1 = True
-            else:
-                if clamp:
-                    low = low if low > 0.0 else 0.0
-                    up = up if up > low else low
-                cov1 = low <= y1 <= up
-                len1 = up - low
-                emp1 = False
-            low = lo2 - v2
-            up = hi2 + v2
-            if low > up:
-                cov2 = False
-                len2 = 0.0
-                emp2 = True
-            else:
-                if clamp:
-                    low = low if low > 0.0 else 0.0
-                    up = up if up > low else low
-                cov2 = low <= y2 <= up
-                len2 = up - low
-                emp2 = False
+        for p in range(n_steps):
+            level = 1.0 - alpha_t
+            c1 = c2 = False
+            if level >= 0.0:
+                if level > 1.0:
+                    v1 = 2.0 * sorted1[-1]
+                    v2 = 2.0 * sorted2[-1]
+                else:
+                    m = ceil(level * n1 - _RANK_SLACK)
+                    v1 = sorted1[m - 1 if m > 1 else 0]
+                    m = ceil(level * n2 - _RANK_SLACK)
+                    v2 = sorted2[m - 1 if m > 1 else 0]
+                low = lo1[p] - v1
+                up = hi1[p] + v1
+                if not low > up:
+                    if clamp:
+                        low = low if low > 0.0 else 0.0
+                        up = up if up > low else low
+                    cov1[p] = c1 = low <= y1[p] <= up
+                    len1[p] = up - low
+                    emp1[p] = False
+                low = lo2[p] - v2
+                up = hi2[p] + v2
+                if not low > up:
+                    if clamp:
+                        low = low if low > 0.0 else 0.0
+                        up = up if up > low else low
+                    cov2[p] = c2 = low <= y2[p] <= up
+                    len2[p] = up - low
+                    emp2[p] = False
 
-        # Scores are pushed unconditionally; they depend on the base forecast,
-        # not on whether the emitted interval was empty.
-        w1.push(max(y1 - hi1, lo1 - y1))
-        w2.push(max(y2 - hi2, lo2 - y2))
+            s = s1[p]
+            if n1 < cap1:
+                n1 += 1
+            else:
+                del sorted1[bisect_left(sorted1, fifo1.popleft())]
+            fifo1.append(s)
+            insort(sorted1, s)
+            s = s2[p]
+            if n2 < cap2:
+                n2 += 1
+            else:
+                del sorted2[bisect_left(sorted2, fifo2.popleft())]
+            fifo2.append(s)
+            insort(sorted2, s)
 
-        err = 1.0 - (cov1 + cov2) / 2.0
-        if self.method == "contina":
-            innov = err - self.alpha
-            moment = self.beta * self.moment_ + (1.0 - self.beta) * innov * innov
-            delta = (self.gamma1 / (math.sqrt(moment) + self.epsilon)) * (self.alpha - err)
-            self.moment_ = moment
-            self.alpha_t_ += delta
-            self.update_sum_ += delta
-        elif self.method == "aci_fixed":
-            delta = self.gamma * (self.alpha - err)
-            self.alpha_t_ += delta
-            self.update_sum_ += delta
-        return cov1, len1, emp1, cov2, len2, emp2, err
+            if contina:
+                err = 1.0 - (c1 + c2) / 2.0
+                innov = err - target
+                moment = beta * moment + (1.0 - beta) * innov * innov
+                delta = (gamma1 / (sqrt(moment) + epsilon)) * (target - err)
+                alpha_t += delta
+                update_sum += delta
+            elif fixed:
+                delta = gamma * (target - (1.0 - (c1 + c2) / 2.0))
+                alpha_t += delta
+                update_sum += delta
+
+        self.alpha_t_, self.moment_, self.update_sum_ = alpha_t, moment, update_sum
+        return cov1, len1, emp1, cov2, len2, emp2
+

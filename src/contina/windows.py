@@ -109,6 +109,17 @@ class CalibrationWindow:
         """Stored scores in arrival order (oldest first)."""
         return tuple(self._fifo)
 
+    def buffers(self) -> tuple[deque, list]:
+        """The live arrival-order deque and sorted list, for bulk kernels.
+
+        A caller that pushes through them must keep the invariants
+        :meth:`push` keeps: both hold the same scores, at most ``capacity``
+        of them, the deque oldest first, and the list in the order that
+        deleting through ``bisect_left`` and inserting through ``insort``
+        gives.
+        """
+        return self._fifo, self._sorted
+
     @property
     def max_score(self) -> float:
         if not self._sorted:

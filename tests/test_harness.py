@@ -55,10 +55,12 @@ def small_config(**kw):
     return ExperimentConfig(**defaults)
 
 
-def oracle_replay(config):
+def oracle_replay(config, levels=None):
     """Slow reference replay over the object-path API.
 
-    Records come out in (region, t, flow) order, the ledger's row order.
+    Records come out in (region, t, flow) order, the ledger's row order. When
+    ``levels`` is a list, the working quantile level of every step is
+    appended to it.
     """
     stream = generate(config.synthetic)
     train, calib, deploy = split(stream, config.train_frac, config.calib_frac)
@@ -83,6 +85,8 @@ def oracle_replay(config):
         for p, t in enumerate(deploy.window_times()):
             level = 1.0 - (state.alpha if config.method in ("aci_fixed", "contina")
                            else config.alpha)
+            if levels is not None:
+                levels.append(level)
             hits = []
             for j, flow in enumerate(FLOWS):
                 fc = predictor.predict(region, flow, int(t), lags[j][p])
@@ -128,7 +132,7 @@ class TestReplayAgainstOracle:
 
     @pytest.mark.parametrize("method", ["aci_fixed", "contina"])
     @pytest.mark.parametrize("updates", [False, True])
-    def test_high_rate_leaves_unit_interval_both_ways(self, monkeypatch, method, updates):
+    def test_high_rate_leaves_unit_interval_both_ways(self, method, updates):
         # A rate this large moves alpha_t by at least 0.5 per step, so the
         # working level leaves [0, 1] on both sides; the clamp and a small
         # window are on as well.
@@ -141,17 +145,11 @@ class TestReplayAgainstOracle:
             )
 
         levels = []
-        fast = ConformalIntervalTracker.observe_fast
-
-        def recording(self, *args):
-            levels.append(1.0 - self.alpha_t_)
-            return fast(self, *args)
-
-        monkeypatch.setattr(ConformalIntervalTracker, "observe_fast", recording)
-        ledger = run_replay(config()).ledger
+        want = oracle_replay(config(), levels)
         assert min(levels) < 0.0 and max(levels) > 1.0
+        ledger = run_replay(config()).ledger
         assert ledger.empty.any()
-        assert ledger.records == oracle_replay(config())
+        assert ledger.records == want
 
 
 class TestDeterminismAndParallelism:
@@ -207,13 +205,13 @@ class TestAudit:
         assert verify_audit(result)
 
     def test_audit_catches_a_wrong_fast_path_coverage(self, monkeypatch):
-        fast = ConformalIntervalTracker.observe_fast
+        series = ConformalIntervalTracker.observe_series
 
         def flipped(self, *args):
-            cov1, *rest = fast(self, *args)
-            return (not cov1, *rest)
+            cov1, *rest = series(self, *args)
+            return ([not c for c in cov1], *rest)
 
-        monkeypatch.setattr(ConformalIntervalTracker, "observe_fast", flipped)
+        monkeypatch.setattr(ConformalIntervalTracker, "observe_series", flipped)
         result = run_replay(small_config(method="contina"), audit=True)
         assert verify_audit(result) is False
 

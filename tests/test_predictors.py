@@ -216,6 +216,15 @@ class TestFileBacked:
         with pytest.raises(MissingForecastError, match=r"t=6, region=3, flow=in"):
             pred.predict(3, "in", t=6)
 
+    def test_series_names_earliest_missing_cell(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        write_forecast_csv(path, [(t, 3, "in", t, t + 1.5) for t in (5, 6, 8, 10)])
+        pred = FileBackedForecasts(path)
+        lo, hi = pred.predict_series(3, "in", np.array([5, 6, 8]))
+        assert (lo.tolist(), hi.tolist()) == ([5.0, 6.0, 8.0], [6.5, 7.5, 9.5])
+        with pytest.raises(MissingForecastError, match=r"t=7, region=3, flow=in"):
+            pred.predict_series(3, "in", np.arange(5, 11))
+
     def test_update_is_noop(self, tmp_path):
         path = tmp_path / "fc.csv"
         write_forecast_csv(path, [(0, 0, "in", 0.0, 1.0)])

@@ -1,9 +1,9 @@
 """Tests for the per-region online tracker.
 
-The replay engine drives ``observe_fast`` on raw floats, while the public API
-builds interval objects. Twin-run tests pin the two paths to bit-identical
-behavior, and the update rules are pinned to the pure functions in
-``contina.adaptation``.
+The replay engine drives ``observe_series`` on raw float sequences, while the
+public API builds interval objects. Twin-run and seeded differential tests pin
+the two paths to bit-identical behavior, and the update rules are pinned to
+the pure functions in ``contina.adaptation``.
 """
 
 import numpy as np
@@ -12,12 +12,14 @@ import pytest
 from contina.adaptation import (
     AdaptHyperParams,
     RegionAdaptState,
+    adaptive_rate,
     alpha_drift_bounds,
+    coverage_error,
     update_alpha_adaptive,
     update_alpha_fixed,
 )
 from contina.errors import EmptyCalibrationError, NotFittedError
-from contina.intervals import QuantileForecast, contains, interval_length
+from contina.intervals import QuantileForecast, conformity_score, contains, interval_length
 from contina.tracker import ConformalIntervalTracker
 from contina.windows import CalibrationWindow
 
@@ -57,6 +59,10 @@ class TestEstimatorProtocol:
     def test_empty_calibration_rejected(self):
         with pytest.raises(EmptyCalibrationError, match="out"):
             ConformalIntervalTracker().fit([1.0], [])
+
+    def test_empty_numpy_calibration_rejected(self):
+        with pytest.raises(EmptyCalibrationError, match="'in'"):
+            ConformalIntervalTracker().fit(np.array([]), np.ones(3))
 
     def test_window_capacity_default_is_calibration_size(self):
         tr = ConformalIntervalTracker().fit([1.0] * 7, [1.0] * 7)
@@ -137,6 +143,129 @@ class TestFastAndObjectPathsAgree:
             out = tr.observe(fcs, ys)
             state = update_alpha_fixed(state, out.err, 0.02, HP)
             assert state.alpha == tr.alpha_t_
+
+
+def object_path_step(tracker, forecasts, ys):
+    """One deployment step through predict(), the windows and the pure updates.
+
+    Returns ((covered, length, empty) per flow, level) and advances the
+    tracker's windows and adaptive state without ``observe_series``.
+    """
+    level = 1.0 - tracker.alpha_t_
+    intervals = tracker.predict(forecasts)
+    hits = [contains(band, y) for band, y in zip(intervals, ys)]
+    for win, fc, y in zip(tracker.windows_, tracker._effective_pair(forecasts), ys):
+        win.push(conformity_score(y, fc))
+    err = coverage_error(hits[0], hits[1])
+    hp = AdaptHyperParams(tracker.alpha, tracker.gamma1, tracker.beta, tracker.epsilon)
+    state = RegionAdaptState("r", tracker.alpha_t_, tracker.moment_)
+    if tracker.method == "contina":
+        state = update_alpha_adaptive(state, err, hp)
+        tracker.update_sum_ += adaptive_rate(state.moment, hp) * (tracker.alpha - err)
+    elif tracker.method == "aci_fixed":
+        state = update_alpha_fixed(state, err, tracker.gamma, hp)
+        tracker.update_sum_ += tracker.gamma * (tracker.alpha - err)
+    tracker.alpha_t_, tracker.moment_ = state.alpha, state.moment
+    outcome = [(hit, interval_length(band), band.empty)
+               for band, hit in zip(intervals, hits)]
+    return outcome, level
+
+
+def tied_forecast_stream(rng, n):
+    """Short streams on a coarse grid, so scores tie and signed zeros occur."""
+    grid = np.array([-0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+    for _ in range(n):
+        pair = []
+        for _ in range(2):
+            lo, hi = sorted(rng.choice(grid, size=2).tolist())
+            pair.append(QuantileForecast(lo, hi))
+        yield tuple(pair), tuple(rng.choice(grid, size=2).tolist())
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestSeriesAgainstObjectPath:
+    CALIB = 20
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("window", [5, CALIB, 45])
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("method", ["cp", "qcp", "aci_fixed", "contina"])
+    def test_random_streams_bit_identical(self, method, clamp, window, seed):
+        rng = np.random.default_rng(seed)
+        calib = np.round(rng.normal(0.5, 1.0, size=(2, self.CALIB)), 1)
+        # A rate of 5 moves alpha_t far enough per step that the working
+        # level leaves [0, 1] on both sides.
+        params = dict(method=method, window=window, clamp_nonnegative=clamp,
+                      gamma=5.0, gamma1=5.0)
+        bulk = ConformalIntervalTracker(**params).fit(calib[0], calib[1])
+        ref = ConformalIntervalTracker(**params).fit(calib[0], calib[1])
+        stream = list(tied_forecast_stream(rng, 200))
+
+        want, levels = [], []
+        for fcs, ys in stream:
+            outcome, level = object_path_step(ref, fcs, ys)
+            want.append(outcome)
+            levels.append(level)
+
+        cols = [[] for _ in range(6)]
+        cuts = sorted(rng.integers(0, len(stream) + 1, size=2).tolist())
+        for a, b in zip([0, *cuts], [*cuts, len(stream)]):
+            segment = stream[a:b]
+            effective = [bulk._effective_pair(fcs) for fcs, _ in segment]
+            out = bulk.observe_series(
+                [e[0].lo for e in effective], [e[0].hi for e in effective],
+                [e[1].lo for e in effective], [e[1].hi for e in effective],
+                [ys[0] for _, ys in segment], [ys[1] for _, ys in segment],
+            )
+            for col, part in zip(cols, out):
+                col.extend(part)
+
+        for j in (0, 1):
+            assert cols[3 * j] == [w[j][0] for w in want]
+            assert bits(cols[3 * j + 1]) == bits([w[j][1] for w in want])
+            assert cols[3 * j + 2] == [w[j][2] for w in want]
+        for attr in ("alpha_t_", "moment_", "update_sum_"):
+            assert bits(getattr(bulk, attr)) == bits(getattr(ref, attr))
+        for wb, wr in zip(bulk.windows_, ref.windows_):
+            assert bits(wb.scores) == bits(wr.scores)
+            assert bits(wb.buffers()[1]) == bits(wr.buffers()[1])
+        if method in ("aci_fixed", "contina"):
+            assert min(levels) < 0.0 and max(levels) > 1.0
+
+    @pytest.mark.parametrize("method", ["cp", "qcp"])
+    def test_clamped_band_below_zero_covers_zero_demand(self, method):
+        tracker = ConformalIntervalTracker(method=method, clamp_nonnegative=True)
+        tracker.fit([0.5] * 5, [0.5] * 5)
+        fcs = (QuantileForecast(-3.0, -2.0), QuantileForecast(-3.0, -2.0))
+        band = tracker.predict(fcs)[0]
+        assert (band.low, band.up, band.empty) == (0.0, 0.0, False)
+        lo, hi = (-2.5, -2.5) if method == "cp" else (-3.0, -2.0)
+        out = tracker.observe_series([lo], [hi], [lo], [hi], [0.0], [0.1])
+        assert out == ([True], [0.0], [False], [False], [0.0], [False])
+
+    def test_malformed_sequences_rejected(self):
+        tracker = ConformalIntervalTracker().fit([0.5] * 5, [0.5] * 5)
+        with pytest.raises(ValueError, match="one length"):
+            tracker.observe_series([0.0], [1.0], [0.0], [1.0], [0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="1-D"):
+            tracker.observe_series(*[[[0.5]]] * 6)
+
+    def test_empty_segment_leaves_state_alone(self):
+        tracker = ConformalIntervalTracker().fit([0.5] * 5, [0.5] * 5)
+        assert tracker.observe_series([], [], [], [], [], []) == ([], [], [], [], [], [])
+        assert (tracker.alpha_t_, tracker.windows_[0].scores) == (0.1, (0.5,) * 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_raises_before_any_step(self, bad):
+        tracker = ConformalIntervalTracker(method="contina").fit([0.5] * 5, [0.5] * 5)
+        before = (tracker.alpha_t_, tracker.windows_[1].scores)
+        with pytest.raises(ValueError, match="finite"):
+            tracker.observe_series([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
+                                   [0.5, 0.5], [0.5, bad])
+        assert (tracker.alpha_t_, tracker.windows_[1].scores) == before
 
 
 class TestScorePushes:
