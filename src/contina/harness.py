@@ -24,8 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -34,21 +33,23 @@ from . import metrics
 from .adaptation import AdaptHyperParams
 from .errors import ConfigError, DataFormatError, LedgerError
 from .intervals import QuantileForecast, contains, interval_length
-from .metrics import BoundParams, RunLedger, coverage_gap_constant
+from .metrics import RunLedger, coverage_gap_constant
 from .predictors import PredictorSpec, make_predictor
 from .streams import (
     FLOWS,
     DemandStream,
     Observation,
     StreamSpec,
+    flow_index,
     generate,
-    parse_region,
+    read_csv_table,
     read_demand_csv,
+    region_codes,
     region_filter,
-    region_sort_key,
+    reject_rows,
     split,
 )
-from .tracker import METHODS, ConformalIntervalTracker
+from .tracker import METHODS, ConformalIntervalTracker, conformity_scores
 from .validation import check_in_range, check_positive, check_positive_int
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
@@ -115,6 +116,10 @@ class ExperimentConfig:
             self.predictor = PredictorSpec(kind="file_backed", path=self.forecast_csv)
         if self.predictor.kind == "file_backed" and not self.predictor.path:
             raise ConfigError("file_backed predictor requires a forecast CSV path")
+        for path in (self.demand_csv,
+                     self.predictor.path if self.predictor.kind == "file_backed" else None):
+            if path is not None and not os.path.isfile(path):
+                raise ConfigError(f"input file {path!r} does not exist")
         return self
 
     def hyperparams(self) -> AdaptHyperParams:
@@ -124,29 +129,9 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        d = {
-            "method": self.method,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "gamma1": self.gamma1,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "window": self.window,
-            "clamp_nonnegative": self.clamp_nonnegative,
-            "seed": self.seed,
-            "steps_per_day": self.steps_per_day,
-            "periods": self.periods,
-            "train_frac": self.train_frac,
-            "calib_frac": self.calib_frac,
-            "region_threshold": self.region_threshold,
-            "filter_mode": self.filter_mode,
-            "gap_policy": self.gap_policy,
-            "predictor_updates": self.predictor_updates,
-            "predictor": self.predictor.to_dict(),
-            "synthetic": self.synthetic.to_dict() if self.synthetic else None,
-            "demand_csv": self.demand_csv,
-            "forecast_csv": self.forecast_csv,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["predictor"] = self.predictor.to_dict()
+        d["synthetic"] = self.synthetic.to_dict() if self.synthetic else None
         return d
 
     @classmethod
@@ -235,11 +220,8 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
             region, FLOWS[j], segment.window_times(), segment.lags_matrix(i, j)
         ))
 
-    calib_scores = []
-    for j in (0, 1):
-        lo, hi = cell_forecasts(calib, j)
-        y = calib.cell_series(i, j)
-        calib_scores.append(np.maximum(y - hi, lo - y))
+    calib_scores = [conformity_scores(*cell_forecasts(calib, j), calib.cell_series(i, j))
+                    for j in (0, 1)]
 
     tracker = ConformalIntervalTracker(
         method=config.method, alpha=config.alpha, gamma=config.gamma,
@@ -481,82 +463,28 @@ def _write_daily(ledger: RunLedger, steps_per_day: int, path) -> None:
 def read_ledger_csv(path) -> RunLedger:
     """Load a ledger.csv written by ``write_report``.
 
-    The columns are parsed in bulk; the rows may come in any order. A
-    malformed file raises DataFormatError naming its first bad line, and a
-    file whose rows do not form a complete (region, t, flow) grid gives a
-    ledger whose ``validate_complete`` raises LedgerError.
+    The columns are parsed in bulk, labels verbatim; the rows may come in any
+    order. A malformed file raises DataFormatError naming its first bad line,
+    and a file whose rows do not form a complete (region, t, flow) grid gives
+    a ledger whose ``validate_complete`` raises LedgerError.
     """
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"{path}: {e}") from None
-    if header != LEDGER_COLUMNS:
-        raise DataFormatError(f"{path}: not a ledger file")
-    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1,
-                encoding="utf-8")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # blank lines are skipped
-            nums = np.loadtxt(path, usecols=(0, 3, 5), dtype=np.int64, **opts)
-            length = np.loadtxt(path, usecols=4, dtype=np.float64, **opts)
-            labels = np.loadtxt(path, usecols=(1, 2), dtype=str, **opts)
-    except ValueError as e:
-        _raise_bad_ledger_line(path, e)
-    if nums.size == 0:
-        raise DataFormatError(f"{path}: no records")
-    nums, labels = nums.reshape(-1, 3), labels.reshape(-1, 2)
-    is_out = labels[:, 1] == FLOWS[1]
-    flags_ok = ((nums[:, 1:] == 0) | (nums[:, 1:] == 1)).all()
-    if not flags_ok or not (is_out | (labels[:, 1] == FLOWS[0])).all():
-        _raise_bad_ledger_line(path, ValueError("bad flow or flag field"))
-    region_idx, region_ids = _region_codes(labels[:, 0])
+    table = read_csv_table(path, LEDGER_COLUMNS, (int, str, str, int, float, int), strip=False)
+    flow_idx = flow_index(path, table["flow"])
+    covered, empty = table["covered"], table["empty"]
+    reject_rows(path, ((covered == 0) | (covered == 1)) & ((empty == 0) | (empty == 1)),
+                lambda k: "covered and empty must be 0 or 1")
+    region_idx, region_ids = region_codes(table["region"])
     return RunLedger._from_long(
-        region_ids, t=nums[:, 0], region_idx=region_idx, flow_idx=is_out.astype(np.intp),
-        covered=nums[:, 1] == 1, length=length, empty=nums[:, 2] == 1,
+        region_ids, t=table["t"], region_idx=region_idx, flow_idx=flow_idx,
+        covered=covered == 1, length=table["length"], empty=empty == 1,
     )
-
-
-def _region_codes(column: np.ndarray):
-    """Region index of each row and the region ids in canonical order."""
-    labels, codes = np.unique(column, return_inverse=True)
-    parsed = [parse_region(s) for s in labels.tolist()]
-    region_ids = sorted(parsed, key=region_sort_key)
-    index = {r: i for i, r in enumerate(region_ids)}
-    return np.array([index[r] for r in parsed], dtype=np.intp)[codes], region_ids
-
-
-def _raise_bad_ledger_line(path, error):
-    """Rescan the ledger row by row and raise DataFormatError at its first bad line."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        try:
-            for row in reader:
-                if row:
-                    _check_ledger_row(row, f"{path}:{reader.line_num}")
-        except UnicodeDecodeError as e:
-            raise DataFormatError(f"{path}: {e}") from None
-    raise DataFormatError(f"{path}: {error}")
-
-
-def _check_ledger_row(row, where):
-    if len(row) != len(LEDGER_COLUMNS):
-        raise DataFormatError(f"{where}: expected {len(LEDGER_COLUMNS)} fields, got {len(row)}")
-    if row[2] not in FLOWS:
-        raise DataFormatError(f"{where}: flow must be in/out, got {row[2]!r}")
-    if row[3] not in ("0", "1") or row[5] not in ("0", "1"):
-        raise DataFormatError(f"{where}: covered and empty must be 0 or 1")
-    try:
-        int(row[0])
-        float(row[4])
-    except ValueError as e:
-        raise DataFormatError(f"{where}: {e}") from None
 
 
 def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
     """Recompute summary.csv and daily_coverage.csv from a run directory."""
     manifest_path = os.path.join(out_dir, "manifest.json")
+    if not os.path.isfile(manifest_path):
+        raise DataFormatError(f"{out_dir}: not a run directory (no manifest.json)")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     config = ExperimentConfig.from_dict(manifest["config"])
@@ -573,10 +501,3 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
     _write_daily(ledger, config.steps_per_day, paths["daily"])
     return paths
 
-
-def worst_region_bound_for(config: ExperimentConfig, k_lag: int, horizon: int,
-                           n_regions: int) -> float:
-    """Worst-region bound using this config's adaptive constant as c1."""
-    c1 = coverage_gap_constant(config.hyperparams()).value
-    bp = BoundParams(c1=c1, n_regions=n_regions, horizon=horizon, k_lag=k_lag)
-    return metrics.worst_region_bound(bp, config.alpha).value

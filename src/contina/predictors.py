@@ -18,16 +18,24 @@ Both quantile heads target the alpha/2 and 1 - alpha/2 levels.
 from __future__ import annotations
 
 import csv
-import math
+from bisect import bisect_left
 from dataclasses import dataclass, asdict
-from itertools import chain
 
 import numpy as np
 
 from ._params import ParamsMixin
-from .errors import DataFormatError, MissingForecastError, NotFittedError
+from .errors import MissingForecastError, NotFittedError
 from .intervals import QuantileForecast
-from .streams import FLOWS, DemandStream, Observation, parse_region
+from .streams import (
+    FLOWS,
+    DemandStream,
+    Observation,
+    flow_index,
+    read_csv_table,
+    region_codes,
+    reject_rows,
+    unrepeated,
+)
 from .validation import check_in_range, check_positive, check_positive_int
 from .windows import CalibrationWindow, quantile_rank
 
@@ -296,69 +304,52 @@ class FileBackedForecasts(ParamsMixin):
 
     def __init__(self, path):
         self.path = path
-        self.crossings = 0
-        self._table = self._load(path)
-
-    def _load(self, path):
-        table = {}
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            expect = ["t", "region", "flow", "q_lo", "q_hi"]
-            if header is None or [h.strip() for h in header] != expect:
-                raise DataFormatError(f"{path}: expected header 't,region,flow,q_lo,q_hi'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 5:
-                    raise DataFormatError(f"{path}:{lineno}: expected 5 fields")
-                try:
-                    t = int(row[0])
-                    lo = float(row[3])
-                    hi = float(row[4])
-                except ValueError as e:
-                    raise DataFormatError(f"{path}:{lineno}: {e}") from None
-                region = parse_region(row[1].strip())
-                flow = row[2].strip()
-                if flow not in FLOWS:
-                    raise DataFormatError(f"{path}:{lineno}: flow must be in/out, got {flow!r}")
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise DataFormatError(f"{path}:{lineno}: non-finite quantile")
-                if lo > hi:
-                    lo, hi = hi, lo
-                    self.crossings += 1
-                key = (t, region, flow)
-                if key in table:
-                    raise DataFormatError(f"{path}:{lineno}: duplicate forecast for {key}")
-                table[key] = (lo, hi)
-        if not table:
-            raise DataFormatError(f"{path}: no forecast rows")
-        return table
+        table = read_csv_table(path, ("t", "region", "flow", "q_lo", "q_hi"),
+                               (int, str, str, float, float))
+        flow = flow_index(path, table["flow"])
+        lo, hi = table["q_lo"], table["q_hi"]
+        reject_rows(path, np.isfinite(lo) & np.isfinite(hi), lambda k: "non-finite quantile")
+        crossed = lo > hi
+        self.crossings = int(crossed.sum())
+        codes, regions = region_codes(table["region"])
+        t = table["t"]
+        times, t_pos = np.unique(t, return_inverse=True)
+        cell = codes * len(FLOWS) + flow
+        reject_rows(path, unrepeated(cell * len(times) + t_pos), lambda k: (
+            f"duplicate forecast for {(int(t[k]), regions[codes[k]], FLOWS[flow[k]])}"))
+        # Rows sorted by (cell, t): each cell's steps are one sorted slice.
+        order = np.lexsort((t, cell))
+        self._t = t[order]
+        self._band = np.column_stack([np.where(crossed, hi, lo), np.where(crossed, lo, hi)])[order]
+        bounds = np.searchsorted(cell[order], np.arange(len(regions) * len(FLOWS) + 1))
+        keys = [(region, f) for region in regions for f in FLOWS]
+        self._cells = {key: slice(a, b) for key, a, b in zip(keys, bounds, bounds[1:])}
 
     def fit(self, stream: DemandStream):
         return self
 
-    def _lookup(self, t, region, flow):
-        pair = self._table.get((int(t), region, flow))
-        if pair is None:
-            raise MissingForecastError(
-                f"{self.path}: no forecast row for (t={int(t)}, region={region}, flow={flow})"
-            )
-        return pair
+    def _missing(self, t, region, flow):
+        raise MissingForecastError(
+            f"{self.path}: no forecast row for (t={int(t)}, region={region}, flow={flow})"
+        )
 
     def predict(self, region, flow, t, lags=None) -> QuantileForecast:
-        lo, hi = self._lookup(t, region, flow)
-        return QuantileForecast(lo, hi)
+        cell = self._cells.get((region, flow), slice(0, 0))
+        p = bisect_left(self._t, t, cell.start, cell.stop)
+        if p == cell.stop or self._t[p] != t:
+            self._missing(t, region, flow)
+        return QuantileForecast(*self._band[p].tolist())
 
     def predict_series(self, region, flow, times, lags=None):
-        times = np.asarray(times).tolist()
-        table = self._table
-        pairs = [table.get((t, region, flow)) for t in times]
-        if None in pairs:
-            # Raises MissingForecastError naming the earliest missing step.
-            self._lookup(times[pairs.index(None)], region, flow)
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.float64, count=2 * len(pairs))
-        return flat[0::2], flat[1::2]
+        times = np.asarray(times, dtype=np.int64)
+        cell = self._cells.get((region, flow), slice(0, 0))
+        pos = cell.start + np.searchsorted(self._t[cell], times)
+        found = pos < cell.stop
+        found[found] = self._t[pos[found]] == times[found]
+        if not found.all():
+            self._missing(times[np.argmin(found)], region, flow)  # the earliest missing step
+        band = self._band[pos]
+        return band[:, 0], band[:, 1]
 
     def update(self, obs: Observation) -> None:
         return None

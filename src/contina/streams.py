@@ -1,4 +1,4 @@
-"""Synthetic demand streams, the demand CSV wire format, and chronological splits.
+"""Synthetic demand streams, the CSV reader of every input format, and splits.
 
 A stream holds hourly inflow/outflow counts for ``n`` regions as one array of
 shape (n_regions, 2, history). Views over a [start, stop) window expose the
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -383,76 +384,154 @@ def region_sort_key(region):
     return (0, label, "") if isinstance(label, int) else (1, 0, label)
 
 
-def read_demand_csv(path, gap_policy: str = "abort", steps_per_day: int = 24) -> DemandStream:
-    """Parse a demand CSV into a stream, validating rows as they are read.
+def region_codes(labels: np.ndarray):
+    """Region index of each row and the region ids in canonical order."""
+    unique, codes = np.unique(labels, return_inverse=True)
+    parsed = [parse_region(s) for s in unique.tolist()]
+    region_ids = sorted(parsed, key=region_sort_key)
+    index = {r: i for i, r in enumerate(region_ids)}
+    return np.array([index[r] for r in parsed], dtype=np.intp)[codes], region_ids
 
-    Raises DataFormatError with the offending line number for malformed rows,
-    negative demand, or duplicate (t, region) pairs. Time gaps (missing steps
-    or missing region cells) follow ``gap_policy``: ``abort`` raises, while
+
+def unrepeated(keys: np.ndarray) -> np.ndarray:
+    """False on each row whose key already appeared on an earlier row."""
+    order = np.argsort(keys, kind="stable")
+    ok = np.ones(len(keys), dtype=bool)
+    ok[order[1:][keys[order[1:]] == keys[order[:-1]]]] = False
+    return ok
+
+
+def read_csv_table(path, columns, types, strip=True) -> dict:
+    """Parse a UTF-8 CSV file whose header is ``columns``: name -> array.
+
+    ``types`` gives each column's type: ``int``, ``float`` or ``str`` (a
+    label; with ``strip``, labels and header names lose surrounding spaces).
+    The rows are parsed in bulk; only if that fails does a rescan name the
+    physical line of the first bad field count or number (DataFormatError).
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        raw.decode("utf-8")  # up front, so that a bad byte is named by its line
+    except OSError as e:
+        raise DataFormatError(f"{path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise DataFormatError(f"{path}:{line}: not UTF-8 ({e.reason})") from None
+    del raw
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+    if ([h.strip() for h in header] if strip else header) != list(columns):
+        raise DataFormatError(f"{path}: expected header '{','.join(columns)}'")
+    # The first pass checks every row's fields; labels get their full width in the second.
+    kinds = {int: "i8", float: "f8", str: "U1"}
+    dtype = [(name, kinds[kind]) for name, kind in zip(columns, types)]
+    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, encoding="utf-8")
+    label_cols = [k for k, kind in enumerate(types) if kind is str]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # blank lines; no rows is raised below
+            rows = np.loadtxt(path, dtype=dtype, ndmin=1, **opts)
+            labels = np.loadtxt(path, dtype=str, usecols=label_cols, ndmin=2, **opts)
+    except ValueError as e:
+        for line, row in _records(path):
+            if len(row) != len(columns):
+                raise DataFormatError(
+                    f"{path}:{line}: expected {len(columns)} fields, got {len(row)}") from None
+            for name, kind, field in zip(columns, types, row):
+                if kind is not str and not _parses(kind, field):
+                    what = "an integer" if kind is int else "a number"
+                    raise DataFormatError(
+                        f"{path}:{line}: {name} must be {what}, got {field!r}") from None
+        raise DataFormatError(f"{path}: {e}") from None
+    if not len(rows):
+        raise DataFormatError(f"{path}: no records")
+    table = {name: rows[name] for name in columns}
+    for k, col in zip(label_cols, labels.T):
+        table[columns[k]] = np.char.strip(col) if strip else col
+    return table
+
+
+def _records(path):
+    """(physical line, fields) of each data row, blank lines skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+
+
+def _parses(kind, field: str) -> bool:
+    try:
+        kind(field)
+    except ValueError:
+        return False
+    return field.isascii() and "_" not in field  # as strict as the bulk parser
+
+
+def reject_rows(path, ok: np.ndarray, message) -> None:
+    """Raise DataFormatError at the line of the first row where ``ok`` is False.
+
+    ``message(row)`` says what is wrong with that row.
+    """
+    if not ok.all():
+        row = int(np.argmin(ok))
+        line = next(line for k, (line, _) in enumerate(_records(path)) if k == row)
+        raise DataFormatError(f"{path}:{line}: {message(row)}")
+
+
+def flow_index(path, flow: np.ndarray) -> np.ndarray:
+    """Index into FLOWS of each row's flow label; another label fails."""
+    is_out = flow == FLOWS[1]
+    reject_rows(path, is_out | (flow == FLOWS[0]),
+                lambda k: f"flow must be in/out, got {str(flow[k])!r}")
+    return is_out.astype(np.intp)
+
+
+def read_demand_csv(path, gap_policy: str = "abort", steps_per_day: int = 24) -> DemandStream:
+    """Parse a demand CSV (``read_csv_table``) into a stream.
+
+    An empty region, a negative or non-finite demand, or a repeated (t,
+    region) pair raises DataFormatError at its line. Time gaps (missing steps
+    or region cells) follow ``gap_policy``: ``abort`` raises, while
     ``drop_day`` removes every step of each affected day and logs a warning.
-    Region labels follow ``parse_region``.
     """
     if gap_policy not in ("abort", "drop_day"):
         raise ValueError(f"gap_policy must be 'abort' or 'drop_day', got {gap_policy!r}")
-    cells = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "region", "inflow", "outflow"]:
-            raise DataFormatError(f"{path}: expected header 't,region,inflow,outflow'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                t = int(row[0])
-                inflow = float(row[2])
-                outflow = float(row[3])
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{lineno}: {e}") from None
-            region = row[1].strip()
-            if not region:
-                raise DataFormatError(f"{path}:{lineno}: empty region identifier")
-            for name, v in (("inflow", inflow), ("outflow", outflow)):
-                if not math.isfinite(v) or v < 0:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: {name} must be finite and >= 0, got {row}"
-                    )
-            key = (t, region)
-            if key in cells:
-                raise DataFormatError(f"{path}:{lineno}: duplicate (t={t}, region={region})")
-            cells[key] = (inflow, outflow)
-    if not cells:
-        raise DataFormatError(f"{path}: no data rows")
+    table = read_csv_table(path, ("t", "region", "inflow", "outflow"), (int, str, float, float))
+    t, labels = table["t"], table["region"]
+    reject_rows(path, labels != "", lambda k: "empty region identifier")
+    for name in ("inflow", "outflow"):
+        v = table[name]
+        reject_rows(path, np.isfinite(v) & (v >= 0),
+                    lambda k: f"{name} must be finite and >= 0, got {v[k]}")
+    codes, regions = region_codes(labels)
+    times, t_pos = np.unique(t, return_inverse=True)
+    reject_rows(path, unrepeated(t_pos * len(regions) + codes),
+                lambda k: f"duplicate (t={t[k]}, region={labels[k]})")
 
-    regions = sorted({r for _, r in cells}, key=region_sort_key)
-    t_seen = sorted({t for t, _ in cells})
-    full_range = range(t_seen[0], t_seen[-1] + 1)
-    gaps = [t for t in full_range if not all((t, r) in cells for r in regions)]
-    times = list(full_range)
-    if gaps:
+    full = np.arange(times[0], times[-1] + 1)
+    gaps = np.setdiff1d(full, times[np.bincount(t_pos) == len(regions)])
+    keep = full
+    if len(gaps):
         if gap_policy == "abort":
-            t0 = gaps[0]
-            missing = next(r for r in regions if (t0, r) not in cells)
+            present = set(codes[t == gaps[0]].tolist())
+            missing = next(r for i, r in enumerate(regions) if i not in present)
             raise DataFormatError(
-                f"{path}: gap at t={t0} (missing region {missing}); "
+                f"{path}: gap at t={gaps[0]} (missing region {missing}); "
                 "rerun with gap_policy='drop_day' to skip affected days"
             )
-        bad_days = {t // steps_per_day for t in gaps}
-        times = [t for t in full_range if t // steps_per_day not in bad_days]
+        bad_days = np.unique(gaps // steps_per_day)
+        keep = full[~np.isin(full // steps_per_day, bad_days)]
         log.warning(
-            "%s: dropping %d day(s) with gaps: %s", path, len(bad_days), sorted(bad_days)
+            "%s: dropping %d day(s) with gaps: %s", path, len(bad_days), bad_days.tolist()
         )
-        if not times:
+        if not len(keep):
             raise DataFormatError(f"{path}: every day contains gaps")
 
-    y = np.empty((len(regions), 2, len(times)), dtype=np.float64)
-    for p, t in enumerate(times):
-        for i, r in enumerate(regions):
-            y[i, 0, p], y[i, 1, p] = cells[(t, r)]
-    return DemandStream(
-        region_ids=tuple(parse_region(r) for r in regions),
-        history=y,
-        times=np.asarray(times, dtype=np.int64),
-    )
+    kept = np.isin(t, keep)
+    y = np.empty((len(regions), 2, len(keep)), dtype=np.float64)
+    y[codes[kept], :, np.searchsorted(keep, t[kept])] = np.column_stack(
+        [table["inflow"][kept], table["outflow"][kept]])
+    return DemandStream(region_ids=tuple(regions), history=y, times=keep.astype(np.int64))

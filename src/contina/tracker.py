@@ -38,7 +38,6 @@ import numpy as np
 from ._params import ParamsMixin
 from .errors import EmptyCalibrationError, NotFittedError
 from .intervals import (
-    PredictionInterval,
     QuantileForecast,
     build_interval_cp,
     build_interval_qcp,
@@ -59,6 +58,17 @@ class StepOutcome:
     covered: tuple
     scores: tuple
     err: float
+
+
+def conformity_scores(lo, hi, y) -> np.ndarray:
+    """``conformity_score`` over arrays, bit for bit, for calibration and deployment.
+
+    np.where keeps the builtin max's tie rule: for zeros of opposite sign
+    np.maximum returns its second argument, max its first.
+    """
+    above = y - hi
+    below = lo - y
+    return np.where(below > above, below, above)
 
 
 class ConformalIntervalTracker(ParamsMixin):
@@ -210,12 +220,7 @@ class ConformalIntervalTracker(ParamsMixin):
         data = np.array(segment, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError("observe_series takes six 1-D sequences")
-        # Scores max(y - hi, lo - y), shape (flow, step). np.where keeps the
-        # builtin max's tie rule that conformity_score uses: np.maximum returns
-        # its second argument for zeros of opposite sign, max its first.
-        above = data[4:] - data[1:4:2]
-        below = data[0:4:2] - data[4:]
-        scores = np.where(below > above, below, above)
+        scores = conformity_scores(data[0:4:2], data[1:4:2], data[4:])  # (flow, step)
         finite = np.isfinite(scores)
         if not finite.all():
             k = int(np.argmin(finite.all(axis=0)))

@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from contina.cli import main
-from contina.streams import DemandStream, StreamSpec, generate, write_demand_csv
+from contina.predictors import write_forecast_csv
+from contina.streams import FLOWS, DemandStream, StreamSpec, generate, write_demand_csv
 
 
 @pytest.fixture
@@ -226,6 +227,59 @@ class TestMalformedLedger:
         result = self.report(runner, run_dir)
         assert result.exit_code == 3
         assert "no records" in result.output
+
+
+class TestMalformedInputs:
+    """Damaged or missing input files end in their exit code, never a traceback."""
+
+    def inputs(self, tmp_path):
+        stream = generate(StreamSpec(n_regions=2, horizon=300, seed=4))
+        demand, forecasts = tmp_path / "demand.csv", tmp_path / "forecast.csv"
+        write_demand_csv(stream, demand)
+        write_forecast_csv(forecasts, [(t, region, flow, 0.0, 20.0) for t in range(120, 300)
+                                       for region in stream.region_ids for flow in FLOWS])
+        return {"demand": demand, "forecast": forecasts}
+
+    def run(self, runner, files, *extra):
+        return runner.invoke(main, [
+            "run", "--demand-csv", str(files["demand"]), "--forecast-csv",
+            str(files["forecast"]), "--train-frac", "0.4", "--calib-frac", "0.2", *extra,
+        ])
+
+    def test_inputs_run(self, runner, tmp_path):
+        result = self.run(runner, self.inputs(tmp_path), "--audit")
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("damaged", ["demand", "forecast"])
+    def test_invalid_utf8_is_a_format_error(self, runner, tmp_path, damaged):
+        files = self.inputs(tmp_path)
+        data = bytearray(files[damaged].read_bytes())
+        data[len(data) // 2] = 0xFF
+        files[damaged].write_bytes(bytes(data))
+        result = self.run(runner, files)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 3
+        assert f"{damaged}.csv:" in result.output
+
+    @pytest.mark.parametrize("missing", ["demand_csv", "predictor path"])
+    def test_missing_input_file_in_config_is_a_config_error(self, runner, tmp_path, missing):
+        files = self.inputs(tmp_path)
+        gone = tmp_path / "gone.csv"
+        demand = gone if missing == "demand_csv" else files["demand"]
+        forecasts = gone if missing == "predictor path" else files["forecast"]
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"demand_csv: {demand}\ntrain_frac: 0.4\ncalib_frac: 0.2\n"
+                       f"predictor:\n  kind: file_backed\n  path: {forecasts}\n")
+        result = runner.invoke(main, ["run", "--config", str(cfg)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2
+        assert str(gone) in result.output
+
+    def test_report_without_manifest_is_not_a_run_directory(self, runner, tmp_path):
+        result = runner.invoke(main, ["report", str(tmp_path)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 3
+        assert "not a run directory" in result.output
 
 
 class TestRegionLabels:

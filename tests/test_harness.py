@@ -28,7 +28,7 @@ from contina.harness import (
     verify_audit,
     write_report,
 )
-from contina.intervals import QuantileForecast, contains, interval_length
+from contina.intervals import QuantileForecast, conformity_score, contains, interval_length
 from contina.predictors import PredictorSpec, make_predictor, write_forecast_csv
 from contina.streams import (
     FLOWS,
@@ -300,6 +300,32 @@ class TestFileBackedRuns:
             paths[updates] = write_report(result, tmp_path / f"updates{updates}")
         for name in ("ledger", "summary", "daily", "states"):
             assert filecmp.cmp(paths[False][name], paths[True][name], shallow=False)
+
+    def test_calibration_scores_keep_the_conformity_score_tie_rule(self, tmp_path,
+                                                                  monkeypatch):
+        # Zero demand under bands [-0.0, 0.0]: max(y - hi, lo - y) is
+        # max(0.0, -0.0), which the builtin max resolves to +0.0.
+        demand = tmp_path / "demand.csv"
+        write_demand_csv(DemandStream(region_ids=(0,), history=np.zeros((1, 2, 40))), demand)
+        forecasts = tmp_path / "forecasts.csv"
+        write_forecast_csv(forecasts, [(t, 0, flow, -0.0 if t % 2 else -1.5, 0.0)
+                                       for t in range(16, 40) for flow in FLOWS])
+        seeded = []
+        fit = ConformalIntervalTracker.fit
+
+        def spy(tracker, scores_in, scores_out):
+            seeded.extend([scores_in, scores_out])
+            return fit(tracker, scores_in, scores_out)
+
+        monkeypatch.setattr(ConformalIntervalTracker, "fit", spy)
+        cfg = ExperimentConfig(demand_csv=str(demand), forecast_csv=str(forecasts),
+                               train_frac=0.4, calib_frac=0.2, method="qcp")
+        run_replay(cfg)
+        want = np.array([conformity_score(0.0, QuantileForecast(-0.0 if t % 2 else -1.5, 0.0))
+                         for t in range(16, 24)])
+        assert len(seeded) == 2
+        for scores in seeded:
+            assert np.asarray(scores, dtype=np.float64).tobytes() == want.tobytes()
 
     def test_missing_cell_aborts_with_identity(self, tmp_path):
         demand, forecasts = self.make_inputs(tmp_path, drop_cell=(150, 1, "out"))

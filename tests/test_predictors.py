@@ -234,11 +234,32 @@ class TestFileBacked:
 
     def test_crossed_rows_swapped_and_counted(self, tmp_path):
         path = tmp_path / "fc.csv"
-        write_forecast_csv(path, [(0, 0, "in", 9.0, 1.0)])
+        write_forecast_csv(path, [(0, 0, "in", 9.0, 1.0), (0, 0, "out", 1.0, 9.0),
+                                  (1, 0, "in", 5.0, 4.0), (1, 0, "out", 2.0, 2.0)])
         pred = FileBackedForecasts(path)
-        assert pred.crossings == 1
-        fc = pred.predict(0, "in", 0)
-        assert (fc.lo, fc.hi) == (1.0, 9.0)
+        assert pred.crossings == 2
+        bands = [(fc.lo, fc.hi) for fc in (pred.predict(0, flow, t)
+                                           for t in (0, 1) for flow in ("in", "out"))]
+        assert bands == [(1.0, 9.0), (1.0, 9.0), (4.0, 5.0), (2.0, 2.0)]
+
+    @pytest.mark.parametrize("text, line", [
+        # blank lines and CRLF line endings before the bad row
+        (b"t,region,flow,q_lo,q_hi\r\n0,0,in,1,2\r\n\r\n\r\n0,0,out,x,2\r\n", 5),
+        # a repeated cell fails at its second occurrence
+        (b"t,region,flow,q_lo,q_hi\n0,0,in,1,2\n1,0,in,1,2\n\n0,0,in,3,4\n", 5),
+    ])
+    def test_bad_row_names_its_physical_line(self, tmp_path, text, line):
+        path = tmp_path / "fc.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataFormatError, match=rf"fc\.csv:{line}: "):
+            FileBackedForecasts(path)
+
+    def test_padded_header_names_and_labels_are_stripped(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        path.write_text(' t ,region, flow ,q_lo,q_hi\n5, 3 , in ,1.5, 2\n5,"x,y",out, 0 ,1\n')
+        pred = FileBackedForecasts(path)
+        assert (pred.predict(3, "in", 5).lo, pred.predict(3, "in", 5).hi) == (1.5, 2.0)
+        assert pred.predict("x,y", "out", 5).hi == 1.0
 
     @pytest.mark.parametrize(
         "rows",

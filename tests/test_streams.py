@@ -265,6 +265,44 @@ class TestDemandCsv:
         assert "dropping" in caplog.text
         assert stream.window_times().tolist() == [4, 5, 6, 7]
 
+    def test_drop_day_drops_only_days_with_gaps(self, tmp_path):
+        # Three steps a day over five days: day 1 misses one region cell and
+        # day 3 a whole step; days 0, 2 and 4 stay, with their values intact.
+        rows = ["t,region,inflow,outflow"]
+        for t in range(15):
+            for region in ("a", "b"):
+                if (t, region) == (4, "b") or t == 10:
+                    continue
+                rows.append(f"{t},{region},{t},{t + (100 if region == 'b' else 0)}")
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        stream = read_demand_csv(path, gap_policy="drop_day", steps_per_day=3)
+        kept = [0, 1, 2, 6, 7, 8, 12, 13, 14]
+        assert stream.window_times().tolist() == kept
+        assert stream.region_ids == ("a", "b")
+        assert stream.history[:, 0].tolist() == [kept, kept]
+        assert stream.history[:, 1].tolist() == [kept, [t + 100 for t in kept]]
+
+    def test_bad_row_after_blank_and_crlf_lines_names_physical_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"t,region,inflow,outflow\r\n0,a,1,2\r\n\r\n\r\n1,a,oops,4\r\n")
+        with pytest.raises(DataFormatError, match=r"d\.csv:5: "):
+            read_demand_csv(path)
+
+    def test_quoted_label_with_comma_is_one_region(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('t,region,inflow,outflow\n0,"a,b",1,2\n1,"a,b",3,4\n')
+        stream = read_demand_csv(path)
+        assert stream.region_ids == ("a,b",)
+        assert stream.history[0].tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    def test_padded_header_names_and_labels_are_stripped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(" t , region ,inflow,outflow \n0, 7 ,1, 2\n1,7 , 3 ,4\n")
+        stream = read_demand_csv(path)
+        assert stream.region_ids == (7,)
+        assert stream.history[0].tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("time,region,in,out\n0,a,1,2\n")
