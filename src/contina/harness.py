@@ -8,10 +8,12 @@ region. Regions are independent and replayed one after another; each region's
 whole deployment is one ``ConformalIntervalTracker.observe_series`` call (two
 for the audited region, split at the audit step so the pre-step state can be
 snapshotted), and its outcomes fill its own slice of the dense (region, step,
-flow) ledger. The forecasts are computed before that call: in one
-``predict_series`` call per flow, or, with ``predictor_updates``, by a
-predict-then-update pass in time order. Neither forecasts nor updates depend
-on alpha_t, so nothing is reordered.
+flow) ledger. The forecasts are computed before that call, by one
+``predict_series`` call per flow. With ``predictor_updates`` that call also
+updates the predictor on each step's demand, in time order, right after
+forecasting the step. Predictor state is per (region, flow) cell, and neither
+forecasts nor updates depend on alpha_t, so running each cell's whole
+predict-then-update pass at once changes no forecast.
 
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
@@ -38,7 +40,6 @@ from .predictors import PredictorSpec, make_predictor
 from .streams import (
     FLOWS,
     DemandStream,
-    Observation,
     StreamSpec,
     flow_index,
     generate,
@@ -215,9 +216,9 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
             return mid, mid
         return lo, hi
 
-    def cell_forecasts(segment, j):
+    def cell_forecasts(segment, j, y=None):
         return effective(*predictor.predict_series(
-            region, FLOWS[j], segment.window_times(), segment.lags_matrix(i, j)
+            region, FLOWS[j], segment.window_times(), segment.lags_matrix(i, j), y=y
         ))
 
     calib_scores = [conformity_scores(*cell_forecasts(calib, j), calib.cell_series(i, j))
@@ -232,24 +233,11 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
     times = deploy.window_times()
     y1 = deploy.cell_series(i, 0)
     y2 = deploy.cell_series(i, 1)
-    if config.predictor_updates:
-        # Each forecast depends on the updates of the steps before it, so the
-        # lists are filled in time order. Updates see only the demand, never
-        # the intervals, so all of them can run before the tracker does.
-        lags = [deploy.lags_matrix(i, j) for j in (0, 1)]
-        ys = (y1.tolist(), y2.tolist())
-        forecasts = ([], [], [], [])
-        for p, t in enumerate(times.tolist()):
-            for j in (0, 1):
-                fc = predictor.predict(region, FLOWS[j], t, lags[j][p])
-                lo, hi = effective(fc.lo, fc.hi)
-                forecasts[2 * j].append(lo)
-                forecasts[2 * j + 1].append(hi)
-            for j in (0, 1):
-                predictor.update(Observation(t, region, FLOWS[j], ys[j][p],
-                                             tuple(lags[j][p])))
-    else:
-        forecasts = (*cell_forecasts(deploy, 0), *cell_forecasts(deploy, 1))
+    # With updates, each cell forecasts a step and then learns its demand;
+    # updates never see the intervals, so they all run before the tracker.
+    updates = config.predictor_updates
+    forecasts = (*cell_forecasts(deploy, 0, y1 if updates else None),
+                 *cell_forecasts(deploy, 1, y2 if updates else None))
     series = (*forecasts, y1, y2)
 
     audit = None

@@ -10,9 +10,15 @@ transparency over accuracy:
 * ``file_backed``            pass-through of externally computed forecasts
                              (the hook for plugging in any trained model).
 
-All predictors share the same surface: ``fit(stream)``, ``predict``,
-``predict_series`` (vectorized over a window), and ``update`` for online use.
-Both quantile heads target the alpha/2 and 1 - alpha/2 levels.
+All predictors share the same surface: ``fit(stream)``, the one-step
+``predict`` and ``update(Observation)`` of the object path, and
+``predict_series(region, flow, times, lags, y=None)``, which forecasts one
+(region, flow) cell over a whole window. Without ``y`` the predictor stays
+frozen. With ``y`` (the cell's realized demand) each step is forecast and then
+learned from, in time order, so the outputs and the state left behind equal
+those of ``predict`` then ``update`` at every step. Predictor state is per
+cell, so cells can be run one after another. Both quantile heads target the
+alpha/2 and 1 - alpha/2 levels.
 """
 
 from __future__ import annotations
@@ -89,6 +95,17 @@ class PredictorSpec:
         return cls(**d)
 
 
+def _demand(y, times) -> list:
+    """A cell's realized demand as a list, checked by the ``Observation`` rule."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (len(times),):
+        raise ValueError(f"expected {len(times)} demand values, got shape {y.shape}")
+    bad = ~(np.isfinite(y) & (y >= 0))
+    if bad.any():
+        raise ValueError(f"demand must be finite and >= 0, got {float(y[np.argmax(bad)])!r}")
+    return y.tolist()
+
+
 def _empirical_pair(sorted_values: np.ndarray, alpha: float) -> tuple[float, float]:
     n = len(sorted_values)
     lo = sorted_values[quantile_rank(alpha / 2.0, n) - 1]
@@ -163,7 +180,9 @@ class SeasonalWindowPredictor(ParamsMixin):
         lo, hi = self._pair_for(region, flow, t)
         return QuantileForecast(lo, hi)
 
-    def predict_series(self, region, flow, times, lags=None):
+    def predict_series(self, region, flow, times, lags=None, y=None):
+        if y is not None:
+            return self._predict_update_series(region, flow, times, y)
         if self.by_hour:
             table = np.array(
                 [self._pair_for(region, flow, h) for h in range(self.steps_per_day)]
@@ -175,15 +194,38 @@ class SeasonalWindowPredictor(ParamsMixin):
         lo[:], hi[:] = self._pair_for(region, flow, 0)
         return lo, hi
 
+    def _predict_update_series(self, region, flow, times, y):
+        """``predict`` then ``update`` at each step, in time order."""
+        if self._pairs is None:
+            raise NotFittedError("predictor must be fitted before predicting")
+        ys = _demand(y, times)
+        if self.by_hour:
+            hours = (np.asarray(times, dtype=np.int64) % self.steps_per_day).tolist()
+        else:
+            hours = [0] * len(ys)
+        pairs = self._pairs
+        los, his = [], []
+        for h, v in zip(hours, ys):
+            key = (region, flow, h)
+            pair = pairs.get(key)
+            if pair is None:  # a cold bucket: the fallback, or NotFittedError
+                pair = self._pair_for(region, flow, h)
+            los.append(pair[0])
+            his.append(pair[1])
+            self._learn(key, v)
+        return np.array(los, dtype=np.float64), np.array(his, dtype=np.float64)
+
     def update(self, obs: Observation) -> None:
         """Append the realized demand to its bucket and refresh its quantiles."""
         if self._buckets is None:
             raise NotFittedError("predictor must be fitted before updating")
-        key = (obs.region, obs.flow, self._hour(obs.t))
+        self._learn((obs.region, obs.flow, self._hour(obs.t)), obs.y)
+
+    def _learn(self, key, y) -> None:
         win = self._buckets.get(key)
         if win is None:
             win = self._buckets[key] = CalibrationWindow(self.window_len)
-        win.push(obs.y)
+        win.push(y)
         self._pairs[key] = self._window_pair(win)
 
 
@@ -276,7 +318,9 @@ class OnlinePinballLinearPredictor(ParamsMixin):
             self.crossings += 1
         return fc
 
-    def predict_series(self, region, flow, times, lags):
+    def predict_series(self, region, flow, times, lags, y=None):
+        if y is not None:
+            return self._predict_update_series(region, flow, times, lags, y)
         cell = self._cell(region, flow)
         z = (np.asarray(lags, dtype=np.float64) - cell["mu"]) / cell["sd"]
         angle = 2.0 * np.pi * (np.asarray(times) % self.steps_per_day) / self.steps_per_day
@@ -288,6 +332,17 @@ class OnlinePinballLinearPredictor(ParamsMixin):
             self.crossings += int(crossed.sum())
             lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         return lo, hi
+
+    def _predict_update_series(self, region, flow, times, lags, y):
+        """``predict`` then one ``_step`` on the demand, at each step in time order."""
+        cell = self._cell(region, flow)
+        los, his = [], []
+        for t, x, v in zip(np.asarray(times, dtype=np.int64).tolist(), lags, _demand(y, times)):
+            fc = self.predict(region, flow, t, x)
+            los.append(fc.lo)
+            his.append(fc.hi)
+            self._step(cell, t, x, v)
+        return np.array(los, dtype=np.float64), np.array(his, dtype=np.float64)
 
     def update(self, obs: Observation) -> None:
         """One subgradient step on the observed cell."""
@@ -340,7 +395,9 @@ class FileBackedForecasts(ParamsMixin):
             self._missing(t, region, flow)
         return QuantileForecast(*self._band[p].tolist())
 
-    def predict_series(self, region, flow, times, lags=None):
+    def predict_series(self, region, flow, times, lags=None, y=None):
+        if y is not None:
+            _demand(y, times)  # checked as ``update`` would see it, then ignored
         times = np.asarray(times, dtype=np.int64)
         cell = self._cells.get((region, flow), slice(0, 0))
         pos = cell.start + np.searchsorted(self._t[cell], times)

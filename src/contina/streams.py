@@ -343,7 +343,22 @@ def split(
 
 
 def write_demand_csv(stream: DemandStream, path) -> None:
-    """Write the window as ``t,region,inflow,outflow`` rows."""
+    """Write the window as ``t,region,inflow,outflow`` rows.
+
+    Refuses (ValueError, before writing) a region whose label ``str(region)``
+    ``read_demand_csv`` would not read back as the same text: an empty label,
+    one with surrounding whitespace or trailing NULs, or one that another
+    region shares.
+    """
+    labels = [str(region) for region in stream.region_ids]
+    read_back = np.char.strip(np.array(labels, dtype=str)).tolist()  # as read_csv_table
+    seen = {}
+    for region, label, text in zip(stream.region_ids, labels, read_back):
+        if text != label or not text:
+            raise ValueError(f"region {region!r} would read back from a demand CSV as {text!r}")
+        if label in seen:
+            raise ValueError(f"regions {seen[label]!r} and {region!r} share the label {label!r}")
+        seen[label] = region
     times = stream.window_times()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -489,6 +504,14 @@ def flow_index(path, flow: np.ndarray) -> np.ndarray:
     return is_out.astype(np.intp)
 
 
+def _merged_ranges(first: np.ndarray, last: np.ndarray):
+    """Merge inclusive integer ranges that overlap or touch; sorted by start."""
+    order = np.argsort(first, kind="stable")
+    first, last = first[order], np.maximum.accumulate(last[order])
+    starts = np.flatnonzero(np.r_[True, first[1:] > last[:-1] + 1])
+    return first[starts], last[np.r_[starts[1:] - 1, len(last) - 1]]
+
+
 def read_demand_csv(path, gap_policy: str = "abort", steps_per_day: int = 24) -> DemandStream:
     """Parse a demand CSV (``read_csv_table``) into a stream.
 
@@ -511,21 +534,36 @@ def read_demand_csv(path, gap_policy: str = "abort", steps_per_day: int = 24) ->
     reject_rows(path, unrepeated(t_pos * len(regions) + codes),
                 lambda k: f"duplicate (t={t[k]}, region={labels[k]})")
 
-    full = np.arange(times[0], times[-1] + 1)
-    gaps = np.setdiff1d(full, times[np.bincount(t_pos) == len(regions)])
-    keep = full
-    if len(gaps):
+    # Gaps are found from the distinct steps alone, so memory follows the row
+    # count, not the span of t: runs of missing steps sit between neighbours
+    # more than one step apart, and a present step can miss a region.
+    complete = np.bincount(t_pos) == len(regions)
+    jump = np.flatnonzero(np.diff(times) > 1)
+    missing_from, missing_to = times[jump] + 1, times[jump + 1] - 1
+    partial = times[~complete]
+    keep = times
+    if len(jump) or len(partial):
         if gap_policy == "abort":
-            present = set(codes[t == gaps[0]].tolist())
+            first = min(missing_from[:1].tolist() + partial[:1].tolist())
+            present = set(codes[t == first].tolist())
             missing = next(r for i, r in enumerate(regions) if i not in present)
             raise DataFormatError(
-                f"{path}: gap at t={gaps[0]} (missing region {missing}); "
+                f"{path}: gap at t={first} (missing region {missing}); "
                 "rerun with gap_policy='drop_day' to skip affected days"
             )
-        bad_days = np.unique(gaps // steps_per_day)
-        keep = full[~np.isin(full // steps_per_day, bad_days)]
+        first_day, last_day = _merged_ranges(
+            np.concatenate([missing_from, partial]) // steps_per_day,
+            np.concatenate([missing_to, partial]) // steps_per_day,
+        )
+        day = times // steps_per_day
+        k = np.searchsorted(first_day, day, side="right") - 1
+        bad = (k >= 0) & (day <= last_day[np.maximum(k, 0)])
+        keep = times[~bad]
         log.warning(
-            "%s: dropping %d day(s) with gaps: %s", path, len(bad_days), bad_days.tolist()
+            "%s: dropping %d day(s) with gaps: %s", path,
+            int((last_day - first_day + 1).sum()),
+            ", ".join(str(a) if a == b else f"{a}..{b}"
+                      for a, b in zip(first_day.tolist(), last_day.tolist())),
         )
         if not len(keep):
             raise DataFormatError(f"{path}: every day contains gaps")

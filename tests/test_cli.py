@@ -1,6 +1,8 @@
 """CLI tests: subcommands, config/flag precedence, exit codes."""
 
 import json
+import logging
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -280,6 +282,43 @@ class TestMalformedInputs:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 3
         assert "not a run directory" in result.output
+
+
+class TestGapCheckMemory:
+    """The demand gap check needs memory for the rows, not for the span of t."""
+
+    @pytest.fixture
+    def jump(self, tmp_path):
+        # One day at t = 0 and one at t = 1000008 (day 41667): 48 rows.
+        path = tmp_path / "jump.csv"
+        steps = [*range(24), *range(1_000_008, 1_000_032)]
+        path.write_text("t,region,inflow,outflow\n"
+                        + "".join(f"{t},a,{t % 5},{t % 3}\n" for t in steps))
+        return path
+
+    def run_traced(self, runner, path, policy):
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["run", "--demand-csv", str(path),
+                                          "--gap-policy", policy])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_abort_names_the_first_missing_step(self, runner, jump):
+        result, peak = self.run_traced(runner, jump, "abort")
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 3
+        assert "gap at t=24 (missing region a)" in result.output
+        assert peak < 8 * 2**20
+
+    def test_drop_day_keeps_the_two_whole_days(self, runner, jump, caplog):
+        with caplog.at_level(logging.WARNING):
+            result, peak = self.run_traced(runner, jump, "drop_day")
+        assert result.exit_code == 0, result.output
+        assert "dropping 41666 day(s) with gaps: 1..41666" in caplog.text
+        assert peak < 8 * 2**20
 
 
 class TestRegionLabels:

@@ -18,7 +18,7 @@ import pytest
 
 from contina import harness, metrics
 from contina.adaptation import AdaptHyperParams, RegionAdaptState, update_alpha_adaptive
-from contina.errors import ConfigError, MissingForecastError
+from contina.errors import ConfigError, MissingForecastError, NotFittedError
 from contina.harness import (
     ExperimentConfig,
     ingest_csv,
@@ -259,7 +259,7 @@ class TestIngestion:
 
 
 class TestFileBackedRuns:
-    def make_inputs(self, tmp_path, drop_cell=None):
+    def make_inputs(self, tmp_path, drop_cells=()):
         stream = generate(StreamSpec(n_regions=2, horizon=200, seed=4,
                                      base_level=(10.0, 10.0)))
         demand = tmp_path / "demand.csv"
@@ -268,7 +268,7 @@ class TestFileBackedRuns:
         for t in range(80, 200):  # calibration + deployment cells only
             for region in stream.region_ids:
                 for j, flow in enumerate(FLOWS):
-                    if (t, region, flow) == drop_cell:
+                    if (t, region, flow) in drop_cells:
                         continue
                     # Bands that differ from cell to cell, so a forecast read
                     # for the wrong cell changes the outcome.
@@ -287,8 +287,8 @@ class TestFileBackedRuns:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_predictor_updates_on_and_off_write_identical_reports(self, tmp_path, method):
-        # A file-backed predictor ignores updates, so the per-step forecasts
-        # of the update path must reproduce the bulk forecasts bit for bit.
+        # A file-backed predictor ignores updates, so the forecasts of the
+        # update path must reproduce the frozen forecasts bit for bit.
         demand, forecasts = self.make_inputs(tmp_path)
         paths = {}
         for updates in (False, True):
@@ -328,10 +328,33 @@ class TestFileBackedRuns:
             assert np.asarray(scores, dtype=np.float64).tobytes() == want.tobytes()
 
     def test_missing_cell_aborts_with_identity(self, tmp_path):
-        demand, forecasts = self.make_inputs(tmp_path, drop_cell=(150, 1, "out"))
+        demand, forecasts = self.make_inputs(tmp_path, drop_cells=[(150, 1, "out")])
         cfg = ExperimentConfig(demand_csv=str(demand), forecast_csv=str(forecasts),
                                train_frac=0.4, calib_frac=0.2)
         with pytest.raises(MissingForecastError, match=r"t=150, region=1, flow=out"):
+            run_replay(cfg)
+
+    @pytest.mark.parametrize("updates", [False, True])
+    def test_missing_cells_name_the_inflow_cell_first(self, tmp_path, updates):
+        # Both modes ask each cell for its whole deployment series, inflow
+        # first, so the inflow cell's gap is named even though it is later.
+        demand, forecasts = self.make_inputs(tmp_path,
+                                             drop_cells=[(170, 1, "in"), (150, 1, "out")])
+        cfg = ExperimentConfig(demand_csv=str(demand), forecast_csv=str(forecasts),
+                               train_frac=0.4, calib_frac=0.2, predictor_updates=updates)
+        with pytest.raises(MissingForecastError, match=r"t=170, region=1, flow=in"):
+            run_replay(cfg)
+
+    @pytest.mark.parametrize("updates", [False, True])
+    def test_cold_seasonal_hours_name_the_inflow_cell_first(self, tmp_path, updates):
+        # A day longer than the training window leaves hours 80.. without
+        # history; with fallback disabled the first one asked for raises, and
+        # the inflow cell is always asked first.
+        demand, _ = self.make_inputs(tmp_path)
+        cfg = ExperimentConfig(demand_csv=str(demand), train_frac=0.4, calib_frac=0.2,
+                               steps_per_day=200, predictor_updates=updates,
+                               predictor=PredictorSpec(fallback="error"))
+        with pytest.raises(NotFittedError, match=r"region=0, flow=in, hour=80\)"):
             run_replay(cfg)
 
 

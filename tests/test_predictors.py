@@ -5,6 +5,7 @@ import pytest
 
 from contina.errors import DataFormatError, MissingForecastError, NotFittedError
 from contina.predictors import (
+    PREDICTOR_KINDS,
     FileBackedForecasts,
     OnlinePinballLinearPredictor,
     PredictorSpec,
@@ -14,7 +15,7 @@ from contina.predictors import (
     pinball_loss_low,
     write_forecast_csv,
 )
-from contina.streams import DemandStream, Observation
+from contina.streams import FLOWS, DemandStream, Observation
 from contina.windows import quantile_rank
 
 
@@ -276,6 +277,154 @@ class TestFileBacked:
         path.write_text(rows)
         with pytest.raises(DataFormatError):
             FileBackedForecasts(path)
+
+
+def bits(values) -> bytes:
+    """The exact float64 bits of a sequence, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def predictor_state(pred):
+    """Everything ``update`` and the forecasts may change, as comparable bytes."""
+    if isinstance(pred, SeasonalWindowPredictor):
+        buckets = {key: (bits(win.buffers()[0]), bits(win.buffers()[1]))
+                   for key, win in pred._buckets.items()}
+        return buckets, {key: bits(pair) for key, pair in pred._pairs.items()}, pred.crossings
+    if isinstance(pred, OnlinePinballLinearPredictor):
+        cells = {key: tuple(bits(np.atleast_1d(cell[k])) for k in ("w_lo", "w_hi", "b_lo", "b_hi"))
+                 for key, cell in pred._cells.items()}
+        return cells, pred.crossings
+    return bits(pred._band), pred.crossings
+
+
+def stepwise(pred, cells, times, lags, ys):
+    """The object path: ``predict`` then ``update(Observation)`` per step.
+
+    The (region, flow) ``cells`` advance in lockstep, one step at a time, so
+    a cell whose state leaked into another would show against the series
+    call, which runs the cells one after another. Returns each cell's (lo,
+    hi) lists.
+    """
+    out = {cell: ([], []) for cell in cells}
+    for p, t in enumerate(times.tolist()):
+        for cell in cells:
+            fc = pred.predict(*cell, t, lags[cell][p])
+            out[cell][0].append(fc.lo)
+            out[cell][1].append(fc.hi)
+        for region, flow in cells:
+            pred.update(Observation(t, region, flow, float(ys[region, flow][p]),
+                                    tuple(lags[region, flow][p])))
+    return out
+
+
+def in_segments(pred, cells, times, lags, ys, rng):
+    """``predict_series(..., y=...)`` per cell, over random segments of the steps."""
+    out = {}
+    for cell in cells:
+        cuts = np.sort(rng.choice(np.arange(1, len(times)), size=4, replace=False))
+        bounds = [0, *cuts.tolist(), len(times)]
+        parts = [pred.predict_series(*cell, times[a:b], lags[cell][a:b], y=ys[cell][a:b])
+                 for a, b in zip(bounds, bounds[1:])]
+        out[cell] = tuple(np.concatenate([part[k] for part in parts]) for k in (0, 1))
+    return out
+
+
+def deployment(regions=2, train=200, deploy=150, seed=0):
+    """A fitted-on training segment, and the later steps with their demand.
+
+    Demand sits on a coarse grid with some -0.0 values, so the windows hold
+    ties and zeros of both signs.
+    """
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 6, size=(regions, 2, train + deploy)).astype(np.float64)
+    y[y == 0.0] *= np.where(rng.random((y == 0.0).sum()) < 0.5, -1.0, 1.0)
+    fit_on = DemandStream(region_ids=tuple(range(regions)), history=y, stop=train)
+    later = DemandStream(region_ids=tuple(range(regions)), history=y, start=train)
+    cells = [(region, flow) for region in range(regions) for flow in FLOWS]
+    lags = {(i, flow): later.lags_matrix(i, j) for i in range(regions)
+            for j, flow in enumerate(FLOWS)}
+    ys = {(i, flow): later.cell_series(i, j) for i in range(regions)
+          for j, flow in enumerate(FLOWS)}
+    return fit_on, cells, later.window_times(), lags, ys
+
+
+class TestSeriesWithUpdatesMatchesObjectPath:
+    """``predict_series(..., y=...)`` equals per-step predict + update, bit for bit."""
+
+    def check(self, make, train=200, seed=0):
+        fit_on, cells, times, lags, ys = deployment(train=train, seed=seed)
+        reference, fast = make().fit(fit_on), make().fit(fit_on)
+        assert predictor_state(reference) == predictor_state(fast)
+        want = stepwise(reference, cells, times, lags, ys)
+        got = in_segments(fast, cells, times, lags, ys, np.random.default_rng(seed))
+        for cell in cells:
+            assert bits(got[cell][0]) == bits(want[cell][0])
+            assert bits(got[cell][1]) == bits(want[cell][1])
+        assert predictor_state(fast) == predictor_state(reference)
+        return reference
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("by_hour", [True, False])
+    @pytest.mark.parametrize("window_len", [3, 500])
+    def test_seasonal(self, seed, by_hour, window_len):
+        # window_len 3 is shorter than every bucket's history, so pushes evict.
+        self.check(lambda: SeasonalWindowPredictor(
+            alpha=0.2, window_len=window_len, by_hour=by_hour, steps_per_day=24), seed=seed)
+
+    def test_seasonal_cold_buckets_fall_back_then_learn(self):
+        # Ten training steps leave hours 10..23 without a bucket.
+        pred = self.check(lambda: SeasonalWindowPredictor(
+            alpha=0.2, window_len=4, by_hour=True, fallback="global"), train=10)
+        assert len(pred._buckets) == 2 * 2 * 24
+
+    def test_seasonal_cold_bucket_error_raises_at_the_same_step(self):
+        fit_on, cells, times, lags, ys = deployment(train=10)
+        # From t = 24 on, hours 0..9 learn for ten steps before hour 10 is cold.
+        cell, tail = cells[0], slice(14, None)
+        times, lags, ys = times[tail], {cell: lags[cell][tail]}, {cell: ys[cell][tail]}
+        reference, fast = (SeasonalWindowPredictor(alpha=0.2, window_len=4, fallback="error")
+                           .fit(fit_on) for _ in range(2))
+        with pytest.raises(NotFittedError) as want:
+            stepwise(reference, [cell], times, lags, ys)
+        with pytest.raises(NotFittedError) as got:
+            fast.predict_series(*cell, times, lags[cell], y=ys[cell])
+        assert str(got.value) == str(want.value)
+        assert "hour=10" in str(got.value)
+        assert predictor_state(fast) == predictor_state(reference)
+        assert predictor_state(fast) != predictor_state(
+            SeasonalWindowPredictor(alpha=0.2, window_len=4, fallback="error").fit(fit_on))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("step_size", [0.05, 3.0])
+    def test_pinball(self, seed, step_size):
+        pred = self.check(lambda: OnlinePinballLinearPredictor(
+            alpha=0.2, step_size=step_size, epochs=1), seed=seed)
+        if step_size > 1:
+            assert pred.crossings > 0  # large steps cross the heads
+
+    def test_file_backed_ignores_y(self, tmp_path):
+        fit_on, cells, times, lags, ys = deployment()
+        path = tmp_path / "fc.csv"
+        write_forecast_csv(path, [(t, region, flow, t % 7, t % 5)
+                                  for t in times.tolist() for region, flow in cells])
+        pred = self.check(lambda: FileBackedForecasts(path))
+        assert pred.crossings > 0
+
+    @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_demand_raises_before_any_state_changes(self, tmp_path, kind, bad):
+        fit_on, cells, times, lags, ys = deployment()
+        path = tmp_path / "fc.csv"
+        write_forecast_csv(path, [(t, region, flow, 1.0, 2.0)
+                                  for t in times.tolist() for region, flow in cells])
+        pred = make_predictor(PredictorSpec(kind=kind, path=str(path)), 0.2, 24).fit(fit_on)
+        before = predictor_state(pred)
+        cell = cells[1]
+        y = ys[cell].copy()
+        y[-1] = bad
+        with pytest.raises(ValueError, match="demand must be finite and >= 0"):
+            pred.predict_series(*cell, times, lags[cell], y=y)
+        assert predictor_state(pred) == before
 
 
 class TestPredictorSpec:

@@ -1,6 +1,7 @@
 """Tests for synthetic stream generation, filtering, splits, and the CSV format."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,30 @@ class TestRegionLabels:
         stream = read_demand_csv(path)
         assert stream.region_ids == (7, "--5", "007")
         assert stream.history[:, :, 0].tolist() == [[1, 2], [5, 6], [3, 4]]
+
+
+    def test_demand_csv_round_trips_labels(self, tmp_path):
+        labels = ("a,b", 'q"x', "a\nb", "in side", "007", "--5", "\u00e9", -5, 12)
+        history = np.arange(len(labels) * 2 * 3, dtype=np.float64).reshape(len(labels), 2, 3)
+        path = tmp_path / "demand.csv"
+        write_demand_csv(DemandStream(region_ids=labels, history=history), path)
+        back = read_demand_csv(path)
+        assert sorted(back.region_ids, key=region_sort_key) == list(back.region_ids)
+        assert set(back.region_ids) == set(labels)
+        for i, region in enumerate(back.region_ids):
+            assert back.history[i].tolist() == history[labels.index(region)].tolist()
+
+    @pytest.mark.parametrize("labels, named", [
+        ((" s", "s"), "' s'"), (("s ", "t"), "'s '"), (("\ts", "t"), "'\\ts'"),
+        (("x\x00", "y"), "'x\\x00'"), (("", "a"), "region ''"),
+        ((7, "7"), "regions 7 and '7' share the label '7'"),
+    ])
+    def test_writer_refuses_labels_the_reader_would_change(self, tmp_path, labels, named):
+        path = tmp_path / "demand.csv"
+        stream = DemandStream(region_ids=labels, history=np.ones((2, 2, 3)))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            write_demand_csv(stream, path)
+        assert not path.exists()
 
 
 class TestSpecRoundtrip:
