@@ -27,7 +27,6 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .streams import (
     FLOWS,
     DemandStream,
     StreamSpec,
+    csv_field,
     flow_index,
     generate,
     read_csv_table,
@@ -393,19 +393,26 @@ def _version() -> str:
 
 
 def _write_ledger(ledger: RunLedger, path) -> None:
-    """Write ``ledger.csv`` in (region, t, flow) row order, one region at a time."""
-    t_col = np.repeat(ledger.times, 2).tolist()
-    flow_col = list(FLOWS) * ledger.horizon
+    """Write ``ledger.csv`` in (region, t, flow) row order, one region at a time.
+
+    Rows are spelled exactly as ``csv.writer`` spells them: only the region
+    label can need quoting, and ``csv_field`` spells it once per region.
+    """
+    t_flow = [(f"{t},", f",{flow},") for t in ledger.times.tolist() for flow in FLOWS]
+    bit = ("0", "1")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(LEDGER_COLUMNS)
+        csv.writer(fh).writerow(LEDGER_COLUMNS)
         for i, region in enumerate(ledger.region_ids):
-            w.writerows(zip(
-                t_col, repeat(region), flow_col,
-                ledger.covered_grid[i].reshape(-1).view(np.uint8).tolist(),
-                ledger.length_grid[i].reshape(-1).tolist(),
-                ledger.empty_grid[i].reshape(-1).view(np.uint8).tolist(),
-            ))
+            label = csv_field(region)
+            fh.write("".join([
+                f"{t}{label}{flow}{bit[c]},{length!r},{bit[e]}\r\n"
+                for (t, flow), c, length, e in zip(
+                    t_flow,
+                    ledger.covered_grid[i].reshape(-1).view(np.uint8).tolist(),
+                    ledger.length_grid[i].reshape(-1).tolist(),
+                    ledger.empty_grid[i].reshape(-1).view(np.uint8).tolist(),
+                )
+            ]))
 
 
 def _period_slices(horizon: int, periods: int):

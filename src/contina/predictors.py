@@ -36,6 +36,7 @@ from .streams import (
     FLOWS,
     DemandStream,
     Observation,
+    csv_label,
     flow_index,
     read_csv_table,
     region_codes,
@@ -184,10 +185,16 @@ class SeasonalWindowPredictor(ParamsMixin):
         if y is not None:
             return self._predict_update_series(region, flow, times, y)
         if self.by_hour:
-            table = np.array(
-                [self._pair_for(region, flow, h) for h in range(self.steps_per_day)]
-            )
+            if self._pairs is None:
+                raise NotFittedError("predictor must be fitted before predicting")
             hours = np.asarray(times, dtype=np.int64) % self.steps_per_day
+            pairs = [self._pairs.get((region, flow, h)) for h in range(self.steps_per_day)]
+            cold = np.array([pair is None for pair in pairs])[hours]
+            if cold.any():  # the fallback, or NotFittedError naming the earliest cold step's hour
+                fill = self._pair_for(region, flow, int(hours[np.argmax(cold)]))
+            else:
+                fill = (0.0, 0.0)  # for cold hours that no step asks for
+            table = np.array([fill if pair is None else pair for pair in pairs])
             return table[hours, 0], table[hours, 1]
         lo = np.empty(len(times))
         hi = np.empty(len(times))
@@ -413,12 +420,24 @@ class FileBackedForecasts(ParamsMixin):
 
 
 def write_forecast_csv(path, rows) -> None:
-    """Write (t, region, flow, q_lo, q_hi) rows in the forecast CSV format."""
+    """Write (t, region, flow, q_lo, q_hi) rows in the forecast CSV format.
+
+    Refuses (ValueError, before writing) a flow outside ``FLOWS`` and a
+    region label that ``csv_label`` refuses. Rows are spelled exactly as
+    ``csv.writer`` spells them.
+    """
+    seen, cells, lines = {}, {}, []
+    for t, region, flow, lo, hi in rows:
+        key = (type(region), region, flow)  # 1 == True, but they are spelled apart
+        cell = cells.get(key)
+        if cell is None:
+            if flow not in FLOWS:
+                raise ValueError(f"flow must be one of {FLOWS}, got {flow!r}")
+            cell = cells[key] = f"{csv_label(region, seen)},{flow}"
+        lines.append(f"{int(t)},{cell},{float(lo)!r},{float(hi)!r}\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "region", "flow", "q_lo", "q_hi"])
-        for t, region, flow, lo, hi in rows:
-            w.writerow([int(t), region, flow, repr(float(lo)), repr(float(hi))])
+        csv.writer(fh).writerow(["t", "region", "flow", "q_lo", "q_hi"])
+        fh.write("".join(lines))
 
 
 def make_predictor(spec: PredictorSpec, alpha: float, steps_per_day: int):

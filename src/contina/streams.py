@@ -14,6 +14,7 @@ without changing a single bit of output.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import warnings
@@ -28,6 +29,7 @@ log = logging.getLogger(__name__)
 
 N_LAGS = 6
 FLOWS = ("in", "out")
+CHUNK_ROWS = 50_000  # rows per np.loadtxt call in read_csv_table; bounds the label objects alive
 
 REGIMES = ("stationary", "abrupt_shift", "drift", "heterogeneous", "k_dependent")
 NOISES = ("gaussian", "negative_binomial")
@@ -342,39 +344,45 @@ def split(
     return view(stream.start, b1), view(b1, b2), view(b2, stream.stop)
 
 
+def csv_field(value) -> str:
+    """``value`` as ``csv.writer`` spells it among the other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3]  # drop the empty last field: "," and "\r\n"
+
+
+def csv_label(region, seen: dict) -> str:
+    """The ``csv_field`` of a region label that ``read_csv_table`` reads back unchanged.
+
+    Refuses (ValueError) a label ``str(region)`` that the reader would not
+    give back as the same text (an empty label, one with surrounding
+    whitespace or trailing NULs) or that an unequal region in ``seen`` (label
+    -> region, updated here) already took, such as ``"1"`` after ``1``.
+    """
+    label = "" if region is None else str(region)  # csv.writer writes None as ""
+    text = np.char.strip(np.array([label], dtype=str))[0]  # as read_csv_table
+    if text != label or not text:
+        raise ValueError(f"region {region!r} would read back from a CSV file as {str(text)!r}")
+    if seen.setdefault(label, region) != region:
+        raise ValueError(f"regions {seen[label]!r} and {region!r} share the label {label!r}")
+    return csv_field(region)
+
+
 def write_demand_csv(stream: DemandStream, path) -> None:
     """Write the window as ``t,region,inflow,outflow`` rows.
 
-    Refuses (ValueError, before writing) a region whose label ``str(region)``
-    ``read_demand_csv`` would not read back as the same text: an empty label,
-    one with surrounding whitespace or trailing NULs, or one that another
-    region shares.
+    Refuses (ValueError, before writing) a region label that ``csv_label``
+    refuses. Rows are spelled exactly as ``csv.writer`` spells them.
     """
-    labels = [str(region) for region in stream.region_ids]
-    read_back = np.char.strip(np.array(labels, dtype=str)).tolist()  # as read_csv_table
     seen = {}
-    for region, label, text in zip(stream.region_ids, labels, read_back):
-        if text != label or not text:
-            raise ValueError(f"region {region!r} would read back from a demand CSV as {text!r}")
-        if label in seen:
-            raise ValueError(f"regions {seen[label]!r} and {region!r} share the label {label!r}")
-        seen[label] = region
-    times = stream.window_times()
+    labels = [csv_label(region, seen) for region in stream.region_ids]
+    times = stream.window_times().astype(np.int64).tolist()
+    values = stream.history[:, :, stream.start : stream.stop].transpose(2, 0, 1).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "region", "inflow", "outflow"])
-        for p in range(stream.horizon):
-            t = int(times[p])
-            pos = stream.start + p
-            for i, region in enumerate(stream.region_ids):
-                w.writerow(
-                    [
-                        t,
-                        region,
-                        repr(float(stream.history[i, 0, pos])),
-                        repr(float(stream.history[i, 1, pos])),
-                    ]
-                )
+        csv.writer(fh).writerow(["t", "region", "inflow", "outflow"])
+        fh.write("".join([f"{t},{label},{inflow!r},{outflow!r}\r\n"
+                          for t, step in zip(times, values)
+                          for label, (inflow, outflow) in zip(labels, step)]))
 
 
 def parse_region(label: str):
@@ -421,8 +429,10 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
 
     ``types`` gives each column's type: ``int``, ``float`` or ``str`` (a
     label; with ``strip``, labels and header names lose surrounding spaces).
-    The rows are parsed in bulk; only if that fails does a rescan name the
-    physical line of the first bad field count or number (DataFormatError).
+    The rows are parsed in one bulk pass, ``CHUNK_ROWS`` rows at a time, so
+    only one chunk's labels are ever held as Python strings; only if that
+    fails does a rescan name the physical line of the first bad field count
+    or number (DataFormatError).
     """
     try:
         with open(path, "rb") as fh:
@@ -434,20 +444,26 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
         line = raw.count(b"\n", 0, e.start) + 1
         raise DataFormatError(f"{path}:{line}: not UTF-8 ({e.reason})") from None
     del raw
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
-    if ([h.strip() for h in header] if strip else header) != list(columns):
-        raise DataFormatError(f"{path}: expected header '{','.join(columns)}'")
-    # The first pass checks every row's fields; labels get their full width in the second.
-    kinds = {int: "i8", float: "f8", str: "U1"}
+    kinds = {int: "i8", float: "f8", str: "O"}
     dtype = [(name, kinds[kind]) for name, kind in zip(columns, types)]
-    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, encoding="utf-8")
-    label_cols = [k for k, kind in enumerate(types) if kind is str]
+    chunks = {name: [] for name in columns}
     try:
-        with warnings.catch_warnings():
+        # newline="" keeps a quoted line break inside its field, as csv.reader does.
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            header = next(csv.reader(fh), [])
+            if ([h.strip() for h in header] if strip else header) != list(columns):
+                raise DataFormatError(f"{path}: expected header '{','.join(columns)}'")
             warnings.simplefilter("ignore", UserWarning)  # blank lines; no rows is raised below
-            rows = np.loadtxt(path, dtype=dtype, ndmin=1, **opts)
-            labels = np.loadtxt(path, dtype=str, usecols=label_cols, ndmin=2, **opts)
+            while True:
+                rows = np.loadtxt(fh, dtype=dtype, ndmin=1, max_rows=CHUNK_ROWS, delimiter=",",
+                                  quotechar='"', comments=None, encoding="utf-8")
+                # Labels become fixed-width str, as with dtype=str, before the next chunk.
+                for name, kind in zip(columns, types):
+                    chunks[name].append(
+                        rows[name].astype(str) if kind is str else rows[name].copy())
+                if len(rows) < CHUNK_ROWS:
+                    break
+                del rows  # frees this chunk's label objects before the next is parsed
     except ValueError as e:
         for line, row in _records(path):
             if len(row) != len(columns):
@@ -459,11 +475,12 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
                     raise DataFormatError(
                         f"{path}:{line}: {name} must be {what}, got {field!r}") from None
         raise DataFormatError(f"{path}: {e}") from None
-    if not len(rows):
+    table = {name: np.concatenate(parts) for name, parts in chunks.items()}
+    if not len(table[columns[0]]):
         raise DataFormatError(f"{path}: no records")
-    table = {name: rows[name] for name in columns}
-    for k, col in zip(label_cols, labels.T):
-        table[columns[k]] = np.char.strip(col) if strip else col
+    for name, kind in zip(columns, types):
+        if kind is str and strip:
+            table[name] = np.char.strip(table[name])
     return table
 
 

@@ -1,5 +1,7 @@
 """Tests for pinball losses and the three base predictors."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,25 @@ class TestSeasonalWindow:
             fc = pred.predict(0, "in", int(t))
             assert (lo[p], hi[p]) == (fc.lo, fc.hi)
 
+    def test_series_looks_up_only_the_requested_hours(self):
+        # Ten training steps leave hours 10..23 cold; none of these steps asks for one.
+        pred = SeasonalWindowPredictor(alpha=0.2, window_len=4, fallback="error")
+        pred.fit(flat_stream(np.arange(10.0)))
+        lo, hi = pred.predict_series(0, "in", [3, 4, 5, 27])
+        assert list(zip(lo, hi)) == [(fc.lo, fc.hi) for fc in (
+            pred.predict(0, "in", t) for t in (3, 4, 5, 27))]
+
+    @pytest.mark.parametrize("times, hour", [([3, 4, 12, 5, 11], 12), ([35, 36, 13], 11)])
+    def test_series_names_the_cold_hour_of_the_earliest_cold_step(self, times, hour):
+        pred = SeasonalWindowPredictor(alpha=0.2, window_len=4, fallback="error")
+        pred.fit(flat_stream(np.arange(10.0)))
+        with pytest.raises(NotFittedError, match=f"hour={hour}\\)"):
+            pred.predict_series(0, "in", times)
+        glob = SeasonalWindowPredictor(alpha=0.2, window_len=4).fit(flat_stream(np.arange(10.0)))
+        lo, hi = glob.predict_series(0, "in", times)
+        assert list(zip(lo, hi)) == [(fc.lo, fc.hi) for fc in (
+            glob.predict(0, "in", t) for t in times)]
+
 
 class TestOnlinePinballLinear:
     def test_zero_weights_predict_biases(self):
@@ -232,6 +253,30 @@ class TestFileBacked:
         pred = FileBackedForecasts(path)
         pred.update(Observation(0, 0, "in", 5.0, (0.0,) * 6))
         assert pred.predict(0, "in", 0).hi == 1.0
+
+    @pytest.mark.parametrize("rows, named", [
+        ([(0, 3, "IN", 1.0, 2.0)], "flow must be one of ('in', 'out'), got 'IN'"),
+        ([(0, 3, "in", 1.0, 2.0), (0, 3, 0, 1.0, 2.0)], "got 0"),
+        ([(0, "", "in", 1.0, 2.0)], "region ''"),
+        ([(0, None, "in", 1.0, 2.0)], "region None"),
+        ([(0, " s", "in", 1.0, 2.0)], "region ' s'"),
+        ([(0, "s\t", "out", 1.0, 2.0)], "region 's\\t'"),
+        ([(0, 1, "in", 1.0, 2.0), (0, 1, "out", 1.0, 2.0), (1, "1", "in", 1.0, 2.0)],
+         "regions 1 and '1' share the label '1'"),
+    ])
+    def test_writer_refuses_rows_it_cannot_read_back(self, tmp_path, rows, named):
+        path = tmp_path / "fc.csv"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            write_forecast_csv(path, iter(rows))
+        assert not path.exists()
+
+    def test_one_and_true_stay_distinct_regions(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        write_forecast_csv(path, [(0, 1, "in", 1.0, 2.0), (0, True, "in", 3.0, 4.0),
+                                  (0, np.int64(1), "out", 5.0, 6.0)])
+        pred = FileBackedForecasts(path)
+        assert (pred.predict(1, "in", 0).lo, pred.predict("True", "in", 0).lo) == (1.0, 3.0)
+        assert pred.predict(1, "out", 0).lo == 5.0
 
     def test_crossed_rows_swapped_and_counted(self, tmp_path):
         path = tmp_path / "fc.csv"

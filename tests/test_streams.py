@@ -350,6 +350,7 @@ class TestRegionLabels:
     @pytest.mark.parametrize("labels, named", [
         ((" s", "s"), "' s'"), (("s ", "t"), "'s '"), (("\ts", "t"), "'\\ts'"),
         (("x\x00", "y"), "'x\\x00'"), (("", "a"), "region ''"),
+        ((None, "a"), "region None would read back from a CSV file as ''"),
         ((7, "7"), "regions 7 and '7' share the label '7'"),
     ])
     def test_writer_refuses_labels_the_reader_would_change(self, tmp_path, labels, named):
