@@ -166,7 +166,8 @@ def run(config_path, predictor, out, audit, **flags):
         from .harness import verify_audit
 
         if not verify_audit(result):
-            raise ContinaError("audit failed: replayed step does not match its log")
+            raise ContinaError("audit failed: the replayed step or the final states "
+                               "do not match the run's log")
         click.echo(f"audit ok at t={result.audit.t}, region={result.audit.region}")
     cov = metrics.average_coverage(result.ledger)
     min_rc = metrics.min_regional_coverage(result.ledger)

@@ -15,6 +15,10 @@ forecasting the step. Predictor state is per (region, flow) cell, and neither
 forecasts nor updates depend on alpha_t, so running each cell's whole
 predict-then-update pass at once changes no forecast.
 
+``oracle_replay`` runs the same protocol one step at a time through the
+object-path API, as the reference the engine is checked against, and
+``verify_audit`` checks an audited run without running the engine.
+
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
 ledger, final per-region states, and a manifest that allows an exact re-run.
@@ -31,14 +35,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import metrics
-from .adaptation import AdaptHyperParams
+from .adaptation import AdaptHyperParams, RegionAdaptState, adaptive_rate, coverage_error
 from .errors import ConfigError, DataFormatError, LedgerError
-from .intervals import QuantileForecast, contains, interval_length
+from .intervals import QuantileForecast, conformity_score, interval_length
 from .metrics import RunLedger, coverage_gap_constant
 from .predictors import PredictorSpec, make_predictor
 from .streams import (
     FLOWS,
     DemandStream,
+    Observation,
     StreamSpec,
     csv_field,
     flow_index,
@@ -50,7 +55,7 @@ from .streams import (
     reject_rows,
     split,
 )
-from .tracker import METHODS, ConformalIntervalTracker, conformity_scores
+from .tracker import METHODS, ConformalIntervalTracker, alpha_step, conformity_scores
 from .validation import check_in_range, check_positive, check_positive_int
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
@@ -129,6 +134,17 @@ class ExperimentConfig:
             epsilon=self.epsilon,
         )
 
+    def tracker(self, window=None) -> ConformalIntervalTracker:
+        """An unfitted tracker with this run's method and hyperparameters.
+
+        ``window`` overrides the configured window capacity.
+        """
+        return ConformalIntervalTracker(
+            method=self.method, alpha=self.alpha, gamma=self.gamma, gamma1=self.gamma1,
+            beta=self.beta, epsilon=self.epsilon, window=window or self.window,
+            clamp_nonnegative=self.clamp_nonnegative,
+        )
+
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["predictor"] = self.predictor.to_dict()
@@ -159,6 +175,11 @@ class RegionFinalState:
     moment: float
     rate: float
     update_sum: float
+
+    @classmethod
+    def of(cls, region, tracker: ConformalIntervalTracker) -> "RegionFinalState":
+        return cls(region=region, alpha=tracker.alpha_t_, moment=tracker.moment_,
+                   rate=tracker.rate_, update_sum=tracker.update_sum_)
 
 
 @dataclass
@@ -224,11 +245,7 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
     calib_scores = [conformity_scores(*cell_forecasts(calib, j), calib.cell_series(i, j))
                     for j in (0, 1)]
 
-    tracker = ConformalIntervalTracker(
-        method=config.method, alpha=config.alpha, gamma=config.gamma,
-        gamma1=config.gamma1, beta=config.beta, epsilon=config.epsilon,
-        window=config.window, clamp_nonnegative=config.clamp_nonnegative,
-    ).fit(calib_scores[0], calib_scores[1])
+    tracker = config.tracker().fit(calib_scores[0], calib_scores[1])
 
     times = deploy.window_times()
     y1 = deploy.cell_series(i, 0)
@@ -255,11 +272,7 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
         cols = [a + b for a, b in zip(head, tail)]
     out = np.array(cols, dtype=np.float64).T.reshape(deploy.horizon, 2, 3)
 
-    state = RegionFinalState(
-        region=region, alpha=tracker.alpha_t_, moment=tracker.moment_,
-        rate=tracker.rate_, update_sum=tracker.update_sum_,
-    )
-    return out, state, audit, tracker.windows_[0].capacity
+    return out, RegionFinalState.of(region, tracker), audit, tracker.windows_[0].capacity
 
 
 def _snapshot(tracker, t, region, step):
@@ -313,35 +326,112 @@ def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
     )
 
 
-def verify_audit(result: RunResult) -> bool:
-    """Re-derive the audited step from its logged pre-step state.
+def oracle_replay(config: ExperimentConfig) -> RunResult:
+    """Run ``config`` one step at a time through the object-path API.
 
-    Proves the emitted intervals were a pure function of data strictly before
-    the step plus the step's forecasts: a fresh tracker is rebuilt from the
-    snapshot and must reproduce the recorded outcome exactly, through the
-    object-path API rather than the replay hot path. Coverage and the step's
-    miscoverage are recomputed from the rebuilt intervals, so nothing in the
-    check comes from ``observe_series``.
+    The reference that the engine is checked against. Each region's tracker
+    is seeded from per-step ``conformity_score``s of ``predictor.predict``
+    forecasts; each deployment step forecasts both flows with ``predict``,
+    runs ``ConformalIntervalTracker.observe`` and, with ``predictor_updates``,
+    feeds each flow's demand to ``predictor.update``. It shares no code with
+    ``_replay_region`` or ``observe_series``, and it is far slower.
+    """
+    config.validate()
+    stream, dropped = _load_stream(config)
+    train, calib, deploy = split(stream, config.train_frac, config.calib_frac)
+    predictor = make_predictor(config.predictor, config.alpha, config.steps_per_day)
+    predictor.fit(train)
+    records, states = [], []
+    for i, region in enumerate(stream.region_ids):
+        tracker = config.tracker()
+        scores = ([], [])
+        for _, forecasts, ys, _ in _object_steps(predictor, calib, i):
+            for flow_scores, fc, y in zip(scores, tracker._effective_pair(forecasts), ys):
+                flow_scores.append(conformity_score(y, fc))
+        tracker.fit(*scores)
+        for t, forecasts, ys, lags in _object_steps(predictor, deploy, i):
+            out = tracker.observe(forecasts, ys)
+            for flow, band, hit in zip(FLOWS, out.intervals, out.covered):
+                records.append((t, region, flow, hit, interval_length(band), band.empty))
+            if config.predictor_updates:
+                for flow, y, x in zip(FLOWS, ys, lags):
+                    predictor.update(Observation(t, region, flow, y, tuple(x)))
+        states.append(RegionFinalState.of(region, tracker))
+    return RunResult(
+        config=config,
+        ledger=RunLedger.from_records(records, region_ids=stream.region_ids),
+        states=states,
+        window_capacity=tracker.windows_[0].capacity,
+        crossings=getattr(predictor, "crossings", 0),
+        dropped_regions=dropped,
+    )
+
+
+def _object_steps(predictor, segment, i):
+    """Yield (t, forecasts, ys, lags) of region ``i``'s steps, one ``predict`` per flow."""
+    region = segment.region_ids[i]
+    lags = [segment.lags_matrix(i, j) for j in (0, 1)]
+    ys = [segment.cell_series(i, j).tolist() for j in (0, 1)]
+    for p, t in enumerate(segment.window_times().tolist()):
+        forecasts = tuple(predictor.predict(region, flow, t, lags[j][p])
+                          for j, flow in enumerate(FLOWS))
+        yield t, forecasts, (ys[0][p], ys[1][p]), (lags[0][p], lags[1][p])
+
+
+def verify_audit(result: RunResult) -> bool:
+    """Check an audited run through the object path, without the engine.
+
+    * The audited step: a tracker rebuilt from the snapshot of the state
+      before it must reproduce the step's recorded outcome exactly through
+      ``ConformalIntervalTracker.observe``. This shows that the emitted
+      intervals were a pure function of data strictly before the step plus
+      the step's forecasts.
+    * Every region's final state: the alpha update reads only each step's
+      miss indicator, so the final alpha, moment, rate and update sum follow
+      from the ledger's covered grid alone. They are recomputed with the
+      update rules of ``contina.adaptation``, over all regions at once, and
+      must equal ``result.states`` bit for bit.
     """
     snap = result.audit
     if snap is None:
         raise LedgerError("run was executed without audit mode")
-    cfg = result.config
-    tracker = ConformalIntervalTracker(
-        method=cfg.method, alpha=cfg.alpha, gamma=cfg.gamma, gamma1=cfg.gamma1,
-        beta=cfg.beta, epsilon=cfg.epsilon, window=snap.window_capacity,
-        clamp_nonnegative=cfg.clamp_nonnegative,
-    ).fit(snap.window_scores[0], snap.window_scores[1])
+    # The snapshot's capacity, not the config's: a window can be larger
+    # than the calibration set that seeds it.
+    tracker = result.config.tracker(window=snap.window_capacity)
+    tracker.fit(snap.window_scores[0], snap.window_scores[1])
     tracker.alpha_t_ = snap.alpha_t
     tracker.moment_ = snap.moment
-    forecasts = tuple(QuantileForecast(lo, hi) for lo, hi in snap.forecasts)
-    intervals = tracker.predict(forecasts)
-    hits = [contains(band, y) for band, y in zip(intervals, snap.ys)]
-    for band, hit, (rec_cov, rec_len, rec_emp) in zip(intervals, hits, snap.outcome):
+    out = tracker.observe(tuple(QuantileForecast(lo, hi) for lo, hi in snap.forecasts),
+                          snap.ys)
+    for band, hit, (rec_cov, rec_len, rec_emp) in zip(out.intervals, out.covered,
+                                                       snap.outcome):
         if (hit != bool(rec_cov) or band.empty != bool(rec_emp)
                 or interval_length(band) != rec_len):
             return False
-    return 1.0 - (hits[0] + hits[1]) / 2.0 == snap.err
+    return out.err == snap.err and _states_follow_ledger(result)
+
+
+def _states_follow_ledger(result: RunResult) -> bool:
+    """Whether ``result.states`` is the alpha recurrence run on the ledger's misses."""
+    cfg, ledger = result.config, result.ledger
+    hp = cfg.hyperparams()
+    n = ledger.n_regions
+    state = RegionAdaptState(ledger.region_ids, alpha=np.full(n, cfg.alpha),
+                             moment=np.zeros(n))
+    update_sum = np.zeros(n)
+    hits = ledger.covered_grid.astype(np.float64)  # bool arrays add as logical OR
+    for p in range(ledger.horizon):
+        err = coverage_error(hits[:, p, 0], hits[:, p, 1])
+        state, step = alpha_step(cfg.method, state, err, cfg.gamma, hp)
+        update_sum += step
+    if cfg.method == "contina":
+        rate = adaptive_rate(state.moment, hp)
+    else:
+        rate = np.full(n, cfg.gamma if cfg.method == "aci_fixed" else 0.0)
+    want = np.array([[s.alpha, s.moment, s.rate, s.update_sum] for s in result.states],
+                    dtype=np.float64)
+    got = np.column_stack([state.alpha, state.moment, rate, update_sum])
+    return want.shape == got.shape and want.tobytes() == got.tobytes()
 
 
 def _fmt(x) -> str:

@@ -16,15 +16,19 @@ Methods
 The tracker follows the scikit-learn estimator protocol (``fit`` seeds the
 windows from calibration scores; ``get_params``/``set_params`` work as usual).
 
-Hot path
---------
-``observe_series`` runs a whole segment of steps in one call on raw float
-sequences. Conformity scores depend only on forecasts and demand, never on
-alpha_t, so it computes them for the segment first; the per-step loop then
-inlines the window quantile, the out-of-range level rules, the clamp, the
-FIFO eviction and the alpha update over plain Python lists. ``observe_fast``
-is its one-step form and ``observe`` its object-path form, so the cycle is
-implemented once.
+Two paths
+---------
+``observe`` is the specification of one step. It composes ``predict``,
+``contains``, ``conformity_score``, ``CalibrationWindow.push`` and the update
+rules of :mod:`contina.adaptation`, and never calls the engine.
+
+``observe_series`` is the engine: it runs a whole segment of steps in one
+call on raw float sequences. Conformity scores depend only on forecasts and
+demand, never on alpha_t, so it computes them for the segment first; the
+per-step loop then inlines the window quantile, the out-of-range level rules,
+the clamp, the FIFO eviction and the alpha update over plain Python lists.
+Tests, ``harness.oracle_replay`` and ``harness.verify_audit`` check it
+against ``observe``, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,12 +40,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._params import ParamsMixin
+from .adaptation import (
+    AdaptHyperParams,
+    RegionAdaptState,
+    adaptive_rate,
+    coverage_error,
+    update_alpha_adaptive,
+    update_alpha_fixed,
+)
 from .errors import EmptyCalibrationError, NotFittedError
 from .intervals import (
     QuantileForecast,
     build_interval_cp,
     build_interval_qcp,
     conformity_score,
+    contains,
 )
 from .validation import check_in_range, check_positive
 from .windows import _RANK_SLACK, CalibrationWindow
@@ -69,6 +82,22 @@ def conformity_scores(lo, hi, y) -> np.ndarray:
     above = y - hi
     below = lo - y
     return np.where(below > above, below, above)
+
+
+def alpha_step(method, state: RegionAdaptState, err, gamma, hp: AdaptHyperParams):
+    """``method``'s update of alpha_t: (new state, the step it adds to update_sum).
+
+    contina takes the adaptive step and aci_fixed the fixed one; cp and qcp
+    keep their state and step by zero. The step is rate * (target - err),
+    computed on its own as the engine computes it, not as a difference of
+    alphas. ``state`` and ``err`` may hold arrays of independent regions.
+    """
+    if method == "contina":
+        state = update_alpha_adaptive(state, err, hp)
+        return state, adaptive_rate(state.moment, hp) * (hp.target_alpha - err)
+    if method == "aci_fixed":
+        return update_alpha_fixed(state, err, gamma, hp), gamma * (hp.target_alpha - err)
+    return state, 0.0 * err
 
 
 class ConformalIntervalTracker(ParamsMixin):
@@ -170,20 +199,29 @@ class ConformalIntervalTracker(ParamsMixin):
         return tuple(out)
 
     def observe(self, forecasts, ys) -> StepOutcome:
-        """Full per-step cycle: predict, score both flows, adapt alpha_t."""
+        """Full per-step cycle: predict, score both flows, adapt alpha_t.
+
+        The object-path specification of a step, built without the segment
+        engine. Both flows' scores are checked before either is pushed, so a
+        non-finite score raises ValueError and changes no state.
+        """
         self._check_fitted()
         intervals = self.predict(forecasts)
-        eff = self._effective_pair(forecasts)
-        scores = (conformity_score(ys[0], eff[0]), conformity_score(ys[1], eff[1]))
-        out = self.observe_fast(
-            eff[0].lo, eff[0].hi, eff[1].lo, eff[1].hi, float(ys[0]), float(ys[1])
-        )
-        return StepOutcome(
-            intervals=intervals,
-            covered=(out[0], out[3]),
-            scores=scores,
-            err=out[6],
-        )
+        covered = tuple(bool(contains(band, y)) for band, y in zip(intervals, ys))
+        scores = tuple(conformity_score(y, fc)
+                       for y, fc in zip(ys, self._effective_pair(forecasts)))
+        for s in scores:
+            if not math.isfinite(s):
+                raise ValueError(f"score must be finite, got {s!r}")
+        for win, s in zip(self.windows_, scores):
+            win.push(s)
+        err = coverage_error(covered[0], covered[1])
+        hp = AdaptHyperParams(self.alpha, self.gamma1, self.beta, self.epsilon)
+        state = RegionAdaptState(None, self.alpha_t_, self.moment_)
+        state, step = alpha_step(self.method, state, err, self.gamma, hp)
+        self.alpha_t_, self.moment_ = float(state.alpha), float(state.moment)
+        self.update_sum_ += float(step)
+        return StepOutcome(intervals=intervals, covered=covered, scores=scores, err=err)
 
     # -- hot path ----------------------------------------------------------
 
@@ -191,6 +229,8 @@ class ConformalIntervalTracker(ParamsMixin):
         """One step of :meth:`observe_series` on raw floats.
 
         Returns (covered1, length1, empty1, covered2, length2, empty2, err).
+        Nothing in contina calls it; it is kept because the benchmark's
+        tracer (``perfbench/tracing.py``) wraps it by name to count steps.
         """
         c1, l1, e1, c2, l2, e2 = self.observe_series(
             (lo1,), (hi1,), (lo2,), (hi2,), (y1,), (y2,)

@@ -1,9 +1,10 @@
 """End-to-end tests of the replay engine, ingestion, and report files.
 
-The replay oracle here re-executes a small experiment with an independent,
-slow loop built from the public object-path API (windows + interval objects +
-pure update functions) and demands record-for-record agreement with the
-engine's ledger.
+``harness.oracle_replay`` re-executes an experiment one step at a time
+through the object-path API (``predict``, ``ConformalIntervalTracker.observe``
+and ``update``), and the engine must agree with it record for record and in
+every region's final state, bit for bit, over seeds, methods, the clamp,
+online predictor updates, file inputs and the pinball predictor.
 """
 
 import csv
@@ -17,30 +18,21 @@ import numpy as np
 import pytest
 
 from contina import harness, metrics
-from contina.adaptation import AdaptHyperParams, RegionAdaptState, update_alpha_adaptive
 from contina.errors import ConfigError, MissingForecastError, NotFittedError
 from contina.harness import (
     ExperimentConfig,
     ingest_csv,
+    oracle_replay,
     read_ledger_csv,
     report_from_dir,
     run_replay,
     verify_audit,
     write_report,
 )
-from contina.intervals import QuantileForecast, conformity_score, contains, interval_length
-from contina.predictors import PredictorSpec, make_predictor, write_forecast_csv
-from contina.streams import (
-    FLOWS,
-    DemandStream,
-    Observation,
-    StreamSpec,
-    generate,
-    split,
-    write_demand_csv,
-)
+from contina.intervals import QuantileForecast, conformity_score
+from contina.predictors import OnlinePinballLinearPredictor, PredictorSpec, write_forecast_csv
+from contina.streams import FLOWS, DemandStream, StreamSpec, generate, write_demand_csv
 from contina.tracker import METHODS, ConformalIntervalTracker
-from contina.windows import CalibrationWindow
 
 
 def small_config(**kw):
@@ -55,84 +47,84 @@ def small_config(**kw):
     return ExperimentConfig(**defaults)
 
 
-def oracle_replay(config, levels=None):
-    """Slow reference replay over the object-path API.
-
-    Records come out in (region, t, flow) order, the ledger's row order. When
-    ``levels`` is a list, the working quantile level of every step is
-    appended to it.
-    """
-    stream = generate(config.synthetic)
-    train, calib, deploy = split(stream, config.train_frac, config.calib_frac)
-    predictor = make_predictor(config.predictor, config.alpha, config.steps_per_day)
-    predictor.fit(train)
-    records = []
-    hp = AdaptHyperParams(config.alpha, config.gamma1, config.beta, config.epsilon)
-    for i, region in enumerate(stream.region_ids):
-        windows = []
-        for j, flow in enumerate(FLOWS):
-            scores = []
-            lags = calib.lags_matrix(i, j)
-            for p, t in enumerate(calib.window_times()):
-                fc = predictor.predict(region, flow, int(t), lags[p])
-                if config.method == "cp":
-                    fc = QuantileForecast(fc.midpoint, fc.midpoint)
-                y = calib.cell_series(i, j)[p]
-                scores.append(max(y - fc.hi, fc.lo - y))
-            windows.append(CalibrationWindow(config.window or len(scores), scores))
-        state = RegionAdaptState(region, alpha=config.alpha)
-        lags = [deploy.lags_matrix(i, j) for j in (0, 1)]
-        for p, t in enumerate(deploy.window_times()):
-            level = 1.0 - (state.alpha if config.method in ("aci_fixed", "contina")
-                           else config.alpha)
-            if levels is not None:
-                levels.append(level)
-            hits = []
-            for j, flow in enumerate(FLOWS):
-                fc = predictor.predict(region, flow, int(t), lags[j][p])
-                if config.method == "cp":
-                    fc = QuantileForecast(fc.midpoint, fc.midpoint)
-                y = float(deploy.cell_series(i, j)[p])
-                q = windows[j].quantile_with_rules(level)
-                from contina.intervals import build_interval_cp, build_interval_qcp
-
-                clamp = config.clamp_nonnegative
-                if config.method == "cp":
-                    band = build_interval_cp(fc.lo, q, clamp_nonnegative=clamp)
-                else:
-                    band = build_interval_qcp(fc, q, clamp_nonnegative=clamp)
-                cov = contains(band, y)
-                records.append((int(t), region, flow, cov, interval_length(band),
-                                band.empty))
-                hits.append(cov)
-                windows[j].push(max(y - fc.hi, fc.lo - y))
-            if config.predictor_updates:
-                for j, flow in enumerate(FLOWS):
-                    predictor.update(Observation(int(t), region, flow,
-                                                 float(deploy.cell_series(i, j)[p]),
-                                                 tuple(lags[j][p])))
-            err = 1.0 - (hits[0] + hits[1]) / 2.0
-            if config.method == "contina":
-                state = update_alpha_adaptive(state, err, hp)
-            elif config.method == "aci_fixed":
-                from contina.adaptation import update_alpha_fixed
-
-                state = update_alpha_fixed(state, err, config.gamma, hp)
-    return records
+def layout_config(method, clamp, updates, seed):
+    # Low, noisy demand so widened lower bounds go negative and the clamp binds.
+    return small_config(
+        method=method, clamp_nonnegative=clamp, predictor_updates=updates, seed=seed,
+        synthetic=StreamSpec(n_regions=3, horizon=400, seed=seed,
+                             base_level=(0.5, 3.0), sigma_frac=1.0),
+    )
 
 
-class TestReplayAgainstOracle:
-    @pytest.mark.parametrize("method", ["cp", "qcp", "aci_fixed", "contina"])
-    def test_ledger_matches_independent_replay(self, method):
-        config = small_config(method=method)
-        result = run_replay(config)
-        want = sorted(oracle_replay(small_config(method=method)))
-        got = sorted(result.ledger.records)
-        assert got == want
+@functools.lru_cache(maxsize=None)
+def layout_run(method, clamp, updates, seed):
+    return run_replay(layout_config(method, clamp, updates, seed))
+
+
+def state_bits(states):
+    return np.array([[s.alpha, s.moment, s.rate, s.update_sum] for s in states]).tobytes()
+
+
+def assert_same_run(got, want):
+    """Ledger records and final states equal, floats bit for bit."""
+    assert got.ledger.records == want.ledger.records
+    # == equates -0.0 with 0.0; the bytes do not.
+    assert got.ledger.length_grid.tobytes() == want.ledger.length_grid.tobytes()
+    assert [s.region for s in got.states] == [s.region for s in want.states]
+    assert state_bits(got.states) == state_bits(want.states)
+    assert (got.window_capacity, got.crossings, got.dropped_regions) == \
+        (want.window_capacity, want.crossings, want.dropped_regions)
+
+
+LAYOUT_CASES = [
+    (method, clamp, updates)
+    for method in METHODS
+    for clamp in (False, True)
+    for updates in (False, True)
+]
+
+
+class TestEngineAgainstOracle:
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
+    def test_engine_matches_oracle(self, method, clamp, updates, seed):
+        want = oracle_replay(layout_config(method, clamp, updates, seed))
+        assert_same_run(layout_run(method, clamp, updates, seed), want)
+
+    def test_file_backed_inputs(self, tmp_path):
+        demand, forecasts = TestFileBackedRuns().make_inputs(tmp_path)
+
+        def config():
+            return ExperimentConfig(demand_csv=str(demand), forecast_csv=str(forecasts),
+                                    train_frac=0.4, calib_frac=0.2, method="contina",
+                                    clamp_nonnegative=True)
+
+        assert_same_run(run_replay(config()), oracle_replay(config()))
+
+    def test_online_pinball_with_updates(self, monkeypatch):
+        # Without demand the pinball series forms X @ w as one matrix-vector
+        # product, which can differ in the last bit from predict's per-step
+        # w @ x; it only seeds the calibration windows here. Both runs seed
+        # them from per-step predict, so everything else compares bit for bit.
+        series = OnlinePinballLinearPredictor.predict_series
+
+        def seeded_per_step(self, region, flow, times, lags, y=None):
+            if y is not None:
+                return series(self, region, flow, times, lags, y=y)
+            pairs = [self.predict(region, flow, t, x) for t, x in zip(times.tolist(), lags)]
+            return (np.array([fc.lo for fc in pairs]), np.array([fc.hi for fc in pairs]))
+
+        monkeypatch.setattr(OnlinePinballLinearPredictor, "predict_series", seeded_per_step)
+
+        def config():
+            return small_config(method="contina", predictor_updates=True,
+                                predictor=PredictorSpec(kind="online_pinball_linear"))
+
+        assert_same_run(run_replay(config()), oracle_replay(config()))
 
     @pytest.mark.parametrize("method", ["aci_fixed", "contina"])
     @pytest.mark.parametrize("updates", [False, True])
-    def test_high_rate_leaves_unit_interval_both_ways(self, method, updates):
+    def test_high_rate_leaves_unit_interval_both_ways(self, method, updates, monkeypatch):
         # A rate this large moves alpha_t by at least 0.5 per step, so the
         # working level leaves [0, 1] on both sides; the clamp and a small
         # window are on as well.
@@ -145,11 +137,19 @@ class TestReplayAgainstOracle:
             )
 
         levels = []
-        want = oracle_replay(config(), levels)
+        predict = ConformalIntervalTracker.predict
+
+        def spy(tracker, forecasts):
+            levels.append(1.0 - tracker.alpha_t_)
+            return predict(tracker, forecasts)
+
+        monkeypatch.setattr(ConformalIntervalTracker, "predict", spy)
+        want = oracle_replay(config())
+        monkeypatch.undo()
         assert min(levels) < 0.0 and max(levels) > 1.0
-        ledger = run_replay(config()).ledger
-        assert ledger.empty.any()
-        assert ledger.records == want
+        got = run_replay(config())
+        assert got.ledger.empty.any()
+        assert_same_run(got, want)
 
 
 class TestDeterminismAndParallelism:
@@ -192,7 +192,7 @@ def run_replay_on_stream(config, stream):
 
 
 class TestAudit:
-    @pytest.mark.parametrize("method", ["qcp", "contina"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_audit_verifies(self, method):
         result = run_replay(small_config(method=method), audit=True)
         assert result.audit is not None
@@ -212,6 +212,20 @@ class TestAudit:
             return ([not c for c in cov1], *rest)
 
         monkeypatch.setattr(ConformalIntervalTracker, "observe_series", flipped)
+        result = run_replay(small_config(method="contina"), audit=True)
+        assert verify_audit(result) is False
+
+    def test_audit_catches_an_engine_moment_off_the_recurrence(self, monkeypatch):
+        # Every step the audit re-derives still matches: the intervals read
+        # alpha_t, not the moment. Only the final states give the engine away.
+        series = ConformalIntervalTracker.observe_series
+
+        def scaled(self, *args):
+            out = series(self, *args)
+            self.moment_ *= 1.5
+            return out
+
+        monkeypatch.setattr(ConformalIntervalTracker, "observe_series", scaled)
         result = run_replay(small_config(method="contina"), audit=True)
         assert verify_audit(result) is False
 
@@ -441,56 +455,33 @@ class TestReports:
         assert sorted(back.records) == sorted(result.ledger.records)
 
 
-LAYOUT_CASES = [
-    (method, clamp, updates)
-    for method in METHODS
-    for clamp in (False, True)
-    for updates in (False, True)
-]
-
-
-def layout_config(method, clamp, updates):
-    # Low, noisy demand so widened lower bounds go negative and the clamp binds.
-    return small_config(
-        method=method, clamp_nonnegative=clamp, predictor_updates=updates,
-        synthetic=StreamSpec(n_regions=3, horizon=400, seed=21,
-                             base_level=(0.5, 3.0), sigma_frac=1.0),
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def layout_run(method, clamp, updates):
-    return run_replay(layout_config(method, clamp, updates))
-
-
 class TestLedgerLayout:
     """The dense ledger's long-format views keep the (region, t, flow) layout."""
 
     @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
-    def test_views_match_hand_built_layout_and_oracle(self, method, clamp, updates):
-        ledger = layout_run(method, clamp, updates).ledger
+    def test_views_match_hand_built_layout(self, method, clamp, updates):
+        ledger = layout_run(method, clamp, updates, 21).ledger
         n, steps = ledger.n_regions, ledger.horizon
         assert np.array_equal(ledger.t, np.tile(np.repeat(ledger.times, 2), n))
         assert np.array_equal(ledger.region_idx, np.repeat(np.arange(n), 2 * steps))
         assert np.array_equal(ledger.flow_idx, np.tile([0, 1], n * steps))
-        want = oracle_replay(layout_config(method, clamp, updates))
-        assert ledger.records == want
+        records = ledger.records
         for k, name in ((3, "covered"), (4, "length"), (5, "empty")):
             column = getattr(ledger, name)
-            assert column.tolist() == [r[k] for r in want]
+            assert column.tolist() == [r[k] for r in records]
             assert np.array_equal(getattr(ledger, f"{name}_grid"), column.reshape(n, steps, 2))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_clamp_changes_the_layout_runs(self, method):
-        off = layout_run(method, False, False).ledger
-        on = layout_run(method, True, False).ledger
+        off = layout_run(method, False, False, 21).ledger
+        on = layout_run(method, True, False, 21).ledger
         assert not np.array_equal(off.length_grid, on.length_grid)
 
 
 class TestReportRoundTrip:
     @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
     def test_write_read_and_rewrite(self, tmp_path, method, clamp, updates):
-        result = layout_run(method, clamp, updates)
+        result = layout_run(method, clamp, updates, 21)
         paths = write_report(result, tmp_path)
         back = read_ledger_csv(paths["ledger"])
         assert back.region_ids == result.ledger.region_ids
@@ -513,7 +504,7 @@ class TestReportRoundTrip:
 
     @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
     def test_period_cells_equal_exact_counts(self, tmp_path, method, clamp, updates):
-        result = layout_run(method, clamp, updates)
+        result = layout_run(method, clamp, updates, 21)
         write_report(result, tmp_path)
         paths = report_from_dir(tmp_path, periods=2)
         with open(paths["summary"], newline="") as fh:

@@ -1,9 +1,10 @@
 """Tests for the per-region online tracker.
 
-The replay engine drives ``observe_series`` on raw float sequences, while the
-public API builds interval objects. Twin-run and seeded differential tests pin
-the two paths to bit-identical behavior, and the update rules are pinned to
-the pure functions in ``contina.adaptation``.
+The replay engine drives ``observe_series`` on raw float sequences, while
+``observe`` is the object-path specification of a step and never runs the
+engine. Twin-run and seeded differential tests pin the two paths to
+bit-identical behavior, and the update rules are pinned to the pure functions
+in ``contina.adaptation``.
 """
 
 import numpy as np
@@ -12,14 +13,12 @@ import pytest
 from contina.adaptation import (
     AdaptHyperParams,
     RegionAdaptState,
-    adaptive_rate,
     alpha_drift_bounds,
-    coverage_error,
     update_alpha_adaptive,
     update_alpha_fixed,
 )
 from contina.errors import EmptyCalibrationError, NotFittedError
-from contina.intervals import QuantileForecast, conformity_score, contains, interval_length
+from contina.intervals import QuantileForecast, contains, interval_length
 from contina.tracker import ConformalIntervalTracker
 from contina.windows import CalibrationWindow
 
@@ -145,32 +144,6 @@ class TestFastAndObjectPathsAgree:
             assert state.alpha == tr.alpha_t_
 
 
-def object_path_step(tracker, forecasts, ys):
-    """One deployment step through predict(), the windows and the pure updates.
-
-    Returns ((covered, length, empty) per flow, level) and advances the
-    tracker's windows and adaptive state without ``observe_series``.
-    """
-    level = 1.0 - tracker.alpha_t_
-    intervals = tracker.predict(forecasts)
-    hits = [contains(band, y) for band, y in zip(intervals, ys)]
-    for win, fc, y in zip(tracker.windows_, tracker._effective_pair(forecasts), ys):
-        win.push(conformity_score(y, fc))
-    err = coverage_error(hits[0], hits[1])
-    hp = AdaptHyperParams(tracker.alpha, tracker.gamma1, tracker.beta, tracker.epsilon)
-    state = RegionAdaptState("r", tracker.alpha_t_, tracker.moment_)
-    if tracker.method == "contina":
-        state = update_alpha_adaptive(state, err, hp)
-        tracker.update_sum_ += adaptive_rate(state.moment, hp) * (tracker.alpha - err)
-    elif tracker.method == "aci_fixed":
-        state = update_alpha_fixed(state, err, tracker.gamma, hp)
-        tracker.update_sum_ += tracker.gamma * (tracker.alpha - err)
-    tracker.alpha_t_, tracker.moment_ = state.alpha, state.moment
-    outcome = [(hit, interval_length(band), band.empty)
-               for band, hit in zip(intervals, hits)]
-    return outcome, level
-
-
 def tied_forecast_stream(rng, n):
     """Short streams on a coarse grid, so scores tie and signed zeros occur."""
     grid = np.array([-0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
@@ -206,9 +179,10 @@ class TestSeriesAgainstObjectPath:
 
         want, levels = [], []
         for fcs, ys in stream:
-            outcome, level = object_path_step(ref, fcs, ys)
-            want.append(outcome)
-            levels.append(level)
+            levels.append(1.0 - ref.alpha_t_)
+            out = ref.observe(fcs, ys)
+            want.append([(hit, interval_length(band), band.empty)
+                         for band, hit in zip(out.intervals, out.covered)])
 
         cols = [[] for _ in range(6)]
         cuts = sorted(rng.integers(0, len(stream) + 1, size=2).tolist())
@@ -266,6 +240,34 @@ class TestSeriesAgainstObjectPath:
             tracker.observe_series([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
                                    [0.5, 0.5], [0.5, bad])
         assert (tracker.alpha_t_, tracker.windows_[1].scores) == before
+
+
+class TestObserveIsTheSpecPath:
+    def test_observe_runs_without_the_engine(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("observe must not run observe_series")
+
+        monkeypatch.setattr(ConformalIntervalTracker, "observe_series", refuse)
+        tr = ConformalIntervalTracker(method="contina").fit([0.5] * 20, [0.5] * 20)
+        rng = np.random.default_rng(11)
+        for fcs, ys in random_forecast_stream(rng, 50):
+            tr.observe(fcs, ys)
+        assert tr.alpha_t_ != tr.alpha
+        assert len(tr.windows_[0].scores) == 20
+
+    def test_overflowing_score_changes_no_state(self):
+        # The outflow score overflows to inf; the inflow score is finite and
+        # must not be pushed either.
+        tr = ConformalIntervalTracker(method="contina").fit([0.5] * 5, [0.5] * 5)
+        tr.observe((QuantileForecast(0.0, 1.0), QuantileForecast(0.0, 1.0)), (3.0, 0.2))
+        before = (tr.windows_[0].scores, tr.windows_[1].scores, tr.alpha_t_, tr.moment_,
+                  tr.update_sum_)
+        fcs = (QuantileForecast(0.0, 1.0), QuantileForecast(-1.7e308, -1.7e308))
+        with pytest.raises(ValueError, match="finite"):
+            tr.observe(fcs, (0.7, 1.7e308))
+        after = (tr.windows_[0].scores, tr.windows_[1].scores, tr.alpha_t_, tr.moment_,
+                 tr.update_sum_)
+        assert after == before
 
 
 class TestScorePushes:
