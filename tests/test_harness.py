@@ -112,7 +112,7 @@ class TestEngineAgainstOracle:
             if y is not None:
                 return series(self, region, flow, times, lags, y=y)
             pairs = [self.predict(region, flow, t, x) for t, x in zip(times.tolist(), lags)]
-            return (np.array([fc.lo for fc in pairs]), np.array([fc.hi for fc in pairs]))
+            return np.array([fc.lo for fc in pairs]), np.array([fc.hi for fc in pairs])
 
         monkeypatch.setattr(OnlinePinballLinearPredictor, "predict_series", seeded_per_step)
 
