@@ -4,9 +4,11 @@ The conformal machinery is model-agnostic, so the built-in predictors favor
 transparency over accuracy:
 
 * ``seasonal_window``        empirical quantiles of a trailing window of past
-                             demand, bucketed by hour of day (optional);
+                             demand, bucketed by hour of day (optional); a
+                             bucket's window is built on its first update;
 * ``online_pinball_linear``  two linear heads on z-scored lag features trained
-                             by pinball-loss subgradient steps;
+                             by pinball-loss subgradient steps, each head
+                             summed in one fixed order;
 * ``file_backed``            pass-through of externally computed forecasts
                              (the hook for plugging in any trained model).
 
@@ -18,7 +20,8 @@ frozen. With ``y`` (the cell's realized demand) each step is forecast and then
 learned from, in time order, so the outputs and the state left behind equal
 those of ``predict`` then ``update`` at every step. Predictor state is per
 cell, so cells can be run one after another. Both quantile heads target the
-alpha/2 and 1 - alpha/2 levels.
+alpha/2 and 1 - alpha/2 levels. A frozen ``predict_series`` gives the same
+bits as ``predict`` at each step.
 """
 
 from __future__ import annotations
@@ -107,6 +110,19 @@ def _demand(y, times) -> list:
     return y.tolist()
 
 
+def _head(b, w, x):
+    """A linear head's output ``b + x[0]*w[0] + ... + x[7]*w[7]``, summed left to right.
+
+    ``x`` holds one step's features as floats, or a series' feature columns as
+    arrays. Both sum in this one order, so a series forecast equals the
+    per-step forecast bit for bit.
+    """
+    q = b
+    for wk, xk in zip(w, x):
+        q = q + xk * wk
+    return q
+
+
 def _empirical_pair(sorted_values: np.ndarray, alpha: float) -> tuple[float, float]:
     n = len(sorted_values)
     lo = sorted_values[quantile_rank(alpha / 2.0, n) - 1]
@@ -118,10 +134,13 @@ class SeasonalWindowPredictor(ParamsMixin):
     """Empirical-quantile forecasts from a trailing window of past demand.
 
     History is bucketed by (region, flow, hour-of-day); with ``by_hour``
-    disabled a single bucket per (region, flow) is used. Each bucket is a
-    :class:`CalibrationWindow` of the last ``window_len`` values. Cold
+    disabled a single bucket per (region, flow) is used. ``fit`` keeps each
+    bucket's last ``window_len`` training values and reads its quantile pair
+    off one stable sort of them. A bucket becomes a :class:`CalibrationWindow`
+    of those values on its first update, so a frozen predictor builds no
+    window; its pairs are bit for bit those of eagerly built windows. Cold
     buckets fall back to per-flow quantiles over the whole training window
-    (or raise, per ``fallback``).
+    (or raise, per ``fallback``); one that learns starts from an empty window.
     """
 
     def __init__(self, alpha=0.1, window_len=168, by_hour=True, steps_per_day=24,
@@ -131,7 +150,9 @@ class SeasonalWindowPredictor(ParamsMixin):
         self.by_hour = bool(by_hour)
         self.steps_per_day = check_positive_int(steps_per_day, "steps_per_day")
         self.fallback = fallback
-        self._buckets = None
+        self._capacity = None
+        self._buckets = None  # the buckets that have learned, as windows
+        self._values = None  # the fit values of the buckets that have not
         self._pairs = None
         self._fallback_pair = None
         self.crossings = 0
@@ -140,24 +161,38 @@ class SeasonalWindowPredictor(ParamsMixin):
         return int(t) % self.steps_per_day if self.by_hour else 0
 
     def fit(self, stream: DemandStream):
-        self._buckets = {}
-        self._pairs = {}
         times = stream.window_times()
         hours = times % self.steps_per_day if self.by_hour else np.zeros_like(times)
-        flow_values = {flow: [] for flow in FLOWS}
-        for i, region in enumerate(stream.region_ids):
-            for j, flow in enumerate(FLOWS):
-                ys = stream.cell_series(i, j)
-                flow_values[flow].append(ys)
-                for h in np.unique(hours):
-                    bucket_ys = ys[hours == h]
-                    win = CalibrationWindow(self.window_len, bucket_ys[-self.window_len :])
-                    key = (region, flow, int(h))
-                    self._buckets[key] = win
-                    self._pairs[key] = self._window_pair(win)
+        # One stable argsort, shared by all cells, lists each hour's steps in time order.
+        order = np.argsort(hours, kind="stable")
+        bucket_hours, starts = np.unique(hours[order], return_index=True)
+        ends = [*starts[1:].tolist(), len(order)]
+        self._capacity = self.window_len
+        self._buckets, self._values, self._pairs = {}, {}, {}
+        finite = True
+        for h, a, b in zip(bucket_hours.tolist(), starts.tolist(), ends):
+            # Every cell's last window_len values of hour h, shape (regions, flows, n).
+            steps = stream.start + order[max(a, b - self.window_len) : b]
+            values = stream.history[:, :, steps].astype(np.float64, copy=False)
+            finite = finite and bool(np.isfinite(values).all())
+            # Stable, so tied -0.0 and 0.0 keep arrival order, as in a CalibrationWindow.
+            srt = np.sort(values, kind="stable")
+            n = srt.shape[-1]
+            lo = srt[..., quantile_rank(self.alpha / 2.0, n) - 1].tolist()
+            hi = srt[..., quantile_rank(1.0 - self.alpha / 2.0, n) - 1].tolist()
+            for i, region in enumerate(stream.region_ids):
+                for j, flow in enumerate(FLOWS):
+                    key = (region, flow, h)
+                    self._values[key] = values[i, j]
+                    self._pairs[key] = (lo[i][j], hi[i][j])
+        if not finite:  # raise the first bad window's ValueError, in (region, flow, hour) order
+            for region in stream.region_ids:
+                for flow in FLOWS:
+                    for h in bucket_hours.tolist():
+                        CalibrationWindow(self._capacity, self._values[region, flow, h])
         self._fallback_pair = {}
-        for flow in FLOWS:
-            allv = np.sort(np.concatenate(flow_values[flow]))
+        for j, flow in enumerate(FLOWS):
+            allv = np.sort(stream.history[:, j, stream.start : stream.stop], axis=None)
             self._fallback_pair[flow] = _empirical_pair(allv, self.alpha)
         return self
 
@@ -230,8 +265,9 @@ class SeasonalWindowPredictor(ParamsMixin):
 
     def _learn(self, key, y) -> None:
         win = self._buckets.get(key)
-        if win is None:
-            win = self._buckets[key] = CalibrationWindow(self.window_len)
+        if win is None:  # the bucket's first update: a window of its fit values, or empty
+            win = self._buckets[key] = CalibrationWindow(self._capacity,
+                                                         self._values.pop(key, ()))
         win.push(y)
         self._pairs[key] = self._window_pair(win)
 
@@ -242,7 +278,9 @@ class OnlinePinballLinearPredictor(ParamsMixin):
     Features are the six z-scored lags plus sine/cosine of the hour angle;
     normalization statistics come from the training window and forecasts are
     returned in original demand units. Each (region, flow) cell owns its own
-    weights, so regions stay independent.
+    weights, so regions stay independent. Each head's output is
+    ``b + x0*w0 + ... + x7*w7`` summed left to right (:func:`_head`), per step
+    and over a series alike.
     """
 
     N_FEATURES = 8
@@ -297,12 +335,18 @@ class OnlinePinballLinearPredictor(ParamsMixin):
         cell["w_hi"] -= self.step_size * g_hi * x
         cell["b_hi"] -= self.step_size * g_hi
 
+    @staticmethod
+    def _heads(cell, x):
+        """Both heads' outputs on one step's features ``x``."""
+        x = x.tolist()
+        return (_head(cell["b_lo"], cell["w_lo"].tolist(), x),
+                _head(cell["b_hi"], cell["w_hi"].tolist(), x))
+
     def _head_gradients(self, cell, x, y):
         """Subgradients of the two pinball losses w.r.t. each head's output."""
         tau_lo = self.alpha / 2.0
         tau_hi = 1.0 - self.alpha / 2.0
-        q_lo = cell["b_lo"] + cell["w_lo"] @ x
-        q_hi = cell["b_hi"] + cell["w_hi"] @ x
+        q_lo, q_hi = self._heads(cell, x)
         g_lo = (1.0 - tau_lo) if y <= q_lo else -tau_lo
         g_hi = (1.0 - tau_hi) if y <= q_hi else -tau_hi
         return g_lo, g_hi
@@ -310,17 +354,14 @@ class OnlinePinballLinearPredictor(ParamsMixin):
     def step_loss(self, region, flow, t, lags, y) -> float:
         """Total pinball loss (both heads) of the current weights on one point."""
         cell = self._cell(region, flow)
-        x = self._features(cell, t, lags)
-        q_lo = cell["b_lo"] + cell["w_lo"] @ x
-        q_hi = cell["b_hi"] + cell["w_hi"] @ x
+        q_lo, q_hi = self._heads(cell, self._features(cell, t, lags))
         return float(
             pinball_loss_low(y, q_lo, self.alpha) + pinball_loss_high(y, q_hi, self.alpha)
         )
 
     def predict(self, region, flow, t, lags) -> QuantileForecast:
         cell = self._cell(region, flow)
-        x = self._features(cell, t, lags)
-        fc = QuantileForecast(cell["b_lo"] + cell["w_lo"] @ x, cell["b_hi"] + cell["w_hi"] @ x)
+        fc = QuantileForecast(*self._heads(cell, self._features(cell, t, lags)))
         if fc.crossed:
             self.crossings += 1
         return fc
@@ -331,9 +372,9 @@ class OnlinePinballLinearPredictor(ParamsMixin):
         cell = self._cell(region, flow)
         z = (np.asarray(lags, dtype=np.float64) - cell["mu"]) / cell["sd"]
         angle = 2.0 * np.pi * (np.asarray(times) % self.steps_per_day) / self.steps_per_day
-        x = np.column_stack([z, np.sin(angle), np.cos(angle)])
-        lo = cell["b_lo"] + x @ cell["w_lo"]
-        hi = cell["b_hi"] + x @ cell["w_hi"]
+        x = [*z.T, np.sin(angle), np.cos(angle)]
+        lo = _head(cell["b_lo"], cell["w_lo"].tolist(), x)
+        hi = _head(cell["b_hi"], cell["w_hi"].tolist(), x)
         crossed = lo > hi
         if crossed.any():
             self.crossings += int(crossed.sum())

@@ -91,9 +91,9 @@ class CalibrationWindow:
         finite = np.isfinite(values)
         if not finite.all():
             raise ValueError(f"score must be finite, got {float(values[~finite][0])!r}")
-        head = values[: self._capacity].tolist()
-        self._fifo: deque[float] = deque(head)
-        self._sorted: list[float] = sorted(head)
+        head = values[: self._capacity]
+        self._fifo: deque[float] = deque(head.tolist())
+        self._sorted: list[float] = np.sort(head, kind="stable").tolist()
         for s in values[self._capacity :].tolist():
             self.push(s)
 

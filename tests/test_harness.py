@@ -30,7 +30,7 @@ from contina.harness import (
     write_report,
 )
 from contina.intervals import QuantileForecast, conformity_score
-from contina.predictors import OnlinePinballLinearPredictor, PredictorSpec, write_forecast_csv
+from contina.predictors import PredictorSpec, write_forecast_csv
 from contina.streams import FLOWS, DemandStream, StreamSpec, generate, write_demand_csv
 from contina.tracker import METHODS, ConformalIntervalTracker
 
@@ -101,23 +101,17 @@ class TestEngineAgainstOracle:
 
         assert_same_run(run_replay(config()), oracle_replay(config()))
 
-    def test_online_pinball_with_updates(self, monkeypatch):
-        # Without demand the pinball series forms X @ w as one matrix-vector
-        # product, which can differ in the last bit from predict's per-step
-        # w @ x; it only seeds the calibration windows here. Both runs seed
-        # them from per-step predict, so everything else compares bit for bit.
-        series = OnlinePinballLinearPredictor.predict_series
-
-        def seeded_per_step(self, region, flow, times, lags, y=None):
-            if y is not None:
-                return series(self, region, flow, times, lags, y=y)
-            pairs = [self.predict(region, flow, t, x) for t, x in zip(times.tolist(), lags)]
-            return np.array([fc.lo for fc in pairs]), np.array([fc.hi for fc in pairs])
-
-        monkeypatch.setattr(OnlinePinballLinearPredictor, "predict_series", seeded_per_step)
-
+    def test_online_pinball_with_updates(self):
         def config():
             return small_config(method="contina", predictor_updates=True,
+                                predictor=PredictorSpec(kind="online_pinball_linear"))
+
+        assert_same_run(run_replay(config()), oracle_replay(config()))
+
+    def test_online_pinball_frozen(self):
+        # The engine forecasts whole series, the oracle one step at a time.
+        def config():
+            return small_config(method="contina",
                                 predictor=PredictorSpec(kind="online_pinball_linear"))
 
         assert_same_run(run_replay(config()), oracle_replay(config()))

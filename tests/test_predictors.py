@@ -17,8 +17,8 @@ from contina.predictors import (
     pinball_loss_low,
     write_forecast_csv,
 )
-from contina.streams import FLOWS, DemandStream, Observation
-from contina.windows import quantile_rank
+from contina.streams import FLOWS, DemandStream, Observation, read_demand_csv
+from contina.windows import CalibrationWindow, quantile_rank
 
 
 def flat_stream(values, n_regions=1):
@@ -152,6 +152,112 @@ class TestSeasonalWindow:
             glob.predict(0, "in", t) for t in times)]
 
 
+def eager_windows(stream, window_len, by_hour, steps_per_day=24):
+    """Each bucket's ``CalibrationWindow``, built from its values at fit as one would eagerly."""
+    times = stream.window_times()
+    hours = times % steps_per_day if by_hour else np.zeros_like(times)
+    return {(region, flow, h): CalibrationWindow(window_len,
+                                                 stream.cell_series(i, j)[hours == h][-window_len:])
+            for i, region in enumerate(stream.region_ids) for j, flow in enumerate(FLOWS)
+            for h in np.unique(hours).tolist()}
+
+
+def signed_demand(regions, steps, seed, zero_share=0.3):
+    """Coarse demand with ties, where zeros carry random signs."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(1, 6, size=(regions, 2, steps)).astype(np.float64)
+    zero = rng.random(y.shape) < zero_share
+    y[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    return DemandStream(region_ids=tuple(range(regions)), history=y)
+
+
+class TestSeasonalFitMatchesEagerWindows:
+    """``fit`` reads each bucket's pair off one stable sort, bit for bit as an eager window."""
+
+    def check(self, stream, alpha=0.2, window_len=168, by_hour=True, steps_per_day=24,
+              fallback="global"):
+        pred = SeasonalWindowPredictor(alpha=alpha, window_len=window_len, by_hour=by_hour,
+                                       steps_per_day=steps_per_day, fallback=fallback).fit(stream)
+        eager = eager_windows(stream, window_len, by_hour, steps_per_day)
+        assert {key: bits(pair) for key, pair in pred._pairs.items()} == {
+            key: bits([win.quantile(alpha / 2), win.quantile(1 - alpha / 2)])
+            for key, win in eager.items()}
+        assert {key: bits(v) for key, v in pred._values.items()} == {
+            key: bits(win.scores) for key, win in eager.items()}
+        assert pred._buckets == {}  # no window is built before the first update
+        return pred
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("by_hour", [True, False])
+    @pytest.mark.parametrize("window_len", [3, 500])
+    def test_pairs(self, seed, by_hour, window_len):
+        # 250 steps leave hours 0..9 one value longer than the rest.
+        self.check(signed_demand(2, 250, seed), window_len=window_len, by_hour=by_hour)
+
+    @pytest.mark.parametrize("by_hour", [True, False])
+    def test_many_tied_signed_zeros(self, by_hour):
+        # Hundreds of tied zeros a bucket: an unstable sort would reorder their signs.
+        self.check(signed_demand(2, 2400, 5, zero_share=0.8), alpha=0.5, window_len=500,
+                   by_hour=by_hour)
+
+    def test_drop_day_stream_buckets_by_real_time(self, tmp_path):
+        # From t = 3 on 4-step days; a gap drops day 2, so positions and hours
+        # disagree, and 23 kept steps leave the buckets unequal.
+        rng = np.random.default_rng(4)
+        rows = ["t,region,inflow,outflow"]
+        for t in range(3, 30):
+            for region in ("a", "b"):
+                if t != 9:
+                    rows.append(f"{t},{region},{rng.choice(['0.0', '-0.0', '1', '2.5'])},"
+                                f"{rng.integers(0, 9)}")
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        stream = read_demand_csv(path, gap_policy="drop_day", steps_per_day=4)
+        assert 9 not in stream.window_times()
+        for window_len in (3, 500):
+            pred = self.check(stream, window_len=window_len, steps_per_day=4)
+        assert sorted({len(v) for v in pred._values.values()}) == [5, 6]
+
+    def test_cold_hours_under_both_fallbacks(self):
+        stream = signed_demand(2, 10, 0)  # hours 10..23 have no history
+        glob = self.check(stream, fallback="global")
+        fc = glob.predict(0, "in", t=15)
+        assert (fc.lo, fc.hi) == glob._fallback_pair["in"]
+        strict = self.check(stream, fallback="error")
+        with pytest.raises(NotFittedError, match="hour=15"):
+            strict.predict(0, "in", t=15)
+
+    def test_non_finite_demand_raises_at_fit(self):
+        stream = signed_demand(2, 100, 0)
+        stream.history[0, 1, 29] = np.nan  # region 0, out, hour 5
+        stream.history[1, 0, 96] = np.inf  # region 1, in, hour 0
+        # The first bad window in (region, flow, hour) order names its value.
+        with pytest.raises(ValueError, match=r"score must be finite, got nan"):
+            SeasonalWindowPredictor().fit(stream)
+
+    @pytest.mark.parametrize("window_len", [3, 500])
+    def test_first_update_builds_the_window_a_bucket_would_have_had(self, window_len):
+        stream = signed_demand(2, 250, 3, zero_share=0.8)
+        pred = self.check(stream, window_len=window_len)
+        eager = eager_windows(stream, window_len, True)
+        pred.set_params(window_len=1)  # a window keeps the capacity it had at fit
+        for k, (key, win) in enumerate(sorted(eager.items())):
+            v = (-0.0, 0.0, 3.0)[k % 3]
+            pred.update(Observation(key[2], key[0], key[1], v, (1.0,) * 6))
+            win.push(v)
+            assert pred._buckets[key].capacity == window_len
+            fifo, srt = pred._buckets[key].buffers()
+            assert (bits(fifo), bits(srt)) == tuple(bits(b) for b in win.buffers())
+            assert bits(pred._pairs[key]) == bits([win.quantile(0.1), win.quantile(0.9)])
+        assert pred._values == {}
+
+    def test_first_update_of_a_cold_bucket_starts_empty(self):
+        pred = SeasonalWindowPredictor(alpha=0.2, window_len=4).fit(signed_demand(1, 10, 0))
+        pred.update(Observation(15, 0, "in", 7.0, (1.0,) * 6))
+        assert pred._buckets[0, "in", 15].scores == (7.0,)
+        assert pred.predict(0, "in", 15).lo == 7.0
+
+
 class TestOnlinePinballLinear:
     def test_zero_weights_predict_biases(self):
         stream = flat_stream(np.linspace(4, 20, 50))
@@ -214,6 +320,23 @@ class TestOnlinePinballLinear:
                     fd = (up - down) / (2 * h)
                     assert fd == pytest.approx(g * x[k], abs=1e-6)
         assert checked > 100
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_series_equals_per_step_predict_bit_for_bit(self, seed):
+        # Both paths sum each head as b + x0*w0 + ... + x7*w7, left to right.
+        rng = np.random.default_rng(seed)
+        y = rng.gamma(2.0, 10.0, size=(2, 2, 700))
+        fit_on = DemandStream(region_ids=(0, 1), history=y, stop=400)
+        later = DemandStream(region_ids=(0, 1), history=y, start=400)
+        pred = OnlinePinballLinearPredictor(alpha=0.2, epochs=1).fit(fit_on)
+        times = later.window_times()
+        for i in range(2):
+            for j, flow in enumerate(FLOWS):
+                lags = later.lags_matrix(i, j)
+                lo, hi = pred.predict_series(i, flow, times, lags)
+                fcs = [pred.predict(i, flow, t, x) for t, x in zip(times.tolist(), lags)]
+                assert bits(lo) == bits([fc.lo for fc in fcs])
+                assert bits(hi) == bits([fc.hi for fc in fcs])
 
     def test_forecasts_in_original_units(self):
         stream = flat_stream(np.full(100, 42.0))
@@ -334,7 +457,9 @@ def predictor_state(pred):
     if isinstance(pred, SeasonalWindowPredictor):
         buckets = {key: (bits(win.buffers()[0]), bits(win.buffers()[1]))
                    for key, win in pred._buckets.items()}
-        return buckets, {key: bits(pair) for key, pair in pred._pairs.items()}, pred.crossings
+        unbuilt = {key: bits(values) for key, values in pred._values.items()}
+        pairs = {key: bits(pair) for key, pair in pred._pairs.items()}
+        return buckets, unbuilt, pairs, pred.crossings
     if isinstance(pred, OnlinePinballLinearPredictor):
         cells = {key: tuple(bits(np.atleast_1d(cell[k])) for k in ("w_lo", "w_hi", "b_lo", "b_hi"))
                  for key, cell in pred._cells.items()}

@@ -82,6 +82,19 @@ class TestPush:
                 bulk.push(x)
                 model.push(x)
 
+    @pytest.mark.parametrize("capacity", [64, 500, 2000])
+    def test_bulk_build_of_many_tied_signed_zeros_equals_push_by_push(self, capacity):
+        """An unstable sort of this many tied zeros would reorder their signs."""
+        rng = np.random.default_rng(capacity)
+        scores = rng.integers(0, 3, size=capacity + 10).astype(np.float64)
+        scores[rng.random(len(scores)) < 0.5] *= -1.0
+        bulk = CalibrationWindow(capacity, scores)
+        model = CalibrationWindow(capacity)
+        for x in scores:
+            model.push(x)
+        for b, m in zip(bulk.buffers(), model.buffers()):
+            assert np.asarray(b).tobytes() == np.asarray(m).tobytes()
+
     def test_bulk_build_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             CalibrationWindow(4, [1.0, float("nan")])
