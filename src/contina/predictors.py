@@ -99,15 +99,15 @@ class PredictorSpec:
         return cls(**d)
 
 
-def _demand(y, times) -> list:
-    """A cell's realized demand as a list, checked by the ``Observation`` rule."""
+def _demand(y, times) -> np.ndarray:
+    """A cell's realized demand as a float64 array, checked by the ``Observation`` rule."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (len(times),):
         raise ValueError(f"expected {len(times)} demand values, got shape {y.shape}")
     bad = ~(np.isfinite(y) & (y >= 0))
     if bad.any():
         raise ValueError(f"demand must be finite and >= 0, got {float(y[np.argmax(bad)])!r}")
-    return y.tolist()
+    return y
 
 
 def _head(b, w, x):
@@ -123,10 +123,21 @@ def _head(b, w, x):
     return q
 
 
-def _empirical_pair(sorted_values: np.ndarray, alpha: float) -> tuple[float, float]:
-    n = len(sorted_values)
-    lo = sorted_values[quantile_rank(alpha / 2.0, n) - 1]
-    hi = sorted_values[quantile_rank(1.0 - alpha / 2.0, n) - 1]
+def _empirical_pair(values, alpha: float) -> tuple[float, float]:
+    """The alpha/2 and 1 - alpha/2 quantiles of ``values``, as a stable sort orders them.
+
+    Among floats only -0.0 and 0.0 tie with different bits, so the default
+    sort, with its zeros put back in arrival order, equals a stable sort bit
+    for bit at a fraction of its cost.
+    """
+    flat = np.ravel(values)
+    srt = np.sort(flat)
+    zeros = flat[flat == 0.0]
+    first = np.searchsorted(srt, 0.0)
+    srt[first : first + len(zeros)] = zeros
+    n = len(srt)
+    lo = srt[quantile_rank(alpha / 2.0, n) - 1]
+    hi = srt[quantile_rank(1.0 - alpha / 2.0, n) - 1]
     return float(lo), float(hi)
 
 
@@ -192,8 +203,8 @@ class SeasonalWindowPredictor(ParamsMixin):
                         CalibrationWindow(self._capacity, self._values[region, flow, h])
         self._fallback_pair = {}
         for j, flow in enumerate(FLOWS):
-            allv = np.sort(stream.history[:, j, stream.start : stream.stop], axis=None)
-            self._fallback_pair[flow] = _empirical_pair(allv, self.alpha)
+            self._fallback_pair[flow] = _empirical_pair(
+                stream.history[:, j, stream.start : stream.stop], self.alpha)
         return self
 
     def _window_pair(self, win: CalibrationWindow) -> tuple[float, float]:
@@ -237,25 +248,46 @@ class SeasonalWindowPredictor(ParamsMixin):
         return lo, hi
 
     def _predict_update_series(self, region, flow, times, y):
-        """``predict`` then ``update`` at each step, in time order."""
+        """``predict`` then ``update`` at each step, run one hour bucket at a time.
+
+        Buckets never read each other's state, so each bucket's steps run as
+        one :meth:`CalibrationWindow.push_series`; a step's forecast is its
+        bucket's pair before the step's push. Under ``fallback="error"`` only
+        the steps before the earliest cold step run, then that step raises.
+        """
         if self._pairs is None:
             raise NotFittedError("predictor must be fitted before predicting")
         ys = _demand(y, times)
-        if self.by_hour:
-            hours = (np.asarray(times, dtype=np.int64) % self.steps_per_day).tolist()
-        else:
-            hours = [0] * len(ys)
+        n_hours = self.steps_per_day if self.by_hour else 1
+        hours = np.asarray(times, dtype=np.int64) % n_hours
         pairs = self._pairs
-        los, his = [], []
-        for h, v in zip(hours, ys):
+        cold_hour = None
+        if self.fallback != "global":
+            cold = np.array([(region, flow, h) not in pairs for h in range(n_hours)])[hours]
+            if cold.any():
+                stop = int(np.argmax(cold))
+                cold_hour, hours, ys = int(hours[stop]), hours[:stop], ys[:stop]
+        # One stable argsort lists each hour's steps in time order, as in fit.
+        order = np.argsort(hours, kind="stable")
+        bucket_hours, starts = np.unique(hours[order], return_index=True)
+        ends = [*starts[1:].tolist(), len(order)]
+        levels = (self.alpha / 2.0, 1.0 - self.alpha / 2.0)
+        ys = ys[order]
+        los, his = [], []  # in bucket-major order
+        for h, a, b in zip(bucket_hours.tolist(), starts.tolist(), ends):
             key = (region, flow, h)
-            pair = pairs.get(key)
-            if pair is None:  # a cold bucket: the fallback, or NotFittedError
-                pair = self._pair_for(region, flow, h)
-            los.append(pair[0])
-            his.append(pair[1])
-            self._learn(key, v)
-        return np.array(los, dtype=np.float64), np.array(his, dtype=np.float64)
+            first = pairs.get(key) or self._pair_for(region, flow, h)  # cold: the fallback
+            q_lo, q_hi = self._window(key).push_series(ys[a:b], levels)
+            los.append(first[0])
+            los += q_lo[:-1]
+            his.append(first[1])
+            his += q_hi[:-1]
+            pairs[key] = (q_lo[-1], q_hi[-1])
+        if cold_hour is not None:
+            self._pair_for(region, flow, cold_hour)  # raises NotFittedError
+        lo, hi = np.empty(len(order)), np.empty(len(order))
+        lo[order], hi[order] = los, his
+        return lo, hi
 
     def update(self, obs: Observation) -> None:
         """Append the realized demand to its bucket and refresh its quantiles."""
@@ -263,11 +295,15 @@ class SeasonalWindowPredictor(ParamsMixin):
             raise NotFittedError("predictor must be fitted before updating")
         self._learn((obs.region, obs.flow, self._hour(obs.t)), obs.y)
 
-    def _learn(self, key, y) -> None:
+    def _window(self, key) -> CalibrationWindow:
         win = self._buckets.get(key)
         if win is None:  # the bucket's first update: a window of its fit values, or empty
             win = self._buckets[key] = CalibrationWindow(self._capacity,
                                                          self._values.pop(key, ()))
+        return win
+
+    def _learn(self, key, y) -> None:
+        win = self._window(key)
         win.push(y)
         self._pairs[key] = self._window_pair(win)
 
@@ -305,8 +341,7 @@ class OnlinePinballLinearPredictor(ParamsMixin):
             for j, flow in enumerate(FLOWS):
                 ys = stream.cell_series(i, j)
                 sd = float(ys.std())
-                srt = np.sort(ys)
-                b_lo, b_hi = _empirical_pair(srt, self.alpha)
+                b_lo, b_hi = _empirical_pair(ys, self.alpha)
                 cell = {
                     "mu": float(ys.mean()),
                     "sd": sd if sd > 0 else 1.0,
@@ -385,7 +420,8 @@ class OnlinePinballLinearPredictor(ParamsMixin):
         """``predict`` then one ``_step`` on the demand, at each step in time order."""
         cell = self._cell(region, flow)
         los, his = [], []
-        for t, x, v in zip(np.asarray(times, dtype=np.int64).tolist(), lags, _demand(y, times)):
+        for t, x, v in zip(np.asarray(times, dtype=np.int64).tolist(), lags,
+                           _demand(y, times).tolist()):
             fc = self.predict(region, flow, t, x)
             los.append(fc.lo)
             his.append(fc.hi)

@@ -42,6 +42,18 @@ def quantile_rank(level: float, n: int) -> int:
     return m
 
 
+def quantile_ranks(levels, sizes: np.ndarray) -> np.ndarray:
+    """:func:`quantile_rank` of each level (rows) at each sample size (columns)."""
+    m = np.ceil(np.multiply.outer(levels, sizes) - _RANK_SLACK)
+    return np.minimum(np.maximum(m, 1), sizes).astype(np.int64)
+
+
+def _not_finite(values: list) -> ValueError:
+    """The error naming the first non-finite score of ``values``."""
+    bad = next(v for v in values if not math.isfinite(v))
+    return ValueError(f"score must be finite, got {bad!r}")
+
+
 @dataclass(frozen=True)
 class QuantileResult:
     """Outcome of a quantile query under the out-of-range level rules."""
@@ -78,9 +90,10 @@ class CalibrationWindow:
 
     Keeps a deque in arrival order for eviction plus a parallel sorted list,
     so pushes cost one binary search + memmove and rank queries are O(1).
-    The constructor sorts its first ``capacity`` scores in one stable pass,
-    which orders equal scores exactly as pushing them one by one would, and
-    pushes the rest.
+    :meth:`push_series` holds the one push rule; :meth:`push` is its
+    one-score case. The constructor sorts its first ``capacity`` scores in
+    one stable pass, which orders equal scores exactly as pushing them one by
+    one would, and pushes the rest.
     """
 
     __slots__ = ("_capacity", "_fifo", "_sorted")
@@ -88,14 +101,12 @@ class CalibrationWindow:
     def __init__(self, capacity: int, scores=()):
         self._capacity = check_positive_int(capacity, "capacity")
         values = np.asarray(scores, dtype=np.float64)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ValueError(f"score must be finite, got {float(values[~finite][0])!r}")
+        if not np.isfinite(values).all():
+            raise _not_finite(values.tolist())
         head = values[: self._capacity]
         self._fifo: deque[float] = deque(head.tolist())
         self._sorted: list[float] = np.sort(head, kind="stable").tolist()
-        for s in values[self._capacity :].tolist():
-            self.push(s)
+        self.push_series(values[self._capacity :])
 
     @property
     def capacity(self) -> int:
@@ -128,14 +139,42 @@ class CalibrationWindow:
 
     def push(self, score: float) -> None:
         """Append a score, evicting the oldest one at capacity."""
-        s = float(score)
-        if not math.isfinite(s):
-            raise ValueError(f"score must be finite, got {score!r}")
-        if len(self._fifo) >= self._capacity:
-            oldest = self._fifo.popleft()
-            del self._sorted[bisect_left(self._sorted, oldest)]
-        self._fifo.append(s)
-        insort(self._sorted, s)
+        self.push_series((score,))
+
+    def push_series(self, scores, levels=()) -> list[list[float]]:
+        """Push scores in order, reading each level's quantile after each push.
+
+        Every score is checked finite before any state changes. Each push
+        appends the score and, at capacity, first evicts the oldest one.
+        Returns one list per level in ``levels`` (each in [0, 1]) holding that
+        level's quantile, as :meth:`quantile` gives it, after each push. The
+        ranks depend only on the window size, so they are worked out for the
+        sizes the window passes through before any score is pushed.
+        """
+        values = np.asarray(scores, dtype=np.float64).tolist()
+        if not all(map(math.isfinite, values)):
+            raise _not_finite(values)
+        fifo, srt, cap = self._fifo, self._sorted, self._capacity
+        n = len(fifo)
+        quantiles, readers = [], []
+        if levels:
+            if not all(0.0 <= level <= 1.0 for level in levels):
+                raise ValueError(f"levels must be in [0, 1], got {levels}")
+            sizes = np.minimum(np.arange(n + 1, n + len(values) + 1), cap)
+            for index in (quantile_ranks(levels, sizes) - 1).tolist():
+                out = []
+                quantiles.append(out)
+                readers.append((out.append, index))
+        for p, s in enumerate(values):
+            if n < cap:
+                n += 1
+            else:
+                del srt[bisect_left(srt, fifo.popleft())]
+            fifo.append(s)
+            insort(srt, s)
+            for append, index in readers:
+                append(srt[index[p]])
+        return quantiles
 
     def quantile(self, level: float) -> float:
         """The m-th smallest score, m = clamp(ceil(level * n), 1, n)."""

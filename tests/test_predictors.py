@@ -258,6 +258,34 @@ class TestSeasonalFitMatchesEagerWindows:
         assert pred.predict(0, "in", 15).lo == 7.0
 
 
+class TestFitQuantilesOfTiedSignedZeros:
+    """Order statistics at fit keep tied -0.0 and 0.0 in arrival order, as a stable sort does."""
+
+    ALPHA = 0.5  # both levels land inside the block of zeros
+
+    def want(self, values) -> bytes:
+        srt = sorted(values.tolist())  # stable, so tied zeros keep arrival order
+        n = len(srt)
+        return bits([srt[quantile_rank(self.ALPHA / 2, n) - 1],
+                     srt[quantile_rank(1 - self.ALPHA / 2, n) - 1]])
+
+    def test_fallback_pair(self):
+        stream = signed_demand(3, 400, 7, zero_share=0.9)
+        pred = SeasonalWindowPredictor(alpha=self.ALPHA).fit(stream)
+        for j, flow in enumerate(FLOWS):
+            assert bits(pred._fallback_pair[flow]) == self.want(stream.history[:, j].ravel())
+
+    def test_initial_pinball_biases(self, monkeypatch):
+        stream = signed_demand(3, 400, 8, zero_share=0.9)
+        # With the training steps stubbed out, fit leaves the initial biases.
+        monkeypatch.setattr(OnlinePinballLinearPredictor, "_step", lambda *args: None)
+        pred = OnlinePinballLinearPredictor(alpha=self.ALPHA, epochs=1).fit(stream)
+        for i in range(stream.n_regions):
+            for j, flow in enumerate(FLOWS):
+                cell = pred._cells[i, flow]
+                assert bits([cell["b_lo"], cell["b_hi"]]) == self.want(stream.cell_series(i, j))
+
+
 class TestOnlinePinballLinear:
     def test_zero_weights_predict_biases(self):
         stream = flat_stream(np.linspace(4, 20, 50))
@@ -499,17 +527,17 @@ def in_segments(pred, cells, times, lags, ys, rng):
     return out
 
 
-def deployment(regions=2, train=200, deploy=150, seed=0):
+def deployment(regions=2, train=200, deploy=150, seed=0, times=None):
     """A fitted-on training segment, and the later steps with their demand.
 
     Demand sits on a coarse grid with some -0.0 values, so the windows hold
-    ties and zeros of both signs.
+    ties and zeros of both signs. ``times`` gives each step's real time.
     """
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 6, size=(regions, 2, train + deploy)).astype(np.float64)
     y[y == 0.0] *= np.where(rng.random((y == 0.0).sum()) < 0.5, -1.0, 1.0)
-    fit_on = DemandStream(region_ids=tuple(range(regions)), history=y, stop=train)
-    later = DemandStream(region_ids=tuple(range(regions)), history=y, start=train)
+    fit_on = DemandStream(region_ids=tuple(range(regions)), history=y, stop=train, times=times)
+    later = DemandStream(region_ids=tuple(range(regions)), history=y, start=train, times=times)
     cells = [(region, flow) for region in range(regions) for flow in FLOWS]
     lags = {(i, flow): later.lags_matrix(i, j) for i in range(regions)
             for j, flow in enumerate(FLOWS)}
@@ -521,8 +549,8 @@ def deployment(regions=2, train=200, deploy=150, seed=0):
 class TestSeriesWithUpdatesMatchesObjectPath:
     """``predict_series(..., y=...)`` equals per-step predict + update, bit for bit."""
 
-    def check(self, make, train=200, seed=0):
-        fit_on, cells, times, lags, ys = deployment(train=train, seed=seed)
+    def check(self, make, seed=0, **shape):
+        fit_on, cells, times, lags, ys = deployment(seed=seed, **shape)
         reference, fast = make().fit(fit_on), make().fit(fit_on)
         assert predictor_state(reference) == predictor_state(fast)
         want = stepwise(reference, cells, times, lags, ys)
@@ -546,6 +574,24 @@ class TestSeriesWithUpdatesMatchesObjectPath:
         pred = self.check(lambda: SeasonalWindowPredictor(
             alpha=0.2, window_len=4, by_hour=True, fallback="global"), train=10)
         assert len(pred._buckets) == 2 * 2 * 24
+
+    @pytest.mark.parametrize("gap", [24, 7])
+    def test_seasonal_non_contiguous_times(self, gap):
+        # From t = 3, a gap in the deployment steps: a dropped day, or 7 steps
+        # so that the hours skip. Positions and hours disagree after it.
+        times = np.delete(np.arange(3, 353 + gap), np.arange(260, 260 + gap))
+        self.check(lambda: SeasonalWindowPredictor(alpha=0.2, window_len=5), times=times)
+
+    @pytest.mark.parametrize("steps_per_day", [1, 7, 96])
+    def test_seasonal_other_steps_per_day(self, steps_per_day):
+        self.check(lambda: SeasonalWindowPredictor(alpha=0.2, window_len=4,
+                                                   steps_per_day=steps_per_day))
+
+    def test_seasonal_series_shorter_than_a_day(self):
+        pred = self.check(lambda: SeasonalWindowPredictor(alpha=0.2, window_len=6), deploy=10)
+        # Steps 200..209 touch hours 8..17; the other fourteen keep their fit values unbuilt.
+        assert len(pred._buckets) == 2 * 2 * 10
+        assert len(pred._values) == 2 * 2 * 14
 
     def test_seasonal_cold_bucket_error_raises_at_the_same_step(self):
         fit_on, cells, times, lags, ys = deployment(train=10)

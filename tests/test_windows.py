@@ -4,6 +4,7 @@ Key properties:
 1. FIFO eviction matches a reference deque model over long random runs.
 2. Quantile queries agree exactly with a sort-based oracle at every level.
 3. Out-of-range levels follow the inflated / empty rules.
+4. A bulk ``push_series`` equals ``push`` + ``quantile`` one score at a time.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from contina.errors import EmptyCalibrationError
-from contina.windows import CalibrationWindow, QuantileResult, quantile_rank
+from contina.windows import CalibrationWindow, QuantileResult, quantile_rank, quantile_ranks
 
 
 def oracle_quantile(scores, level):
@@ -198,3 +199,73 @@ class TestEvictionAndQueries:
         for level in (0.0, 0.1, 0.5, 0.9, 1.0):
             assert w.quantile(level) == oracle_quantile(model, level)
         assert w.max_score == max(model)
+
+
+def bits(values) -> bytes:
+    """The exact float64 bits of a sequence, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def window_bits(w):
+    return tuple(bits(b) for b in w.buffers())
+
+
+class TestPushSeries:
+    """``push_series`` equals ``push`` then ``quantile`` per score, bit for bit."""
+
+    LEVELS = (0.0, 0.05, 0.95, 1.0)  # 0, alpha/2, 1 - alpha/2 and 1 at alpha = 0.1
+
+    @staticmethod
+    def signed_scores(n, seed):
+        """Coarse scores with ties, where zeros carry random signs."""
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-2, 3, size=n).astype(np.float64)
+        scores[(scores == 0.0) & (rng.random(n) < 0.5)] = -0.0
+        return scores
+
+    @pytest.mark.parametrize("capacity", [1, 12, 200])  # below and above the series length
+    @pytest.mark.parametrize("start", [0, 5, 300])  # scores in the window beforehand
+    @pytest.mark.parametrize("length", [0, 1, 60])
+    def test_equals_push_then_quantile(self, capacity, start, length):
+        scores = self.signed_scores(start + length, seed=capacity * 1000 + start + length)
+        bulk = CalibrationWindow(capacity, scores[:start])
+        model = CalibrationWindow(capacity, scores[:start])
+        got = bulk.push_series(scores[start:], self.LEVELS)
+        want = [[] for _ in self.LEVELS]
+        for s in scores[start:]:
+            model.push(s)
+            for out, level in zip(want, self.LEVELS):
+                out.append(model.quantile(level))
+        assert [bits(out) for out in got] == [bits(out) for out in want]
+        assert window_bits(bulk) == window_bits(model)
+        # The sorted list is the stable sort of the live scores, oldest first.
+        fifo, srt = bulk.buffers()
+        assert bits(srt) == bits(sorted(fifo))
+
+    def test_empty_series_changes_nothing(self):
+        w = CalibrationWindow(4, [1.0, -0.0])
+        before = window_bits(w)
+        assert w.push_series([], self.LEVELS) == [[], [], [], []]
+        assert window_bits(w) == before
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_raises_before_any_push(self, bad):
+        w = CalibrationWindow(3, [1.0, 2.0, 3.0])
+        before = window_bits(w)
+        with pytest.raises(ValueError, match="finite"):
+            w.push_series([4.0, 5.0, bad, 6.0], self.LEVELS)
+        assert window_bits(w) == before
+
+    @pytest.mark.parametrize("level", [-0.1, 1.1, float("nan")])
+    def test_level_outside_unit_interval_raises_before_any_push(self, level):
+        w = CalibrationWindow(3, [1.0, 2.0, 3.0])
+        before = window_bits(w)
+        with pytest.raises(ValueError, match="level"):
+            w.push_series([4.0], (0.5, level))
+        assert window_bits(w) == before
+
+    def test_ranks_match_quantile_rank(self):
+        levels = (0.0, 0.05, 0.1, 0.85, 0.95, 1.0, 1 - 0.15)
+        sizes = np.arange(1, 2001)
+        got = quantile_ranks(levels, sizes).tolist()
+        assert got == [[quantile_rank(level, n) for n in sizes.tolist()] for level in levels]
