@@ -157,8 +157,6 @@ def run(config_path, predictor, out, audit, **flags):
         synth.update(synth_overrides)
         synth.setdefault("seed", raw.get("seed", 0))
         raw["synthetic"] = synth
-    if raw.get("synthetic") and raw.get("demand_csv"):
-        raise ConfigError("choose either synthetic data or a demand CSV, not both")
 
     config = ExperimentConfig.from_dict(raw)
     result = run_replay(config, audit=audit)

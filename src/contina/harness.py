@@ -45,6 +45,9 @@ from .streams import (
     DemandStream,
     Observation,
     StreamSpec,
+    check_gap_policy,
+    check_region_filter,
+    check_split_fractions,
     csv_field,
     flow_index,
     generate,
@@ -55,8 +58,8 @@ from .streams import (
     reject_rows,
     split,
 )
-from .tracker import METHODS, ConformalIntervalTracker, alpha_step, conformity_scores
-from .validation import check_in_range, check_positive, check_positive_int
+from .tracker import ConformalIntervalTracker, alpha_step, conformity_scores
+from .validation import check_positive_int
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
 SUMMARY_COLUMNS = [
@@ -92,36 +95,25 @@ class ExperimentConfig:
     forecast_csv: str | None = None
 
     def validate(self) -> "ExperimentConfig":
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        """Check each setting, before any input is read, by the code that uses it.
+
+        A bad one raises ConfigError; the others are stored as their checks return them.
+        """
         try:
-            check_in_range(self.alpha, "alpha", 0.0, 1.0, inclusive=False)
-            check_positive(self.gamma, "gamma")
-            check_positive(self.gamma1, "gamma1")
-            check_in_range(self.beta, "beta", 0.0, 1.0, inclusive=False)
-            check_positive(self.epsilon, "epsilon")
-            check_positive_int(self.steps_per_day, "steps_per_day")
-            check_positive_int(self.periods, "periods")
-            if self.window is not None:
-                check_positive_int(self.window, "window")
-            if self.region_threshold < 0:
-                raise ValueError("region_threshold must be >= 0")
-            if self.filter_mode not in ("joint", "per_flow"):
-                raise ValueError(f"filter_mode must be joint/per_flow, got {self.filter_mode!r}")
-            if self.gap_policy not in ("abort", "drop_day"):
-                raise ValueError(f"gap_policy must be abort/drop_day, got {self.gap_policy!r}")
-        except ValueError as e:
+            vars(self).update(self.tracker().get_params())
+            self.steps_per_day = check_positive_int(self.steps_per_day, "steps_per_day")
+            self.periods = check_positive_int(self.periods, "periods")
+            check_split_fractions(self.train_frac, self.calib_frac)
+            check_region_filter(self.region_threshold, self.filter_mode)
+            check_gap_policy(self.gap_policy)
+            if (self.synthetic is None) == (self.demand_csv is None):
+                raise ValueError("exactly one of synthetic spec or demand_csv is required")
+            if self.forecast_csv is not None:
+                if self.predictor.kind not in ("seasonal_window", "file_backed"):
+                    raise ValueError("forecast_csv conflicts with an explicit non-file predictor")
+                self.predictor = PredictorSpec(kind="file_backed", path=self.forecast_csv)
+        except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
-        if (self.synthetic is None) == (self.demand_csv is None):
-            raise ConfigError("exactly one of synthetic spec or demand_csv is required")
-        if self.forecast_csv is not None:
-            if self.predictor.kind not in ("seasonal_window", "file_backed"):
-                raise ConfigError(
-                    "forecast_csv conflicts with an explicit non-file predictor"
-                )
-            self.predictor = PredictorSpec(kind="file_backed", path=self.forecast_csv)
-        if self.predictor.kind == "file_backed" and not self.predictor.path:
-            raise ConfigError("file_backed predictor requires a forecast CSV path")
         for path in (self.demand_csv,
                      self.predictor.path if self.predictor.kind == "file_backed" else None):
             if path is not None and not os.path.isfile(path):
@@ -157,11 +149,11 @@ class ExperimentConfig:
         unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if d.get("predictor") is not None and not isinstance(d["predictor"], PredictorSpec):
-            d["predictor"] = PredictorSpec.from_dict(d["predictor"])
-        if d.get("synthetic") is not None and not isinstance(d["synthetic"], StreamSpec):
-            d["synthetic"] = StreamSpec.from_dict(d["synthetic"])
         try:
+            if d.get("predictor") is not None and not isinstance(d["predictor"], PredictorSpec):
+                d["predictor"] = PredictorSpec.from_dict(d["predictor"])
+            if d.get("synthetic") is not None and not isinstance(d["synthetic"], StreamSpec):
+                d["synthetic"] = StreamSpec.from_dict(d["synthetic"])
             return cls(**{k: v for k, v in d.items() if v is not None or k in
                           ("window", "synthetic", "demand_csv", "forecast_csv")})
         except (TypeError, ValueError) as e:

@@ -272,6 +272,27 @@ def generate(spec: StreamSpec) -> DemandStream:
     return DemandStream(region_ids=tuple(range(spec.n_regions)), history=y)
 
 
+def check_region_filter(threshold, mode) -> None:
+    """Refuse a negative or NaN demand threshold and an unknown filter mode."""
+    if not threshold >= 0:
+        raise ValueError(f"region_threshold must be >= 0, got {threshold!r}")
+    if mode not in ("joint", "per_flow"):
+        raise ValueError(f"filter_mode must be 'joint' or 'per_flow', got {mode!r}")
+
+
+def check_split_fractions(train_frac, calib_frac) -> None:
+    """Refuse fractions that are not positive or that leave no deployment share."""
+    if not (train_frac > 0 and calib_frac > 0):
+        raise ValueError("train_frac and calib_frac must be positive")
+    if not train_frac + calib_frac < 1.0:
+        raise ValueError("train_frac + calib_frac must be < 1")
+
+
+def check_gap_policy(gap_policy) -> None:
+    if gap_policy not in ("abort", "drop_day"):
+        raise ValueError(f"gap_policy must be 'abort' or 'drop_day', got {gap_policy!r}")
+
+
 def region_filter(
     stream: DemandStream, threshold: float = 2.0, mode: str = "joint"
 ) -> tuple[DemandStream, list]:
@@ -280,10 +301,7 @@ def region_filter(
     ``joint`` averages inflow and outflow together; ``per_flow`` drops a
     region when either flow's own mean is below the threshold.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if mode not in ("joint", "per_flow"):
-        raise ValueError(f"mode must be 'joint' or 'per_flow', got {mode!r}")
+    check_region_filter(threshold, mode)
     flow_means = stream.history.mean(axis=2)  # (n, 2)
     if mode == "joint":
         keep = flow_means.mean(axis=1) >= threshold
@@ -317,10 +335,7 @@ def split(
     Fractions must be positive and sum to less than 1; the deployment segment
     takes the remainder. Every observation lands in exactly one segment.
     """
-    if train_frac <= 0 or calib_frac <= 0:
-        raise ValueError("train_frac and calib_frac must be positive")
-    if train_frac + calib_frac >= 1.0:
-        raise ValueError("train_frac + calib_frac must be < 1")
+    check_split_fractions(train_frac, calib_frac)
     total = stream.horizon
     n_train = int(train_frac * total + 0.5)
     n_calib = int(calib_frac * total + 0.5)
@@ -537,8 +552,7 @@ def read_demand_csv(path, gap_policy: str = "abort", steps_per_day: int = 24) ->
     or region cells) follow ``gap_policy``: ``abort`` raises, while
     ``drop_day`` removes every step of each affected day and logs a warning.
     """
-    if gap_policy not in ("abort", "drop_day"):
-        raise ValueError(f"gap_policy must be 'abort' or 'drop_day', got {gap_policy!r}")
+    check_gap_policy(gap_policy)
     table = read_csv_table(path, ("t", "region", "inflow", "outflow"), (int, str, float, float))
     t, labels = table["t"], table["region"]
     reject_rows(path, labels != "", lambda k: "empty region identifier")

@@ -56,7 +56,7 @@ from .intervals import (
     conformity_score,
     contains,
 )
-from .validation import check_in_range, check_positive
+from .validation import check_in_range, check_positive, check_positive_int
 from .windows import _RANK_SLACK, CalibrationWindow
 
 METHODS = ("cp", "qcp", "aci_fixed", "contina")
@@ -130,11 +130,7 @@ class ConformalIntervalTracker(ParamsMixin):
         self.gamma1 = check_positive(gamma1, "gamma1")
         self.beta = check_in_range(beta, "beta", 0.0, 1.0, inclusive=False)
         self.epsilon = check_positive(epsilon, "epsilon")
-        if window is not None:
-            window = int(window)
-            if window < 1:
-                raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
+        self.window = None if window is None else check_positive_int(window, "window")
         self.clamp_nonnegative = bool(clamp_nonnegative)
         self.windows_ = None
 
