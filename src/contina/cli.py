@@ -17,7 +17,9 @@ from . import metrics
 from .errors import ConfigError, ContinaError
 from .harness import ExperimentConfig, report_from_dir, run_replay, write_report
 from .predictors import PREDICTOR_KINDS
-from .streams import REGIMES, NOISES, StreamSpec, generate as generate_stream, write_demand_csv
+from .streams import (
+    GAP_POLICIES, NOISES, REGIMES, StreamSpec, generate as generate_stream, write_demand_csv,
+)
 from .tracker import METHODS
 
 
@@ -92,7 +94,7 @@ _RUN_FLAGS = [
     ("steps-per-day", int),
     ("periods", int),
     ("region-threshold", float),
-    ("gap-policy", click.Choice(["abort", "drop_day"])),
+    ("gap-policy", click.Choice(GAP_POLICIES)),
     ("demand-csv", click.Path(exists=True, dir_okay=False)),
     ("forecast-csv", click.Path(exists=True, dir_okay=False)),
 ]

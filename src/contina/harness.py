@@ -59,7 +59,7 @@ from .streams import (
     split,
 )
 from .tracker import ConformalIntervalTracker, alpha_step, conformity_scores
-from .validation import check_positive_int
+from .validation import check_bool, check_int, check_positive_int
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
 SUMMARY_COLUMNS = [
@@ -97,12 +97,14 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check each setting, before any input is read, by the code that uses it.
 
-        A bad one raises ConfigError; the others are stored as their checks return them.
+        A bad one raises ConfigError; each value is stored as its check returns it.
         """
         try:
             vars(self).update(self.tracker().get_params())
             self.steps_per_day = check_positive_int(self.steps_per_day, "steps_per_day")
             self.periods = check_positive_int(self.periods, "periods")
+            self.seed = check_int(self.seed, "seed", 0)
+            self.predictor_updates = check_bool(self.predictor_updates, "predictor_updates")
             check_split_fractions(self.train_frac, self.calib_frac)
             check_region_filter(self.region_threshold, self.filter_mode)
             check_gap_policy(self.gap_policy)
@@ -112,12 +114,12 @@ class ExperimentConfig:
                 if self.predictor.kind not in ("seasonal_window", "file_backed"):
                     raise ValueError("forecast_csv conflicts with an explicit non-file predictor")
                 self.predictor = PredictorSpec(kind="file_backed", path=self.forecast_csv)
+            for path in (self.demand_csv,
+                         self.predictor.path if self.predictor.kind == "file_backed" else None):
+                if path is not None and not os.path.isfile(path):
+                    raise ValueError(f"input file {path!r} does not exist")
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
-        for path in (self.demand_csv,
-                     self.predictor.path if self.predictor.kind == "file_backed" else None):
-            if path is not None and not os.path.isfile(path):
-                raise ConfigError(f"input file {path!r} does not exist")
         return self
 
     def hyperparams(self) -> AdaptHyperParams:
@@ -565,10 +567,13 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     config = ExperimentConfig.from_dict(manifest["config"])
-    if steps_per_day is not None:
-        config.steps_per_day = steps_per_day
-    if periods is not None:
-        config.periods = periods
+    try:
+        if steps_per_day is not None:
+            config.steps_per_day = check_positive_int(steps_per_day, "steps_per_day")
+        if periods is not None:
+            config.periods = check_positive_int(periods, "periods")
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     ledger = read_ledger_csv(os.path.join(out_dir, "ledger.csv"))
     paths = {
         "summary": os.path.join(out_dir, "summary.csv"),

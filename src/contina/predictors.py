@@ -46,7 +46,7 @@ from .streams import (
     reject_rows,
     unrepeated,
 )
-from .validation import check_in_range, check_positive, check_positive_int
+from .validation import check_bool, check_in_range, check_positive, check_positive_int
 from .windows import CalibrationWindow, quantile_rank
 
 PREDICTOR_KINDS = ("seasonal_window", "online_pinball_linear", "file_backed")
@@ -86,6 +86,7 @@ class PredictorSpec:
         check_positive_int(self.window_len, "window_len")
         check_positive(self.step_size, "step_size")
         check_positive_int(self.epochs, "epochs")
+        check_bool(self.by_hour, "by_hour")
         if self.fallback not in ("global", "error"):
             raise ValueError(f"fallback must be 'global' or 'error', got {self.fallback!r}")
         if self.kind == "file_backed" and not self.path:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DataFormatError
-from .validation import check_positive_int
+from .validation import check_finite, check_int, check_positive_int
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +33,7 @@ CHUNK_ROWS = 50_000  # rows per np.loadtxt call in read_csv_table; bounds the la
 
 REGIMES = ("stationary", "abrupt_shift", "drift", "heterogeneous", "k_dependent")
 NOISES = ("gaussian", "negative_binomial")
+GAP_POLICIES = ("abort", "drop_day")
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,14 @@ class StreamSpec:
     dispersion: float = 2.0
 
     def __post_init__(self):
-        check_positive_int(self.n_regions, "n_regions")
-        check_positive_int(self.horizon, "horizon")
-        check_positive_int(self.steps_per_day, "steps_per_day")
+        def keep(name, value):  # a checked value, as its check returns it
+            object.__setattr__(self, name, value)
+
+        keep("seed", check_int(self.seed, "seed", 0))
+        for name in ("n_regions", "horizon", "steps_per_day"):
+            keep(name, check_positive_int(getattr(self, name), name))
+        for name in ("shift_scale", "drift_rate", "sigma_frac", "dispersion"):
+            keep(name, check_finite(getattr(self, name), name))
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.noise not in NOISES:
@@ -289,8 +295,8 @@ def check_split_fractions(train_frac, calib_frac) -> None:
 
 
 def check_gap_policy(gap_policy) -> None:
-    if gap_policy not in ("abort", "drop_day"):
-        raise ValueError(f"gap_policy must be 'abort' or 'drop_day', got {gap_policy!r}")
+    if gap_policy not in GAP_POLICIES:
+        raise ValueError(f"gap_policy must be one of {GAP_POLICIES}, got {gap_policy!r}")
 
 
 def region_filter(

@@ -56,7 +56,7 @@ from .intervals import (
     conformity_score,
     contains,
 )
-from .validation import check_in_range, check_positive, check_positive_int
+from .validation import check_bool, check_in_range, check_positive, check_positive_int
 from .windows import _RANK_SLACK, CalibrationWindow
 
 METHODS = ("cp", "qcp", "aci_fixed", "contina")
@@ -131,7 +131,7 @@ class ConformalIntervalTracker(ParamsMixin):
         self.beta = check_in_range(beta, "beta", 0.0, 1.0, inclusive=False)
         self.epsilon = check_positive(epsilon, "epsilon")
         self.window = None if window is None else check_positive_int(window, "window")
-        self.clamp_nonnegative = bool(clamp_nonnegative)
+        self.clamp_nonnegative = check_bool(clamp_nonnegative, "clamp_nonnegative")
         self.windows_ = None
 
     # -- fitting ---------------------------------------------------------

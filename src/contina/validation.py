@@ -29,8 +29,23 @@ def check_positive(value, name):
     return v
 
 
-def check_positive_int(value, name):
-    v = int(value)
-    if v != value or v <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def check_int(value, name, low):
+    """Return ``value`` as an int; it must equal that int and be >= ``low``."""
+    try:
+        v = int(value)
+    except (TypeError, ValueError, OverflowError):  # such as None, "abc" or inf
+        v = None
+    if v is None or v != value or v < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return v
+
+
+def check_positive_int(value, name):
+    return check_int(value, name, 1)
+
+
+def check_bool(value, name):
+    """Refuse anything but True and False, such as the string 'false'."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value

@@ -342,3 +342,83 @@ class TestRegionLabels:
         result = run_cli(runner, ["report", str(out)])
         assert result.exit_code == 0, result.output
         assert {name: (out / name).read_bytes() for name in names} == before
+
+
+def write_config(path, **values):
+    """A valid small synthetic config, with ``values`` (key -> YAML text) set on top."""
+    entries = {"synthetic": "{n_regions: 3, horizon: 200, seed: 1}",
+               "train_frac": "0.4", "calib_frac": "0.2", **values}
+    path.write_text("".join(f"{key}: {text}\n" for key, text in entries.items()))
+
+
+RUN_CONFIG = ["run", "--config", "{tmp}/exp.yaml", "--audit", "--out", "{tmp}/out"]
+
+
+def synthetic(extra):
+    return {"synthetic": "{n_regions: 3, horizon: 200, seed: 1, %s}" % extra}
+
+
+class TestMalformedConfig:
+    """A malformed setting ends in exit 2 with its message, never in a traceback."""
+
+    @pytest.mark.parametrize("args, values", [
+        pytest.param(RUN_CONFIG, {"predictor": "{kind: bogus}"}, id="predictor-kind"),
+        pytest.param(RUN_CONFIG, synthetic("bogus: 2"), id="synthetic-key"),
+        pytest.param(RUN_CONFIG, {"train_frac": "0.9"}, id="fractions-sum"),
+        pytest.param(RUN_CONFIG, {"train_frac": "abc"}, id="fraction-text"),
+        pytest.param(RUN_CONFIG, {"train_frac": ".nan"}, id="fraction-nan"),
+        pytest.param(RUN_CONFIG, {"region_threshold": "'1'"}, id="threshold-text"),
+        pytest.param(RUN_CONFIG, {"region_threshold": ".nan"}, id="threshold-nan"),
+        pytest.param(RUN_CONFIG, {"forecast_csv": "''"}, id="forecast-csv-empty"),
+        pytest.param(RUN_CONFIG, {"synthetic": "null", "demand_csv": "[a.csv]"},
+                     id="demand-csv-list"),
+        pytest.param(RUN_CONFIG, {"clamp_nonnegative": "'false'"}, id="clamp-text"),
+        pytest.param(RUN_CONFIG, {"predictor_updates": "'no'"}, id="updates-text"),
+        pytest.param(RUN_CONFIG, {"predictor": "{by_hour: 'no'}"}, id="by-hour-text"),
+        pytest.param(RUN_CONFIG, {"window": "2.5"}, id="window-fraction"),
+        pytest.param(RUN_CONFIG, {"window": ".inf"}, id="window-inf"),
+        pytest.param(RUN_CONFIG, {"seed": "1.5"}, id="seed-fraction"),
+        pytest.param(RUN_CONFIG, {"seed": "-1"}, id="seed-negative"),
+        pytest.param(RUN_CONFIG, synthetic("seed: 1.5"), id="synthetic-seed"),
+        pytest.param(RUN_CONFIG, synthetic("sigma_frac: .nan"), id="sigma-frac-nan"),
+        pytest.param(RUN_CONFIG, synthetic("shift_scale: .inf"), id="shift-scale-inf"),
+        pytest.param(RUN_CONFIG, synthetic("drift_rate: .nan"), id="drift-rate-nan"),
+        pytest.param(RUN_CONFIG, synthetic("dispersion: .nan"), id="dispersion-nan"),
+        pytest.param(["run", "--regions", "0"], None, id="regions-0"),
+        pytest.param(["run", "--regions", "3", "--horizon", "200", "--seed", "-1"], None,
+                     id="run-seed-negative"),
+        pytest.param(["generate", "--regions", "3", "--horizon", "200", "--seed", "-1",
+                      "--out", "{tmp}/demand.csv"], None, id="generate-seed-negative"),
+        pytest.param(["report", "{tmp}/run", "--steps-per-day", "0"], None,
+                     id="report-steps-per-day-0"),
+        pytest.param(["report", "{tmp}/run", "--periods", "-3"], None, id="report-periods-neg"),
+        pytest.param(["report", "{tmp}/run", "--periods", "0"], None, id="report-periods-0"),
+    ])
+    def test_exits_with_config_code(self, runner, tmp_path, args, values):
+        if values is not None:
+            write_config(tmp_path / "exp.yaml", **values)
+        if args[0] == "report":
+            small_run(runner, tmp_path / "run")
+        result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("key, text, recorded", [
+        ("epsilon", "1e-8", 1e-08),  # PyYAML reads 1e-8, without a dot, as text
+        ("periods", "2.0", 2),
+        ("steps_per_day", "24.0", 24),
+        ("gamma", "1", 1.0),
+        ("window", "40.0", 40),
+    ])
+    def test_manifest_records_values_as_checked(self, runner, tmp_path, key, text, recorded):
+        write_config(tmp_path / "exp.yaml", **{key: text})
+        result = run_cli(runner, ["run", "--config", str(tmp_path / "exp.yaml"),
+                                  "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / "out" / "manifest.json").read_text()
+        value = json.loads(text)["config"][key]
+        assert value == recorded and type(value) is type(recorded)
+        assert f'"{key}": {json.dumps(recorded)}' in text
+        assert run_cli(runner, ["report", str(tmp_path / "out")]).exit_code == 0

@@ -103,6 +103,15 @@ class TestRegimes:
             StreamSpec(n_regions=1, horizon=10, seed=0, regime="k_dependent",
                        noise="negative_binomial")
 
+    def test_keeps_values_as_checked(self):
+        spec = StreamSpec(n_regions=2.0, horizon=10, seed=3.0, shift_scale=3, sigma_frac="0.5")
+        assert (spec.n_regions, spec.seed, spec.shift_scale, spec.sigma_frac) == (2, 3, 3.0, 0.5)
+        assert [type(v) for v in (spec.n_regions, spec.seed, spec.shift_scale)] == [
+            int, int, float]
+        for bad in ({"seed": -1}, {"seed": 1.5}, {"dispersion": float("nan")}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                StreamSpec(n_regions=1, horizon=10, **{"seed": 0, **bad})
+
     def test_shift_within_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             StreamSpec(n_regions=1, horizon=10, seed=0, regime="abrupt_shift",
@@ -192,6 +201,8 @@ class TestSplit:
             split(stream, 0.9, 0.2)
         with pytest.raises(ValueError):
             split(stream, -0.1, 0.2)
+        with pytest.raises(ValueError):
+            split(stream, float("nan"), 0.2)
 
     def test_preserves_every_observation_once(self):
         stream = generate(StreamSpec(n_regions=2, horizon=40, seed=16))

@@ -49,6 +49,13 @@ class TestEstimatorProtocol:
         with pytest.raises(ValueError, match="method"):
             ConformalIntervalTracker(method="magic")
 
+    @pytest.mark.parametrize("name, value", [
+        ("window", 2.5), ("window", 0), ("clamp_nonnegative", "false"), ("clamp_nonnegative", 1),
+    ])
+    def test_bad_window_or_clamp_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ConformalIntervalTracker(**{name: value})
+
     def test_unfitted_predict_raises(self):
         with pytest.raises(NotFittedError):
             ConformalIntervalTracker().predict(
