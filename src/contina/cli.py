@@ -126,7 +126,8 @@ def _run_options(fn):
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Directory for report files.")
 @click.option("--audit/--no-audit", default=False,
-              help="Snapshot one random step and re-derive it after the run.")
+              help="Replay one random region through the object path after the run "
+                   "and check it.")
 @_run_options
 @_handle_errors
 def run(config_path, predictor, out, audit, **flags):
@@ -166,9 +167,9 @@ def run(config_path, predictor, out, audit, **flags):
         from .harness import verify_audit
 
         if not verify_audit(result):
-            raise ContinaError("audit failed: the replayed step or the final states "
+            raise ContinaError("audit failed: the replayed region or the final states "
                                "do not match the run's log")
-        click.echo(f"audit ok at t={result.audit.t}, region={result.audit.region}")
+        click.echo(f"audit ok on region {result.audit}")
     cov = metrics.average_coverage(result.ledger)
     min_rc = metrics.min_regional_coverage(result.ledger)
     length = metrics.mean_length(result.ledger)

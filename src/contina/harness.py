@@ -5,19 +5,18 @@ stream: fit the base predictor on the training segment, seed per-(region,
 flow) calibration windows from the calibration segment, then run the
 deployment segment's interval -> observe -> score -> adapt cycle for every
 region. Regions are independent and replayed one after another; each region's
-whole deployment is one ``ConformalIntervalTracker.observe_series`` call (two
-for the audited region, split at the audit step so the pre-step state can be
-snapshotted), and its outcomes fill its own slice of the dense (region, step,
-flow) ledger. The forecasts are computed before that call, by one
-``predict_series`` call per flow. With ``predictor_updates`` that call also
-updates the predictor on each step's demand, in time order, right after
-forecasting the step. Predictor state is per (region, flow) cell, and neither
+whole deployment is one ``ConformalIntervalTracker.observe_series`` call, and
+its outcomes fill its own slice of the dense (region, step, flow) ledger. The
+forecasts are computed before that call, by one ``predict_series`` call per
+flow. With ``predictor_updates`` that call also updates the predictor on each
+step's demand, in time order, right after forecasting the step. Predictor state is per (region, flow) cell, and neither
 forecasts nor updates depend on alpha_t, so running each cell's whole
 predict-then-update pass at once changes no forecast.
 
 ``oracle_replay`` runs the same protocol one step at a time through the
-object-path API, as the reference the engine is checked against, and
-``verify_audit`` checks an audited run without running the engine.
+object-path API, as the reference the engine is checked against, for every
+region or for one. ``verify_audit`` checks an audited run against that
+reference on the run's sampled region, without running the engine.
 
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
@@ -37,7 +36,7 @@ import numpy as np
 from . import metrics
 from .adaptation import AdaptHyperParams, RegionAdaptState, adaptive_rate, coverage_error
 from .errors import ConfigError, DataFormatError, LedgerError
-from .intervals import QuantileForecast, conformity_score, interval_length
+from .intervals import conformity_score, interval_length
 from .metrics import RunLedger, coverage_gap_constant
 from .predictors import PredictorSpec, make_predictor
 from .streams import (
@@ -105,8 +104,10 @@ class ExperimentConfig:
             self.periods = check_positive_int(self.periods, "periods")
             self.seed = check_int(self.seed, "seed", 0)
             self.predictor_updates = check_bool(self.predictor_updates, "predictor_updates")
-            check_split_fractions(self.train_frac, self.calib_frac)
-            check_region_filter(self.region_threshold, self.filter_mode)
+            self.train_frac, self.calib_frac = check_split_fractions(self.train_frac,
+                                                                     self.calib_frac)
+            self.region_threshold = check_region_filter(self.region_threshold,
+                                                        self.filter_mode)
             check_gap_policy(self.gap_policy)
             if (self.synthetic is None) == (self.demand_csv is None):
                 raise ValueError("exactly one of synthetic spec or demand_csv is required")
@@ -128,14 +129,11 @@ class ExperimentConfig:
             epsilon=self.epsilon,
         )
 
-    def tracker(self, window=None) -> ConformalIntervalTracker:
-        """An unfitted tracker with this run's method and hyperparameters.
-
-        ``window`` overrides the configured window capacity.
-        """
+    def tracker(self) -> ConformalIntervalTracker:
+        """An unfitted tracker with this run's method and hyperparameters."""
         return ConformalIntervalTracker(
             method=self.method, alpha=self.alpha, gamma=self.gamma, gamma1=self.gamma1,
-            beta=self.beta, epsilon=self.epsilon, window=window or self.window,
+            beta=self.beta, epsilon=self.epsilon, window=self.window,
             clamp_nonnegative=self.clamp_nonnegative,
         )
 
@@ -177,22 +175,6 @@ class RegionFinalState:
 
 
 @dataclass
-class AuditRecord:
-    """State snapshot taken immediately before one deployment step."""
-
-    t: int
-    region: object
-    alpha_t: float
-    moment: float
-    window_scores: tuple            # per flow, scores in FIFO order
-    window_capacity: int
-    forecasts: tuple                # per flow, effective (lo, hi)
-    ys: tuple
-    outcome: tuple                  # (covered, length, empty) per flow
-    err: float
-
-
-@dataclass
 class RunResult:
     config: ExperimentConfig
     ledger: RunLedger
@@ -200,7 +182,7 @@ class RunResult:
     window_capacity: int
     crossings: int
     dropped_regions: list
-    audit: AuditRecord | None = None
+    audit: object = None  # the id of the region that verify_audit replays
 
 
 def ingest_csv(config: ExperimentConfig) -> tuple[DemandStream, list]:
@@ -219,7 +201,7 @@ def _load_stream(config: ExperimentConfig) -> tuple[DemandStream, list]:
     return ingest_csv(config)
 
 
-def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
+def _replay_region(i, stream, calib, deploy, predictor, config):
     """Replay one region's deployment. Returns per-step arrays and final state."""
     region = stream.region_ids[i]
     is_cp = config.method == "cp"
@@ -241,7 +223,6 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
 
     tracker = config.tracker().fit(calib_scores[0], calib_scores[1])
 
-    times = deploy.window_times()
     y1 = deploy.cell_series(i, 0)
     y2 = deploy.cell_series(i, 1)
     # With updates, each cell forecasts a step and then learns its demand;
@@ -249,35 +230,9 @@ def _replay_region(i, stream, calib, deploy, predictor, config, audit_pos):
     updates = config.predictor_updates
     forecasts = (*cell_forecasts(deploy, 0, y1 if updates else None),
                  *cell_forecasts(deploy, 1, y2 if updates else None))
-    series = (*forecasts, y1, y2)
-
-    audit = None
-    if audit_pos is None:
-        cols = tracker.observe_series(*series)
-    else:
-        head = tracker.observe_series(*(a[:audit_pos] for a in series))
-        tail = [a[audit_pos:] for a in series]
-        audit = _snapshot(tracker, int(times[audit_pos]), region,
-                          [float(a[0]) for a in tail])
-        tail = tracker.observe_series(*tail)
-        c1, l1, e1, c2, l2, e2 = (col[0] for col in tail)
-        audit.outcome = ((c1, l1, e1), (c2, l2, e2))
-        audit.err = 1.0 - (c1 + c2) / 2.0
-        cols = [a + b for a, b in zip(head, tail)]
+    cols = tracker.observe_series(*forecasts, y1, y2)
     out = np.array(cols, dtype=np.float64).T.reshape(deploy.horizon, 2, 3)
-
-    return out, RegionFinalState.of(region, tracker), audit, tracker.windows_[0].capacity
-
-
-def _snapshot(tracker, t, region, step):
-    """Pre-step state; ``step`` is (lo1, hi1, lo2, hi2, y1, y2) of the step."""
-    return AuditRecord(
-        t=t, region=region, alpha_t=tracker.alpha_t_, moment=tracker.moment_,
-        window_scores=tuple(w.scores for w in tracker.windows_),
-        window_capacity=tracker.windows_[0].capacity,
-        forecasts=((step[0], step[1]), (step[2], step[3])),
-        ys=(step[4], step[5]), outcome=None, err=None,
-    )
+    return out, RegionFinalState.of(region, tracker), tracker.windows_[0].capacity
 
 
 def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
@@ -288,17 +243,13 @@ def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
     predictor = make_predictor(config.predictor, config.alpha, config.steps_per_day)
     predictor.fit(train)
 
-    audit_region = audit_pos = None
+    audit_region = None
     if audit:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xA0D17]))
-        audit_region = int(rng.integers(stream.n_regions))
-        audit_pos = int(rng.integers(deploy.horizon))
+        audit_region = stream.region_ids[int(rng.integers(stream.n_regions))]
 
-    results = [
-        _replay_region(i, stream, calib, deploy, predictor, config,
-                       audit_pos if i == audit_region else None)
-        for i in range(stream.n_regions)
-    ]
+    results = [_replay_region(i, stream, calib, deploy, predictor, config)
+               for i in range(stream.n_regions)]
 
     grid = np.stack([r[0] for r in results])  # (region, step, flow, outcome)
     ledger = RunLedger(
@@ -308,19 +259,18 @@ def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
         length=grid[..., 1],
         empty=grid[..., 2] != 0.0,
     )
-    audit_rec = next((r[2] for r in results if r[2] is not None), None)
     return RunResult(
         config=config,
         ledger=ledger,
         states=[r[1] for r in results],
-        window_capacity=results[0][3],
+        window_capacity=results[0][2],
         crossings=getattr(predictor, "crossings", 0),
         dropped_regions=dropped,
-        audit=audit_rec,
+        audit=audit_region,
     )
 
 
-def oracle_replay(config: ExperimentConfig) -> RunResult:
+def oracle_replay(config: ExperimentConfig, region=None) -> RunResult:
     """Run ``config`` one step at a time through the object-path API.
 
     The reference that the engine is checked against. Each region's tracker
@@ -329,14 +279,24 @@ def oracle_replay(config: ExperimentConfig) -> RunResult:
     runs ``ConformalIntervalTracker.observe`` and, with ``predictor_updates``,
     feeds each flow's demand to ``predictor.update``. It shares no code with
     ``_replay_region`` or ``observe_series``, and it is far slower.
+
+    With ``region`` (a region id of the run) only that region is replayed,
+    and the result's ledger and states hold that region alone. Regions never
+    read each other's state, so its records equal those of the full replay.
     """
     config.validate()
     stream, dropped = _load_stream(config)
     train, calib, deploy = split(stream, config.train_frac, config.calib_frac)
     predictor = make_predictor(config.predictor, config.alpha, config.steps_per_day)
     predictor.fit(train)
+    region_ids = stream.region_ids
+    if region is not None:
+        if region not in region_ids:
+            raise ValueError(f"region {region!r} is not in the run")
+        region_ids = (region,)
     records, states = [], []
-    for i, region in enumerate(stream.region_ids):
+    for region in region_ids:
+        i = stream.region_ids.index(region)
         tracker = config.tracker()
         scores = ([], [])
         for _, forecasts, ys, _ in _object_steps(predictor, calib, i):
@@ -353,7 +313,7 @@ def oracle_replay(config: ExperimentConfig) -> RunResult:
         states.append(RegionFinalState.of(region, tracker))
     return RunResult(
         config=config,
-        ledger=RunLedger.from_records(records, region_ids=stream.region_ids),
+        ledger=RunLedger.from_records(records, region_ids=region_ids),
         states=states,
         window_capacity=tracker.windows_[0].capacity,
         crossings=getattr(predictor, "crossings", 0),
@@ -375,34 +335,34 @@ def _object_steps(predictor, segment, i):
 def verify_audit(result: RunResult) -> bool:
     """Check an audited run through the object path, without the engine.
 
-    * The audited step: a tracker rebuilt from the snapshot of the state
-      before it must reproduce the step's recorded outcome exactly through
-      ``ConformalIntervalTracker.observe``. This shows that the emitted
-      intervals were a pure function of data strictly before the step plus
-      the step's forecasts.
+    * The audited region: ``oracle_replay`` of that region alone must give
+      its covered, length and empty cells at every deployment step and its
+      final state, bit for bit. This shows that each emitted interval of the
+      region is the one the object path builds from the data before its step.
     * Every region's final state: the alpha update reads only each step's
       miss indicator, so the final alpha, moment, rate and update sum follow
       from the ledger's covered grid alone. They are recomputed with the
       update rules of ``contina.adaptation``, over all regions at once, and
       must equal ``result.states`` bit for bit.
     """
-    snap = result.audit
-    if snap is None:
+    region = result.audit
+    if region is None:
         raise LedgerError("run was executed without audit mode")
-    # The snapshot's capacity, not the config's: a window can be larger
-    # than the calibration set that seeds it.
-    tracker = result.config.tracker(window=snap.window_capacity)
-    tracker.fit(snap.window_scores[0], snap.window_scores[1])
-    tracker.alpha_t_ = snap.alpha_t
-    tracker.moment_ = snap.moment
-    out = tracker.observe(tuple(QuantileForecast(lo, hi) for lo, hi in snap.forecasts),
-                          snap.ys)
-    for band, hit, (rec_cov, rec_len, rec_emp) in zip(out.intervals, out.covered,
-                                                       snap.outcome):
-        if (hit != bool(rec_cov) or band.empty != bool(rec_emp)
-                or interval_length(band) != rec_len):
-            return False
-    return out.err == snap.err and _states_follow_ledger(result)
+    want = oracle_replay(result.config, region=region)
+    got, ref = result.ledger, want.ledger
+    i = got.region_ids.index(region)
+    same = np.array_equal(got.times, ref.times) and all(
+        a[i].tobytes() == b[0].tobytes()
+        for a, b in ((got.covered_grid, ref.covered_grid), (got.length_grid, ref.length_grid),
+                     (got.empty_grid, ref.empty_grid)))
+    return (same and _state_bits(result.states[i]) == _state_bits(want.states[0])
+            and _states_follow_ledger(result))
+
+
+def _state_bits(state: RegionFinalState) -> bytes:
+    """The final alpha, moment, rate and update sum as float64 bytes."""
+    return np.array([state.alpha, state.moment, state.rate, state.update_sum],
+                    dtype=np.float64).tobytes()
 
 
 def _states_follow_ledger(result: RunResult) -> bool:
@@ -422,10 +382,8 @@ def _states_follow_ledger(result: RunResult) -> bool:
         rate = adaptive_rate(state.moment, hp)
     else:
         rate = np.full(n, cfg.gamma if cfg.method == "aci_fixed" else 0.0)
-    want = np.array([[s.alpha, s.moment, s.rate, s.update_sum] for s in result.states],
-                    dtype=np.float64)
     got = np.column_stack([state.alpha, state.moment, rate, update_sum])
-    return want.shape == got.shape and want.tobytes() == got.tobytes()
+    return got.tobytes() == b"".join(map(_state_bits, result.states))
 
 
 def _fmt(x) -> str:

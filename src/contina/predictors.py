@@ -111,6 +111,20 @@ def _demand(y, times) -> np.ndarray:
     return y
 
 
+def _check_training_demand(stream: DemandStream) -> None:
+    """Refuse a training window whose demand breaks the ``_demand`` rule.
+
+    The error names the first bad cell in (region, flow, t) order.
+    """
+    y = stream.history[:, :, stream.start : stream.stop]
+    bad = ~(np.isfinite(y) & (y >= 0))
+    if bad.any():
+        i, j, p = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"demand must be finite and >= 0, got {float(y[i, j, p])!r} at (region="
+            f"{stream.region_ids[i]!r}, flow={FLOWS[j]}, t={int(stream.window_times()[p])})")
+
+
 def _head(b, w, x):
     """A linear head's output ``b + x[0]*w[0] + ... + x[7]*w[7]``, summed left to right.
 
@@ -173,6 +187,7 @@ class SeasonalWindowPredictor(ParamsMixin):
         return int(t) % self.steps_per_day if self.by_hour else 0
 
     def fit(self, stream: DemandStream):
+        _check_training_demand(stream)
         times = stream.window_times()
         hours = times % self.steps_per_day if self.by_hour else np.zeros_like(times)
         # One stable argsort, shared by all cells, lists each hour's steps in time order.
@@ -181,12 +196,10 @@ class SeasonalWindowPredictor(ParamsMixin):
         ends = [*starts[1:].tolist(), len(order)]
         self._capacity = self.window_len
         self._buckets, self._values, self._pairs = {}, {}, {}
-        finite = True
         for h, a, b in zip(bucket_hours.tolist(), starts.tolist(), ends):
             # Every cell's last window_len values of hour h, shape (regions, flows, n).
             steps = stream.start + order[max(a, b - self.window_len) : b]
             values = stream.history[:, :, steps].astype(np.float64, copy=False)
-            finite = finite and bool(np.isfinite(values).all())
             # Stable, so tied -0.0 and 0.0 keep arrival order, as in a CalibrationWindow.
             srt = np.sort(values, kind="stable")
             n = srt.shape[-1]
@@ -197,11 +210,6 @@ class SeasonalWindowPredictor(ParamsMixin):
                     key = (region, flow, h)
                     self._values[key] = values[i, j]
                     self._pairs[key] = (lo[i][j], hi[i][j])
-        if not finite:  # raise the first bad window's ValueError, in (region, flow, hour) order
-            for region in stream.region_ids:
-                for flow in FLOWS:
-                    for h in bucket_hours.tolist():
-                        CalibrationWindow(self._capacity, self._values[region, flow, h])
         self._fallback_pair = {}
         for j, flow in enumerate(FLOWS):
             self._fallback_pair[flow] = _empirical_pair(
@@ -336,6 +344,7 @@ class OnlinePinballLinearPredictor(ParamsMixin):
         return np.concatenate([z, [np.sin(angle), np.cos(angle)]])
 
     def fit(self, stream: DemandStream):
+        _check_training_demand(stream)
         self._cells = {}
         times = stream.window_times()
         for i, region in enumerate(stream.region_ids):

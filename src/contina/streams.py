@@ -104,18 +104,19 @@ class StreamSpec:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.noise not in NOISES:
             raise ValueError(f"noise must be one of {NOISES}, got {self.noise!r}")
-        if self.shift_at is not None and not 0 <= self.shift_at < self.horizon:
-            raise ValueError(f"shift_at must lie within the horizon, got {self.shift_at}")
+        if self.shift_at is not None:
+            keep("shift_at", check_int(self.shift_at, "shift_at", 0))
+            if not self.shift_at < self.horizon:
+                raise ValueError(f"shift_at must lie within the horizon, got {self.shift_at}")
         if self.regime == "k_dependent":
             check_positive_int(self.k_lag, "k_lag")
             if self.noise != "gaussian":
                 raise ValueError("k_dependent streams support gaussian noise only")
-        lo, hi = self.scale_range
-        if not (0 < lo <= hi):
-            raise ValueError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
-        b0, b1 = self.base_level
-        if not (0 < b0 <= b1):
-            raise ValueError(f"base_level must satisfy 0 < lo <= hi, got {self.base_level}")
+        for name in ("scale_range", "base_level"):
+            lo, hi = (check_finite(v, name) for v in getattr(self, name))
+            if not (0 < lo <= hi):
+                raise ValueError(f"{name} must satisfy 0 < lo <= hi, got {getattr(self, name)}")
+            keep(name, (lo, hi))
         if not 0.0 <= self.season_amp < 1.0:
             raise ValueError(f"season_amp must be in [0, 1), got {self.season_amp}")
         if self.sigma_frac < 0:
@@ -209,19 +210,8 @@ class DemandStream:
         )
 
     def __iter__(self):
-        times = self.window_times()
-        for p in range(self.horizon):
-            t = int(times[p])
-            for i, region in enumerate(self.region_ids):
-                for j, flow in enumerate(FLOWS):
-                    pos = self.start + p
-                    series = self.history[i, j]
-                    left = max(0, pos - N_LAGS)
-                    tail = series[left:pos]
-                    if len(tail) < N_LAGS:
-                        pad = np.full(N_LAGS - len(tail), series[0])
-                        tail = np.concatenate([pad, tail])
-                    yield Observation(t, region, flow, float(series[pos]), tuple(tail))
+        for k in range(len(self)):
+            yield self[k]
 
 
 def _level_paths(spec: StreamSpec, bases: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -278,20 +268,27 @@ def generate(spec: StreamSpec) -> DemandStream:
     return DemandStream(region_ids=tuple(range(spec.n_regions)), history=y)
 
 
-def check_region_filter(threshold, mode) -> None:
-    """Refuse a negative or NaN demand threshold and an unknown filter mode."""
+def check_region_filter(threshold, mode) -> float:
+    """Return the threshold as a float; refuse a negative or non-finite threshold
+    and an unknown filter mode."""
+    threshold = check_finite(threshold, "region_threshold")
     if not threshold >= 0:
         raise ValueError(f"region_threshold must be >= 0, got {threshold!r}")
     if mode not in ("joint", "per_flow"):
         raise ValueError(f"filter_mode must be 'joint' or 'per_flow', got {mode!r}")
+    return threshold
 
 
-def check_split_fractions(train_frac, calib_frac) -> None:
-    """Refuse fractions that are not positive or that leave no deployment share."""
+def check_split_fractions(train_frac, calib_frac) -> tuple[float, float]:
+    """Return both fractions as floats; refuse fractions that are not positive and
+    finite or that leave no deployment share."""
+    train_frac = check_finite(train_frac, "train_frac")
+    calib_frac = check_finite(calib_frac, "calib_frac")
     if not (train_frac > 0 and calib_frac > 0):
         raise ValueError("train_frac and calib_frac must be positive")
     if not train_frac + calib_frac < 1.0:
         raise ValueError("train_frac + calib_frac must be < 1")
+    return train_frac, calib_frac
 
 
 def check_gap_policy(gap_policy) -> None:
@@ -307,7 +304,7 @@ def region_filter(
     ``joint`` averages inflow and outflow together; ``per_flow`` drops a
     region when either flow's own mean is below the threshold.
     """
-    check_region_filter(threshold, mode)
+    threshold = check_region_filter(threshold, mode)
     flow_means = stream.history.mean(axis=2)  # (n, 2)
     if mode == "joint":
         keep = flow_means.mean(axis=1) >= threshold
@@ -341,7 +338,7 @@ def split(
     Fractions must be positive and sum to less than 1; the deployment segment
     takes the remainder. Every observation lands in exactly one segment.
     """
-    check_split_fractions(train_frac, calib_frac)
+    train_frac, calib_frac = check_split_fractions(train_frac, calib_frac)
     total = stream.horizon
     n_train = int(train_frac * total + 0.5)
     n_calib = int(calib_frac * total + 0.5)

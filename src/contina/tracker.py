@@ -241,8 +241,8 @@ class ConformalIntervalTracker(ParamsMixin):
         per-step lists: covered1, length1, empty1, covered2, length2, empty2.
         The tracker ends in the state that running the steps one at a time
         leaves, and each step's outcome is that of the intervals predict()
-        builds from the state before it; the replay audit re-derives a step
-        through the object path to enforce that.
+        builds from the state before it; the replay audit replays a whole
+        region through ``observe`` to enforce that.
 
         Scores are computed up front for the whole segment: they depend on
         the base forecast and the demand, never on alpha_t, and are pushed

@@ -4,8 +4,11 @@ import math
 
 
 def check_finite(value, name):
-    """Coerce to float and reject NaN/inf."""
-    v = float(value)
+    """Coerce to float and reject NaN/inf; the error names ``name``."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):  # such as None, "abc" or 10**400
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return v

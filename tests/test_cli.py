@@ -367,7 +367,7 @@ class TestMalformedConfig:
         pytest.param(RUN_CONFIG, {"train_frac": "0.9"}, id="fractions-sum"),
         pytest.param(RUN_CONFIG, {"train_frac": "abc"}, id="fraction-text"),
         pytest.param(RUN_CONFIG, {"train_frac": ".nan"}, id="fraction-nan"),
-        pytest.param(RUN_CONFIG, {"region_threshold": "'1'"}, id="threshold-text"),
+        pytest.param(RUN_CONFIG, {"region_threshold": "abc"}, id="threshold-text"),
         pytest.param(RUN_CONFIG, {"region_threshold": ".nan"}, id="threshold-nan"),
         pytest.param(RUN_CONFIG, {"forecast_csv": "''"}, id="forecast-csv-empty"),
         pytest.param(RUN_CONFIG, {"synthetic": "null", "demand_csv": "[a.csv]"},
@@ -384,6 +384,10 @@ class TestMalformedConfig:
         pytest.param(RUN_CONFIG, synthetic("shift_scale: .inf"), id="shift-scale-inf"),
         pytest.param(RUN_CONFIG, synthetic("drift_rate: .nan"), id="drift-rate-nan"),
         pytest.param(RUN_CONFIG, synthetic("dispersion: .nan"), id="dispersion-nan"),
+        pytest.param(RUN_CONFIG, synthetic("regime: abrupt_shift, shift_at: 1.5"),
+                     id="shift-at-fraction"),
+        pytest.param(RUN_CONFIG, synthetic("scale_range: [1, .inf]"), id="scale-range-inf"),
+        pytest.param(RUN_CONFIG, synthetic("base_level: [5, .inf]"), id="base-level-inf"),
         pytest.param(["run", "--regions", "0"], None, id="regions-0"),
         pytest.param(["run", "--regions", "3", "--horizon", "200", "--seed", "-1"], None,
                      id="run-seed-negative"),
@@ -411,6 +415,8 @@ class TestMalformedConfig:
         ("steps_per_day", "24.0", 24),
         ("gamma", "1", 1.0),
         ("window", "40.0", 40),
+        ("train_frac", "'0.4'", 0.4),
+        ("region_threshold", "'1'", 1.0),
     ])
     def test_manifest_records_values_as_checked(self, runner, tmp_path, key, text, recorded):
         write_config(tmp_path / "exp.yaml", **{key: text})

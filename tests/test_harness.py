@@ -91,6 +91,18 @@ class TestEngineAgainstOracle:
         want = oracle_replay(layout_config(method, clamp, updates, seed))
         assert_same_run(layout_run(method, clamp, updates, seed), want)
 
+    def test_one_region_equals_its_slice_of_the_full_replay(self):
+        full = layout_run("contina", True, True, 21)
+        for i, region in enumerate(full.ledger.region_ids):
+            one = oracle_replay(layout_config("contina", True, True, 21), region=region)
+            assert one.ledger.region_ids == (region,)
+            for name in ("covered_grid", "length_grid", "empty_grid"):
+                assert getattr(one.ledger, name)[0].tobytes() == \
+                    getattr(full.ledger, name)[i].tobytes()
+            assert state_bits(one.states) == state_bits(full.states[i:i + 1])
+        with pytest.raises(ValueError, match="not in the run"):
+            oracle_replay(layout_config("contina", True, True, 21), region="nowhere")
+
     def test_file_backed_inputs(self, tmp_path):
         demand, forecasts = TestFileBackedRuns().make_inputs(tmp_path)
 
@@ -186,10 +198,10 @@ def run_replay_on_stream(config, stream):
 
 
 class TestAudit:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_audit_verifies(self, method):
-        result = run_replay(small_config(method=method), audit=True)
-        assert result.audit is not None
+    @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
+    def test_audit_verifies(self, method, clamp, updates):
+        result = run_replay(layout_config(method, clamp, updates, 22), audit=True)
+        assert result.audit in result.ledger.region_ids
         assert verify_audit(result)
 
     def test_audit_with_online_predictor_updates(self):
@@ -220,6 +232,21 @@ class TestAudit:
             return out
 
         monkeypatch.setattr(ConformalIntervalTracker, "observe_series", scaled)
+        result = run_replay(small_config(method="contina"), audit=True)
+        assert verify_audit(result) is False
+
+    def test_audit_catches_one_wrong_length_mid_run(self, monkeypatch):
+        # One inflow length off at one step of each region: the coverage, and
+        # so every final state, is untouched, and a check of any other single
+        # step would pass.
+        series = ConformalIntervalTracker.observe_series
+
+        def lengthened(self, *args):
+            cov1, len1, *rest = series(self, *args)
+            len1[len(len1) // 2] += 1.0
+            return (cov1, len1, *rest)
+
+        monkeypatch.setattr(ConformalIntervalTracker, "observe_series", lengthened)
         result = run_replay(small_config(method="contina"), audit=True)
         assert verify_audit(result) is False
 

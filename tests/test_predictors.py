@@ -231,8 +231,9 @@ class TestSeasonalFitMatchesEagerWindows:
         stream = signed_demand(2, 100, 0)
         stream.history[0, 1, 29] = np.nan  # region 0, out, hour 5
         stream.history[1, 0, 96] = np.inf  # region 1, in, hour 0
-        # The first bad window in (region, flow, hour) order names its value.
-        with pytest.raises(ValueError, match=r"score must be finite, got nan"):
+        # The first bad cell in (region, flow, t) order is named.
+        with pytest.raises(ValueError, match=r"demand must be finite and >= 0, got nan "
+                                             r"at \(region=0, flow=out, t=29\)"):
             SeasonalWindowPredictor().fit(stream)
 
     @pytest.mark.parametrize("window_len", [3, 500])
@@ -641,6 +642,18 @@ class TestSeriesWithUpdatesMatchesObjectPath:
         with pytest.raises(ValueError, match="demand must be finite and >= 0"):
             pred.predict_series(*cell, times, lags[cell], y=y)
         assert predictor_state(pred) == before
+
+    @pytest.mark.parametrize("spec", [
+        PredictorSpec(kind="seasonal_window", window_len=2, by_hour=True),
+        PredictorSpec(kind="seasonal_window", window_len=2, by_hour=False),
+        PredictorSpec(kind="online_pinball_linear", window_len=2),
+    ], ids=["seasonal-by-hour", "seasonal", "online-pinball"])
+    def test_bad_demand_outside_the_kept_window_raises_at_fit(self, spec):
+        # window_len=2 keeps only each seasonal bucket's last two training values.
+        stream = DemandStream(region_ids=(0,), history=np.ones((1, 2, 100)))
+        stream.history[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"got nan at \(region=0, flow=in, t=0\)"):
+            make_predictor(spec, 0.2, 24).fit(stream)
 
 
 class TestPredictorSpec:
