@@ -4,14 +4,23 @@
 stream: fit the base predictor on the training segment, seed per-(region,
 flow) calibration windows from the calibration segment, then run the
 deployment segment's interval -> observe -> score -> adapt cycle for every
-region. Regions are independent and replayed one after another; each region's
-whole deployment is one ``ConformalIntervalTracker.observe_series`` call, and
-its outcomes fill its own slice of the dense (region, step, flow) ledger. The
-forecasts are computed before that call, by one ``predict_series`` call per
-flow. With ``predictor_updates`` that call also updates the predictor on each
-step's demand, in time order, right after forecasting the step. Predictor state is per (region, flow) cell, and neither
-forecasts nor updates depend on alpha_t, so running each cell's whole
-predict-then-update pass at once changes no forecast.
+region. Each region's whole deployment is one
+``ConformalIntervalTracker.observe_series`` call, and its outcomes fill its own
+slice of the dense (region, step, flow) ledger. The forecasts are computed
+before that call, by one ``predict_series`` call per flow. With
+``predictor_updates`` that call also updates the predictor on each step's
+demand, in time order, right after forecasting the step. Predictor state is
+per (region, flow) cell, and neither forecasts nor updates depend on alpha_t,
+so running each cell's whole predict-then-update pass at once changes no
+forecast.
+
+Regions never read each other's state, so they are replayed in contiguous
+shares, one per usable CPU: this process replays the first share, and a child
+made by ``os.fork`` replays each other share and sends its results back
+through a pipe. Where fork is unavailable or unsafe (no
+``os.sched_getaffinity``, or another thread alive) every region is replayed in
+this process. The results, and so every output byte, are those of a replay of
+one region after another.
 
 ``oracle_replay`` runs the same protocol one step at a time through the
 object-path API, as the reference the engine is checked against, for every
@@ -27,8 +36,11 @@ ledger, final per-region states, and a manifest that allows an exact re-run.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
+import pickle
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -235,6 +247,99 @@ def _replay_region(i, stream, calib, deploy, predictor, config):
     return out, RegionFinalState.of(region, tracker), tracker.windows_[0].capacity
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where forking is unavailable or unsafe."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _replay_regions(stream, calib, deploy, predictor, config):
+    """Replay every region; return the results in region order and the crossings.
+
+    The regions are cut into one contiguous share per usable CPU. Share 0 runs
+    here; each other share runs in a child forked before any share runs. A
+    child's predictor is the fitted one, and so is every cell of its share
+    when a serial loop reaches it, because predictor state is per cell. The
+    crossings are those this process's predictor counted plus each child's.
+    If shares fail, the first failing share's error is raised, the one a
+    replay of one region after another would raise.
+    """
+    n = stream.n_regions
+    w = min(n, _usable_cpus())
+    bounds = [k * n // w for k in range(w + 1)]
+
+    def replay(k):
+        return [_replay_region(i, stream, calib, deploy, predictor, config)
+                for i in range(bounds[k], bounds[k + 1])]
+
+    children = []
+    try:
+        for k in range(1, w):
+            children.append(_fork_share(functools.partial(replay, k), predictor))
+        results = replay(0)
+    finally:
+        ended = [_reap(pid, fd) for pid, fd in children]
+    crossings = getattr(predictor, "crossings", 0)
+    for data, status in ended:
+        if not data:
+            raise ChildProcessError(
+                f"a region share ended with exit status {status} and no result")
+        payload = pickle.loads(data)
+        if isinstance(payload, Exception):
+            raise payload
+        results += payload[0]
+        crossings += payload[1]
+    return results, crossings
+
+
+def _fork_share(replay_share, predictor):
+    """Run ``replay_share()`` in a forked child; return its pid and its pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _send_share(w, replay_share, predictor)
+    except BaseException:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, r
+
+
+def _send_share(fd, replay_share, predictor):
+    """In a forked child: pickle the share's results and the crossings its
+    predictor counted, or the error it raised, into ``fd``, then exit.
+
+    ``os._exit`` skips atexit handlers and the flushing of inherited buffers,
+    which belong to the parent.
+    """
+    status = 1
+    try:
+        before = getattr(predictor, "crossings", 0)
+        try:
+            payload = (replay_share(), getattr(predictor, "crossings", 0) - before)
+        except Exception as e:
+            payload = e
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid, fd):
+    """Read a child's pipe to EOF and wait for it; return the bytes and its exit status."""
+    try:
+        with os.fdopen(fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return data, os.waitstatus_to_exitcode(status)
+
+
 def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
     """Execute one experiment end to end and return its ledger and states."""
     config.validate()
@@ -248,8 +353,7 @@ def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xA0D17]))
         audit_region = stream.region_ids[int(rng.integers(stream.n_regions))]
 
-    results = [_replay_region(i, stream, calib, deploy, predictor, config)
-               for i in range(stream.n_regions)]
+    results, crossings = _replay_regions(stream, calib, deploy, predictor, config)
 
     grid = np.stack([r[0] for r in results])  # (region, step, flow, outcome)
     ledger = RunLedger(
@@ -264,7 +368,7 @@ def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
         ledger=ledger,
         states=[r[1] for r in results],
         window_capacity=results[0][2],
-        crossings=getattr(predictor, "crossings", 0),
+        crossings=crossings,
         dropped_regions=dropped,
         audit=audit_region,
     )

@@ -113,7 +113,12 @@ class StreamSpec:
             if self.noise != "gaussian":
                 raise ValueError("k_dependent streams support gaussian noise only")
         for name in ("scale_range", "base_level"):
-            lo, hi = (check_finite(v, name) for v in getattr(self, name))
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a [lo, hi] pair, "
+                                 f"got {getattr(self, name)!r}") from None
+            lo, hi = check_finite(lo, name), check_finite(hi, name)
             if not (0 < lo <= hi):
                 raise ValueError(f"{name} must satisfy 0 < lo <= hi, got {getattr(self, name)}")
             keep(name, (lo, hi))
@@ -132,11 +137,6 @@ class StreamSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StreamSpec":
-        d = dict(d)
-        if "scale_range" in d:
-            d["scale_range"] = tuple(d["scale_range"])
-        if "base_level" in d:
-            d["base_level"] = tuple(d["base_level"])
         return cls(**d)
 
 

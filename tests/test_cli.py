@@ -409,6 +409,15 @@ class TestMalformedConfig:
         assert "error:" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("key", ["scale_range", "base_level"])
+    @pytest.mark.parametrize("text", ["5", "[1, 2, 3]"])
+    def test_synthetic_bounds_that_are_not_a_pair_name_the_key(self, runner, tmp_path, key,
+                                                               text):
+        write_config(tmp_path / "exp.yaml", **synthetic(f"{key}: {text}"))
+        result = runner.invoke(main, ["run", "--config", str(tmp_path / "exp.yaml")])
+        assert result.exit_code == 2, result.output
+        assert f"error: {key} must be a [lo, hi] pair, got {text}" in result.output
+
     @pytest.mark.parametrize("key, text, recorded", [
         ("epsilon", "1e-8", 1e-08),  # PyYAML reads 1e-8, without a dot, as text
         ("periods", "2.0", 2),

@@ -4,7 +4,9 @@
 through the object-path API (``predict``, ``ConformalIntervalTracker.observe``
 and ``update``), and the engine must agree with it record for record and in
 every region's final state, bit for bit, over seeds, methods, the clamp,
-online predictor updates, file inputs and the pinball predictor.
+online predictor updates, file inputs and the pinball predictor, and with the
+regions replayed in one, two or three shares, the later ones in forked
+children.
 """
 
 import csv
@@ -12,12 +14,15 @@ import filecmp
 import functools
 import json
 import os
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from contina import harness, metrics
+from contina.cli import main as cli_main
 from contina.errors import ConfigError, MissingForecastError, NotFittedError
 from contina.harness import (
     ExperimentConfig,
@@ -183,6 +188,126 @@ class TestDeterminismAndParallelism:
             metrics.min_regional_coverage(base.ledger).value
 
 
+def use_shares(monkeypatch, k):
+    """Make ``run_replay`` see ``k`` usable CPUs, so it replays ``k`` region shares."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def refuse_fork():
+    raise AssertionError("os.fork called")
+
+
+def share_configs(tmp_path):
+    """Five-region runs, by name; each factory returns a fresh config."""
+    synthetic = StreamSpec(n_regions=5, horizon=300, seed=31, base_level=(0.5, 3.0),
+                           sigma_frac=1.0)
+    demand, forecasts = TestFileBackedRuns().make_inputs(tmp_path, n_regions=5, crossed=True)
+    return {
+        "contina": lambda: small_config(method="contina", synthetic=synthetic),
+        "aci_fixed_clamped": lambda: small_config(method="aci_fixed", clamp_nonnegative=True,
+                                                  synthetic=synthetic),
+        "seasonal_updates": lambda: small_config(
+            method="contina", predictor_updates=True, synthetic=synthetic,
+            predictor=PredictorSpec(window_len=3)),
+        # A large step makes the heads cross in every region.
+        "pinball_updates": lambda: small_config(
+            method="contina", predictor_updates=True, synthetic=synthetic,
+            predictor=PredictorSpec(kind="online_pinball_linear", step_size=3.0)),
+        "file_backed_crossed": lambda: ExperimentConfig(
+            demand_csv=str(demand), forecast_csv=str(forecasts), train_frac=0.4,
+            calib_frac=0.2, method="contina", clamp_nonnegative=True),
+    }
+
+
+class TestRegionShares:
+    """Region shares replayed in forked children give the serial replay's run."""
+
+    @pytest.mark.parametrize("name", ["contina", "aci_fixed_clamped", "seasonal_updates",
+                                      "pinball_updates", "file_backed_crossed"])
+    def test_shares_match_one_share_and_oracle(self, tmp_path, monkeypatch, name):
+        config = share_configs(tmp_path)[name]
+        want = oracle_replay(config())
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        for k in (1, 2, 3):
+            use_shares(monkeypatch, k)
+            monkeypatch.setattr(os, "fork", refuse_fork if k == 1 else counted_fork)
+            assert_same_run(run_replay(config()), want)
+        assert len(forks) == 1 + 2
+        if name == "pinball_updates":
+            # The last share's children count crossings that the sum must keep.
+            last = want.ledger.region_ids[-1]
+            assert oracle_replay(config(), region=last).crossings > 0
+
+    @pytest.mark.parametrize("regions", [(4,), (0, 4), (1, 4)],
+                             ids=["last", "first-and-last", "second-and-last"])
+    def test_missing_forecast_raises_the_serial_error(self, tmp_path, monkeypatch, regions):
+        # With five regions, 2 shares hold regions 0-1 and 2-4, and 3 shares
+        # hold 0, 1-2 and 3-4: the failures fall in the parent's share, in
+        # one child's, or in two children's.
+        demand, forecasts = TestFileBackedRuns().make_inputs(
+            tmp_path, n_regions=5, drop_cells=[(150 + r, r, "out") for r in regions])
+        args = ["run", "--demand-csv", str(demand), "--forecast-csv", str(forecasts),
+                "--train-frac", "0.4", "--calib-frac", "0.2"]
+        want = f"t={150 + regions[0]}, region={regions[0]}, flow=out"
+        messages = set()
+        for k in (1, 2, 3):
+            use_shares(monkeypatch, k)
+            with pytest.raises(MissingForecastError, match=want) as error:
+                run_replay(ExperimentConfig(demand_csv=str(demand), forecast_csv=str(forecasts),
+                                            train_frac=0.4, calib_frac=0.2))
+            messages.add(str(error.value))
+            result = CliRunner().invoke(cli_main, args)
+            assert result.exit_code == 5
+            assert f"error: {error.value}" in result.output
+        assert len(messages) == 1
+
+    def test_no_child_or_pipe_outlives_the_replay(self, tmp_path, monkeypatch):
+        use_shares(monkeypatch, 3)
+        fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        run_replay(share_configs(tmp_path)["contina"]())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        demand, forecasts = TestFileBackedRuns().make_inputs(
+            tmp_path, n_regions=5, drop_cells=[(150, 4, "out")])
+        with pytest.raises(MissingForecastError):
+            run_replay(ExperimentConfig(demand_csv=str(demand), forecast_csv=str(forecasts),
+                                        train_frac=0.4, calib_frac=0.2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if fds is not None:
+            assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    def test_child_without_a_result_names_its_exit_status(self, tmp_path, monkeypatch):
+        use_shares(monkeypatch, 2)
+        monkeypatch.setattr(harness, "_send_share", lambda fd, *args: os._exit(3))
+        with pytest.raises(ChildProcessError, match="exit status 3 and no result"):
+            run_replay(share_configs(tmp_path)["contina"]())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_while_another_thread_is_alive(self, tmp_path, monkeypatch):
+        config = share_configs(tmp_path)["seasonal_updates"]
+        use_shares(monkeypatch, 1)
+        want = run_replay(config())
+        use_shares(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            got = run_replay(config())
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert_same_run(got, want)
+
+
 def run_replay_on_stream(config, stream):
     """Run the engine on an explicit stream via a demand CSV round-trip."""
     import tempfile
@@ -294,8 +419,8 @@ class TestIngestion:
 
 
 class TestFileBackedRuns:
-    def make_inputs(self, tmp_path, drop_cells=()):
-        stream = generate(StreamSpec(n_regions=2, horizon=200, seed=4,
+    def make_inputs(self, tmp_path, drop_cells=(), n_regions=2, crossed=False):
+        stream = generate(StreamSpec(n_regions=n_regions, horizon=200, seed=4,
                                      base_level=(10.0, 10.0)))
         demand = tmp_path / "demand.csv"
         write_demand_csv(stream, demand)
@@ -308,7 +433,10 @@ class TestFileBackedRuns:
                     # Bands that differ from cell to cell, so a forecast read
                     # for the wrong cell changes the outcome.
                     lo = 3.0 + (t + 2 * region + j) % 5
-                    rows.append((t, region, flow, lo, lo + 9.0))
+                    if crossed and (t + region + j) % 7 == 0:  # q_lo and q_hi swapped
+                        rows.append((t, region, flow, lo + 9.0, lo))
+                    else:
+                        rows.append((t, region, flow, lo, lo + 9.0))
         forecasts = tmp_path / "forecasts.csv"
         write_forecast_csv(forecasts, rows)
         return demand, forecasts

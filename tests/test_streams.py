@@ -112,6 +112,14 @@ class TestRegimes:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 StreamSpec(n_regions=1, horizon=10, **{"seed": 0, **bad})
 
+    @pytest.mark.parametrize("name", ["scale_range", "base_level"])
+    @pytest.mark.parametrize("value", [5, [1.0, 2.0, 3.0], [4.0], None])
+    def test_bounds_must_be_a_pair(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a \\[lo, hi\\] pair"):
+            StreamSpec(n_regions=1, horizon=10, seed=0, **{name: value})
+        assert StreamSpec(n_regions=1, horizon=10, seed=0,
+                          **{name: np.array([2, 3])}).to_dict()[name] == [2.0, 3.0]
+
     def test_shift_within_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             StreamSpec(n_regions=1, horizon=10, seed=0, regime="abrupt_shift",
