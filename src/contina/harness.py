@@ -15,12 +15,12 @@ so running each cell's whole predict-then-update pass at once changes no
 forecast.
 
 Regions never read each other's state, so they are replayed in contiguous
-shares, one per usable CPU: this process replays the first share, and a child
-made by ``os.fork`` replays each other share and sends its results back
-through a pipe. Where fork is unavailable or unsafe (no
-``os.sched_getaffinity``, or another thread alive) every region is replayed in
-this process. The results, and so every output byte, are those of a replay of
-one region after another.
+shares, one per usable CPU, through ``shares.run_shares``: this process
+replays the first share, and a forked child replays each other share and
+sends its results back through a pipe. Where fork is unavailable or unsafe
+(no ``os.sched_getaffinity``, or another thread alive) every region is
+replayed in this process. The results, and so every output byte, are those
+of a replay of one region after another.
 
 ``oracle_replay`` runs the same protocol one step at a time through the
 object-path API, as the reference the engine is checked against, for every
@@ -30,7 +30,9 @@ reference on the run's sampled region, without running the engine.
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
 ledger, final per-region states, and a manifest that allows an exact re-run.
-``read_ledger_csv`` parses a ledger file back in bulk.
+``read_ledger_csv`` reads a ledger file back through ``streams.read_csv_table``
+(in per-CPU byte shares when it is large), and ``report_from_dir`` checks a run
+directory's manifest and then recomputes its summary files from the ledger.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ import csv
 import functools
 import json
 import os
-import pickle
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,6 +51,7 @@ from .errors import ConfigError, DataFormatError, LedgerError
 from .intervals import conformity_score, interval_length
 from .metrics import RunLedger, coverage_gap_constant
 from .predictors import PredictorSpec, make_predictor
+from .shares import run_shares, usable_cpus
 from .streams import (
     FLOWS,
     DemandStream,
@@ -247,97 +248,30 @@ def _replay_region(i, stream, calib, deploy, predictor, config):
     return out, RegionFinalState.of(region, tracker), tracker.windows_[0].capacity
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where forking is unavailable or unsafe."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _replay_regions(stream, calib, deploy, predictor, config):
     """Replay every region; return the results in region order and the crossings.
 
-    The regions are cut into one contiguous share per usable CPU. Share 0 runs
-    here; each other share runs in a child forked before any share runs. A
-    child's predictor is the fitted one, and so is every cell of its share
-    when a serial loop reaches it, because predictor state is per cell. The
-    crossings are those this process's predictor counted plus each child's.
-    If shares fail, the first failing share's error is raised, the one a
-    replay of one region after another would raise.
+    The regions are cut into one contiguous share per usable CPU and run by
+    ``run_shares``. A forked share's predictor is the fitted one, and so is
+    every cell of its share when a serial loop reaches it, because predictor
+    state is per cell. Each share returns its results and the crossings its
+    predictor counted; the run's crossings are those counted before the
+    replay plus each share's. If shares fail, the first failing share's error
+    is raised, the one a replay of one region after another would raise.
     """
     n = stream.n_regions
-    w = min(n, _usable_cpus())
+    w = min(n, usable_cpus())
     bounds = [k * n // w for k in range(w + 1)]
 
     def replay(k):
-        return [_replay_region(i, stream, calib, deploy, predictor, config)
-                for i in range(bounds[k], bounds[k + 1])]
-
-    children = []
-    try:
-        for k in range(1, w):
-            children.append(_fork_share(functools.partial(replay, k), predictor))
-        results = replay(0)
-    finally:
-        ended = [_reap(pid, fd) for pid, fd in children]
-    crossings = getattr(predictor, "crossings", 0)
-    for data, status in ended:
-        if not data:
-            raise ChildProcessError(
-                f"a region share ended with exit status {status} and no result")
-        payload = pickle.loads(data)
-        if isinstance(payload, Exception):
-            raise payload
-        results += payload[0]
-        crossings += payload[1]
-    return results, crossings
-
-
-def _fork_share(replay_share, predictor):
-    """Run ``replay_share()`` in a forked child; return its pid and its pipe's read end."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _send_share(w, replay_share, predictor)
-    except BaseException:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-    return pid, r
-
-
-def _send_share(fd, replay_share, predictor):
-    """In a forked child: pickle the share's results and the crossings its
-    predictor counted, or the error it raised, into ``fd``, then exit.
-
-    ``os._exit`` skips atexit handlers and the flushing of inherited buffers,
-    which belong to the parent.
-    """
-    status = 1
-    try:
         before = getattr(predictor, "crossings", 0)
-        try:
-            payload = (replay_share(), getattr(predictor, "crossings", 0) - before)
-        except Exception as e:
-            payload = e
-        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+        results = [_replay_region(i, stream, calib, deploy, predictor, config)
+                   for i in range(bounds[k], bounds[k + 1])]
+        return results, getattr(predictor, "crossings", 0) - before
 
-
-def _reap(pid, fd):
-    """Read a child's pipe to EOF and wait for it; return the bytes and its exit status."""
-    try:
-        with os.fdopen(fd, "rb") as fh:
-            data = fh.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    return data, os.waitstatus_to_exitcode(status)
+    crossings = getattr(predictor, "crossings", 0)
+    shares = run_shares([functools.partial(replay, k) for k in range(w)])
+    return [r for results, _ in shares for r in results], crossings + sum(d for _, d in shares)
 
 
 def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
@@ -622,13 +556,28 @@ def read_ledger_csv(path) -> RunLedger:
 
 
 def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
-    """Recompute summary.csv and daily_coverage.csv from a run directory."""
+    """Recompute summary.csv and daily_coverage.csv from a run directory.
+
+    The manifest's settings are checked before the ledger is read; a
+    manifest that is not JSON, holds no ``config`` object, or whose config
+    ``report`` cannot use raises DataFormatError naming the manifest.
+    """
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise DataFormatError(f"{out_dir}: not a run directory (no manifest.json)")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    config = ExperimentConfig.from_dict(manifest["config"])
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+            raise ValueError('expected a JSON object with a "config" object')
+        config = ExperimentConfig.from_dict(manifest["config"])
+        config.hyperparams()
+        if steps_per_day is None:
+            config.steps_per_day = check_positive_int(config.steps_per_day, "steps_per_day")
+        if periods is None:
+            config.periods = check_positive_int(config.periods, "periods")
+    except (ConfigError, TypeError, ValueError) as e:
+        raise DataFormatError(f"{manifest_path}: malformed manifest: {e}") from None
     try:
         if steps_per_day is not None:
             config.steps_per_day = check_positive_int(steps_per_day, "steps_per_day")
@@ -644,4 +593,3 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
     _write_summary(ledger, config, paths["summary"])
     _write_daily(ledger, config.steps_per_day, paths["daily"])
     return paths
-

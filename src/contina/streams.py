@@ -9,11 +9,19 @@ Generation is fully determined by the stream spec's 64-bit seed: region-level
 parameters and per-region noise use independent PCG64 generators spawned from
 ``numpy.random.SeedSequence(seed)``, so regions could be generated in parallel
 without changing a single bit of output.
+
+``read_csv_table`` parses the demand, forecast and ledger files. It checks
+the file's UTF-8 and header, then parses the rows in bulk with ``np.loadtxt``.
+A large file without quotes is cut at line ends into one byte range per
+usable CPU, and the ranges are parsed side by side (``shares.run_shares``).
+The table, and every error with its line number, are those of one pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import io
 import logging
 import math
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DataFormatError
+from .shares import run_shares, usable_cpus
 from .validation import check_finite, check_int, check_positive_int
 
 log = logging.getLogger(__name__)
@@ -30,6 +39,7 @@ log = logging.getLogger(__name__)
 N_LAGS = 6
 FLOWS = ("in", "out")
 CHUNK_ROWS = 50_000  # rows per np.loadtxt call in read_csv_table; bounds the label objects alive
+SHARE_MIN_BYTES = 1 << 20  # smallest CSV body that read_csv_table cuts into per-CPU shares
 
 REGIMES = ("stationary", "abrupt_shift", "drift", "heterogeneous", "k_dependent")
 NOISES = ("gaussian", "negative_binomial")
@@ -447,10 +457,14 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
 
     ``types`` gives each column's type: ``int``, ``float`` or ``str`` (a
     label; with ``strip``, labels and header names lose surrounding spaces).
-    The rows are parsed in one bulk pass, ``CHUNK_ROWS`` rows at a time, so
-    only one chunk's labels are ever held as Python strings; only if that
-    fails does a rescan name the physical line of the first bad field count
-    or number (DataFormatError).
+    The rows are parsed in bulk, ``CHUNK_ROWS`` rows at a time, so only one
+    chunk's labels are ever held as Python strings. A file with no quote
+    byte, a header that ends at its first newline and a body of at least
+    ``SHARE_MIN_BYTES`` is cut at line ends into one byte range per usable
+    CPU (``_share_cuts``), and the ranges are parsed side by side
+    (``shares.run_shares``); the table is the one a single pass gives. Only
+    if parsing fails does a rescan of the whole file name the physical line
+    of the first bad field count or number (DataFormatError).
     """
     try:
         with open(path, "rb") as fh:
@@ -461,27 +475,21 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise DataFormatError(f"{path}:{line}: not UTF-8 ({e.reason})") from None
+    cuts = _share_cuts(raw)
     del raw
-    kinds = {int: "i8", float: "f8", str: "O"}
-    dtype = [(name, kinds[kind]) for name, kind in zip(columns, types)]
-    chunks = {name: [] for name in columns}
     try:
         # newline="" keeps a quoted line break inside its field, as csv.reader does.
-        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), [])
             if ([h.strip() for h in header] if strip else header) != list(columns):
                 raise DataFormatError(f"{path}: expected header '{','.join(columns)}'")
-            warnings.simplefilter("ignore", UserWarning)  # blank lines; no rows is raised below
-            while True:
-                rows = np.loadtxt(fh, dtype=dtype, ndmin=1, max_rows=CHUNK_ROWS, delimiter=",",
-                                  quotechar='"', comments=None, encoding="utf-8")
-                # Labels become fixed-width str, as with dtype=str, before the next chunk.
-                for name, kind in zip(columns, types):
-                    chunks[name].append(
-                        rows[name].astype(str) if kind is str else rows[name].copy())
-                if len(rows) < CHUNK_ROWS:
-                    break
-                del rows  # frees this chunk's label objects before the next is parsed
+            parts = None
+            if cuts:
+                # A share numbers its rows from its own start; one pass raises as before.
+                with contextlib.suppress(ValueError):
+                    parts = run_shares([functools.partial(_read_range, path, a, b, columns, types)
+                                        for a, b in zip(cuts, cuts[1:])])
+            parts = parts or [_read_rows(fh, columns, types)]
     except ValueError as e:
         for line, row in _records(path):
             if len(row) != len(columns):
@@ -493,13 +501,63 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
                     raise DataFormatError(
                         f"{path}:{line}: {name} must be {what}, got {field!r}") from None
         raise DataFormatError(f"{path}: {e}") from None
-    table = {name: np.concatenate(parts) for name, parts in chunks.items()}
+    table = {name: np.concatenate([c for part in parts for c in part[name]])
+             for name in columns}
     if not len(table[columns[0]]):
         raise DataFormatError(f"{path}: no records")
     for name, kind in zip(columns, types):
         if kind is str and strip:
             table[name] = np.char.strip(table[name])
     return table
+
+
+def _share_cuts(raw: bytes) -> list:
+    """Byte offsets that cut a CSV file's body into one range per usable CPU.
+
+    Empty, for one pass over the file, when one CPU is usable, when the body
+    is under ``SHARE_MIN_BYTES``, when a quote byte could hide a line break
+    inside a field, or when the header does not end at the file's first
+    newline byte (a bare CR ends it). Otherwise the body starts after that
+    newline, and each cut falls just after the first newline at or after its
+    share of the body: that ends a record, for ``np.loadtxt`` as for
+    ``csv.reader``, and never falls inside a UTF-8 character.
+    """
+    w = usable_cpus()
+    start = raw.find(b"\n") + 1
+    n = len(raw) - start
+    if (w < 2 or not start or n < SHARE_MIN_BYTES or b'"' in raw
+            or raw.find(b"\r", 0, max(start - 2, 0)) != -1):
+        return []
+    cuts = sorted({start, len(raw)} | {raw.find(b"\n", start + k * n // w) + 1 or len(raw)
+                                       for k in range(1, w)})
+    return cuts if len(cuts) > 2 else []
+
+
+def _read_range(path, start, stop, columns, types) -> dict:
+    """``_read_rows`` of the bytes ``[start, stop)`` of ``path``."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+        return _read_rows(fh, columns, types)
+
+
+def _read_rows(fh, columns, types) -> dict:
+    """Parse the rows of text file ``fh`` with ``np.loadtxt``: name -> list of chunk arrays."""
+    kinds = {int: "i8", float: "f8", str: "O"}
+    dtype = [(name, kinds[kind]) for name, kind in zip(columns, types)]
+    chunks = {name: [] for name in columns}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # blank lines; no rows is raised later
+        while True:
+            rows = np.loadtxt(fh, dtype=dtype, ndmin=1, max_rows=CHUNK_ROWS, delimiter=",",
+                              quotechar='"', comments=None, encoding="utf-8")
+            # Labels become fixed-width str, as with dtype=str, before the next chunk.
+            for name, kind in zip(columns, types):
+                chunks[name].append(rows[name].astype(str) if kind is str else rows[name].copy())
+            if len(rows) < CHUNK_ROWS:
+                return chunks
+            del rows  # frees this chunk's label objects before the next is parsed
 
 
 def _records(path):

@@ -283,6 +283,24 @@ class TestMalformedInputs:
         assert result.exit_code == 3
         assert "not a run directory" in result.output
 
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda text: text[:-5], "Expecting"),
+        (lambda text: f"[{text}]", 'a JSON object with a "config" object'),
+        (lambda text: text.replace('"config"', '"settings"'), '"config" object'),
+        (lambda text: text.replace('"alpha": 0.1', '"alpha": "x"'), "target_alpha"),
+    ], ids=["not-json", "list", "no-config", "alpha-not-a-number"])
+    def test_malformed_manifest_is_a_format_error(self, runner, tmp_path, edit, fault):
+        small_run(runner, tmp_path / "run")
+        manifest = tmp_path / "run" / "manifest.json"
+        manifest.write_text(edit(manifest.read_text()))
+        # The manifest is checked before the ledger is read.
+        (tmp_path / "run" / "ledger.csv").unlink()
+        result = runner.invoke(main, ["report", str(tmp_path / "run")])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 3, result.output
+        assert f"error: {manifest}: malformed manifest: " in result.output
+        assert fault in result.output
+
 
 class TestGapCheckMemory:
     """The demand gap check needs memory for the rows, not for the span of t."""

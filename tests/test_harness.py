@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from contina import harness, metrics
+from contina import harness, metrics, shares
 from contina.cli import main as cli_main
 from contina.errors import ConfigError, MissingForecastError, NotFittedError
 from contina.harness import (
@@ -284,7 +284,7 @@ class TestRegionShares:
 
     def test_child_without_a_result_names_its_exit_status(self, tmp_path, monkeypatch):
         use_shares(monkeypatch, 2)
-        monkeypatch.setattr(harness, "_send_share", lambda fd, *args: os._exit(3))
+        monkeypatch.setattr(shares, "_send_share", lambda fd, *args: os._exit(3))
         with pytest.raises(ChildProcessError, match="exit status 3 and no result"):
             run_replay(share_configs(tmp_path)["contina"]())
         with pytest.raises(ChildProcessError):
