@@ -15,7 +15,7 @@ import yaml
 
 from . import metrics
 from .errors import ConfigError, ContinaError
-from .harness import ExperimentConfig, report_from_dir, run_replay, write_report
+from .harness import ExperimentConfig, report_from_dir, run_replay, verify_audit, write_report
 from .predictors import PREDICTOR_KINDS
 from .streams import (
     GAP_POLICIES, NOISES, REGIMES, StreamSpec, generate as generate_stream, write_demand_csv,
@@ -164,8 +164,6 @@ def run(config_path, predictor, out, audit, **flags):
     config = ExperimentConfig.from_dict(raw)
     result = run_replay(config, audit=audit)
     if audit:
-        from .harness import verify_audit
-
         if not verify_audit(result):
             raise ContinaError("audit failed: the replayed region or the final states "
                                "do not match the run's log")

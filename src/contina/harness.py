@@ -70,7 +70,7 @@ from .streams import (
     reject_rows,
     split,
 )
-from .tracker import ConformalIntervalTracker, alpha_step, conformity_scores
+from .tracker import ConformalIntervalTracker, alpha_step
 from .validation import check_bool, check_int, check_positive_int
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
@@ -217,24 +217,14 @@ def _load_stream(config: ExperimentConfig) -> tuple[DemandStream, list]:
 def _replay_region(i, stream, calib, deploy, predictor, config):
     """Replay one region's deployment. Returns per-step arrays and final state."""
     region = stream.region_ids[i]
-    is_cp = config.method == "cp"
-
-    def effective(lo, hi):
-        # cp centres its interval on the forecast midpoint (floats or arrays).
-        if is_cp:
-            mid = 0.5 * (lo + hi)
-            return mid, mid
-        return lo, hi
+    tracker = config.tracker()
 
     def cell_forecasts(segment, j, y=None):
-        return effective(*predictor.predict_series(
-            region, FLOWS[j], segment.window_times(), segment.lags_matrix(i, j), y=y
-        ))
+        return predictor.predict_series(region, FLOWS[j], segment.window_times(),
+                                        segment.lags_matrix(i, j), y=y)
 
-    calib_scores = [conformity_scores(*cell_forecasts(calib, j), calib.cell_series(i, j))
-                    for j in (0, 1)]
-
-    tracker = config.tracker().fit(calib_scores[0], calib_scores[1])
+    tracker.fit(*(tracker.scores(*cell_forecasts(calib, j), calib.cell_series(i, j))
+                  for j in (0, 1)))
 
     y1 = deploy.cell_series(i, 0)
     y2 = deploy.cell_series(i, 1)
@@ -264,12 +254,12 @@ def _replay_regions(stream, calib, deploy, predictor, config):
     bounds = [k * n // w for k in range(w + 1)]
 
     def replay(k):
-        before = getattr(predictor, "crossings", 0)
+        before = predictor.crossings
         results = [_replay_region(i, stream, calib, deploy, predictor, config)
                    for i in range(bounds[k], bounds[k + 1])]
-        return results, getattr(predictor, "crossings", 0) - before
+        return results, predictor.crossings - before
 
-    crossings = getattr(predictor, "crossings", 0)
+    crossings = predictor.crossings
     shares = run_shares([functools.partial(replay, k) for k in range(w)])
     return [r for results, _ in shares for r in results], crossings + sum(d for _, d in shares)
 
@@ -354,7 +344,7 @@ def oracle_replay(config: ExperimentConfig, region=None) -> RunResult:
         ledger=RunLedger.from_records(records, region_ids=region_ids),
         states=states,
         window_capacity=tracker.windows_[0].capacity,
-        crossings=getattr(predictor, "crossings", 0),
+        crossings=predictor.crossings,
         dropped_regions=dropped,
     )
 

@@ -83,12 +83,15 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise ValueError(f"kind must be one of {PREDICTOR_KINDS}, got {self.kind!r}")
-        check_positive_int(self.window_len, "window_len")
-        check_positive(self.step_size, "step_size")
-        check_positive_int(self.epochs, "epochs")
-        check_bool(self.by_hour, "by_hour")
-        if self.fallback not in ("global", "error"):
-            raise ValueError(f"fallback must be 'global' or 'error', got {self.fallback!r}")
+        # Each setting is checked by the constructor that takes it and kept as it returns it.
+        checked = {
+            **SeasonalWindowPredictor(window_len=self.window_len, by_hour=self.by_hour,
+                                      fallback=self.fallback).get_params(),
+            **OnlinePinballLinearPredictor(step_size=self.step_size,
+                                           epochs=self.epochs).get_params(),
+        }
+        for name in ("window_len", "by_hour", "fallback", "step_size", "epochs"):
+            object.__setattr__(self, name, checked[name])
         if self.kind == "file_backed" and not self.path:
             raise ValueError("file_backed predictor requires a forecast CSV path")
 
@@ -173,8 +176,10 @@ class SeasonalWindowPredictor(ParamsMixin):
                  fallback="global"):
         self.alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive=False)
         self.window_len = check_positive_int(window_len, "window_len")
-        self.by_hour = bool(by_hour)
+        self.by_hour = check_bool(by_hour, "by_hour")
         self.steps_per_day = check_positive_int(steps_per_day, "steps_per_day")
+        if fallback not in ("global", "error"):
+            raise ValueError(f"fallback must be 'global' or 'error', got {fallback!r}")
         self.fallback = fallback
         self._capacity = None
         self._buckets = None  # the buckets that have learned, as windows
@@ -183,13 +188,13 @@ class SeasonalWindowPredictor(ParamsMixin):
         self._fallback_pair = None
         self.crossings = 0
 
-    def _hour(self, t: int) -> int:
-        return int(t) % self.steps_per_day if self.by_hour else 0
+    def _hours(self, t):
+        """The hour bucket of step ``t``, an int or an int64 array (0 without ``by_hour``)."""
+        return t % (self.steps_per_day if self.by_hour else 1)
 
     def fit(self, stream: DemandStream):
         _check_training_demand(stream)
-        times = stream.window_times()
-        hours = times % self.steps_per_day if self.by_hour else np.zeros_like(times)
+        hours = self._hours(stream.window_times())
         # One stable argsort, shared by all cells, lists each hour's steps in time order.
         order = np.argsort(hours, kind="stable")
         bucket_hours, starts = np.unique(hours[order], return_index=True)
@@ -216,45 +221,42 @@ class SeasonalWindowPredictor(ParamsMixin):
                 stream.history[:, j, stream.start : stream.stop], self.alpha)
         return self
 
-    def _window_pair(self, win: CalibrationWindow) -> tuple[float, float]:
-        return win.quantile(self.alpha / 2.0), win.quantile(1.0 - self.alpha / 2.0)
-
     def _pair_for(self, region, flow, t):
         if self._pairs is None:
             raise NotFittedError("predictor must be fitted before predicting")
-        pair = self._pairs.get((region, flow, self._hour(t)))
+        hour = self._hours(int(t))
+        pair = self._pairs.get((region, flow, hour))
         if pair is None:
             if self.fallback == "global":
                 return self._fallback_pair[flow]
             raise NotFittedError(
-                f"no history for (region={region}, flow={flow}, hour={self._hour(t)}) "
+                f"no history for (region={region}, flow={flow}, hour={hour}) "
                 "and fallback is disabled"
             )
         return pair
+
+    def _first_cold(self, region, flow, hours):
+        """The index of the earliest step whose bucket has no pair, or None."""
+        cold = np.array([(region, flow, h) not in self._pairs
+                         for h in range(self.steps_per_day)])[hours]
+        return int(np.argmax(cold)) if cold.any() else None
 
     def predict(self, region, flow, t, lags=None) -> QuantileForecast:
         lo, hi = self._pair_for(region, flow, t)
         return QuantileForecast(lo, hi)
 
     def predict_series(self, region, flow, times, lags=None, y=None):
+        if self._pairs is None:
+            raise NotFittedError("predictor must be fitted before predicting")
         if y is not None:
             return self._predict_update_series(region, flow, times, y)
-        if self.by_hour:
-            if self._pairs is None:
-                raise NotFittedError("predictor must be fitted before predicting")
-            hours = np.asarray(times, dtype=np.int64) % self.steps_per_day
-            pairs = [self._pairs.get((region, flow, h)) for h in range(self.steps_per_day)]
-            cold = np.array([pair is None for pair in pairs])[hours]
-            if cold.any():  # the fallback, or NotFittedError naming the earliest cold step's hour
-                fill = self._pair_for(region, flow, int(hours[np.argmax(cold)]))
-            else:
-                fill = (0.0, 0.0)  # for cold hours that no step asks for
-            table = np.array([fill if pair is None else pair for pair in pairs])
-            return table[hours, 0], table[hours, 1]
-        lo = np.empty(len(times))
-        hi = np.empty(len(times))
-        lo[:], hi[:] = self._pair_for(region, flow, 0)
-        return lo, hi
+        hours = self._hours(np.asarray(times, dtype=np.int64))
+        first = self._first_cold(region, flow, hours)
+        # Cold hours that a step asks for get the fallback, or raise naming the earliest.
+        fill = (0.0, 0.0) if first is None else self._pair_for(region, flow, hours[first])
+        table = np.array([self._pairs.get((region, flow, h), fill)
+                          for h in range(self.steps_per_day)])
+        return table[hours, 0], table[hours, 1]
 
     def _predict_update_series(self, region, flow, times, y):
         """``predict`` then ``update`` at each step, run one hour bucket at a time.
@@ -264,17 +266,13 @@ class SeasonalWindowPredictor(ParamsMixin):
         bucket's pair before the step's push. Under ``fallback="error"`` only
         the steps before the earliest cold step run, then that step raises.
         """
-        if self._pairs is None:
-            raise NotFittedError("predictor must be fitted before predicting")
         ys = _demand(y, times)
-        n_hours = self.steps_per_day if self.by_hour else 1
-        hours = np.asarray(times, dtype=np.int64) % n_hours
+        hours = self._hours(np.asarray(times, dtype=np.int64))
         pairs = self._pairs
         cold_hour = None
-        if self.fallback != "global":
-            cold = np.array([(region, flow, h) not in pairs for h in range(n_hours)])[hours]
-            if cold.any():
-                stop = int(np.argmax(cold))
+        if self.fallback == "error":
+            stop = self._first_cold(region, flow, hours)
+            if stop is not None:
                 cold_hour, hours, ys = int(hours[stop]), hours[:stop], ys[:stop]
         # One stable argsort lists each hour's steps in time order, as in fit.
         order = np.argsort(hours, kind="stable")
@@ -302,7 +300,10 @@ class SeasonalWindowPredictor(ParamsMixin):
         """Append the realized demand to its bucket and refresh its quantiles."""
         if self._buckets is None:
             raise NotFittedError("predictor must be fitted before updating")
-        self._learn((obs.region, obs.flow, self._hour(obs.t)), obs.y)
+        key = (obs.region, obs.flow, self._hours(int(obs.t)))
+        win = self._window(key)
+        win.push(obs.y)
+        self._pairs[key] = win.quantile(self.alpha / 2.0), win.quantile(1.0 - self.alpha / 2.0)
 
     def _window(self, key) -> CalibrationWindow:
         win = self._buckets.get(key)
@@ -310,11 +311,6 @@ class SeasonalWindowPredictor(ParamsMixin):
             win = self._buckets[key] = CalibrationWindow(self._capacity,
                                                          self._values.pop(key, ()))
         return win
-
-    def _learn(self, key, y) -> None:
-        win = self._window(key)
-        win.push(y)
-        self._pairs[key] = self._window_pair(win)
 
 
 class OnlinePinballLinearPredictor(ParamsMixin):

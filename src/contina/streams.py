@@ -1,9 +1,10 @@
 """Synthetic demand streams, the CSV reader of every input format, and splits.
 
 A stream holds hourly inflow/outflow counts for ``n`` regions as one array of
-shape (n_regions, 2, history). Views over a [start, stop) window expose the
-observation sequence while sharing the backing history, so lag features stay
-consistent across train/calibration/deployment boundaries.
+shape (n_regions, 2, history). Views over a [start, stop) window give each
+(region, flow) cell's demand series and lag matrix while sharing the backing
+history, so lag features stay consistent across train/calibration/deployment
+boundaries.
 
 Generation is fully determined by the stream spec's 64-bit seed: region-level
 parameters and per-region noise use independent PCG64 generators spawned from
@@ -196,32 +197,6 @@ class DemandStream:
         return np.lib.stride_tricks.sliding_window_view(padded, N_LAGS)[
             self.start : self.stop
         ]
-
-    def __len__(self) -> int:
-        return self.horizon * self.n_regions * 2
-
-    def __getitem__(self, k: int) -> Observation:
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        per_step = self.n_regions * 2
-        p, rest = divmod(k, per_step)
-        i, j = divmod(rest, 2)
-        pos = self.start + p
-        t = int(self.window_times()[p])
-        lags = tuple(self.lags_matrix(i, j)[p])
-        return Observation(
-            t=t,
-            region=self.region_ids[i],
-            flow=FLOWS[j],
-            y=float(self.history[i, j, pos]),
-            lags=lags,
-        )
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self[k]
 
 
 def _level_paths(spec: StreamSpec, bases: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -572,8 +547,10 @@ def _records(path):
 
 def _parses(kind, field: str) -> bool:
     try:
-        kind(field)
+        value = kind(field)
     except ValueError:
+        return False
+    if kind is int and not -(2**63) <= value < 2**63:  # np.loadtxt's int64 range
         return False
     return field.isascii() and "_" not in field  # as strict as the bulk parser
 

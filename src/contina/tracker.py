@@ -51,7 +51,6 @@ from .adaptation import (
 from .errors import EmptyCalibrationError, NotFittedError
 from .intervals import (
     QuantileForecast,
-    build_interval_cp,
     build_interval_qcp,
     conformity_score,
     contains,
@@ -173,6 +172,16 @@ class ConformalIntervalTracker(ParamsMixin):
             return tuple(QuantileForecast(f.midpoint, f.midpoint) for f in forecasts)
         return tuple(forecasts)
 
+    def _bands(self, lo, hi):
+        """``_effective_pair`` over arrays of band bounds, bit for bit."""
+        if self.method == "cp":
+            lo = hi = 0.5 * (lo + hi)
+        return lo, hi
+
+    def scores(self, lo, hi, y) -> np.ndarray:
+        """Calibration scores of demand ``y`` against raw forecast bands (arrays)."""
+        return conformity_scores(*self._bands(lo, hi), y)
+
     def predict(self, forecasts) -> tuple:
         """Intervals for the two flows at the current working level.
 
@@ -181,18 +190,11 @@ class ConformalIntervalTracker(ParamsMixin):
         """
         self._check_fitted()
         level = 1.0 - self.alpha_t_
-        out = []
-        for fc, win in zip(self._effective_pair(forecasts), self.windows_):
-            q = win.quantile_with_rules(level)
-            if self.method == "cp":
-                out.append(
-                    build_interval_cp(fc.lo, q, clamp_nonnegative=self.clamp_nonnegative)
-                )
-            else:
-                out.append(
-                    build_interval_qcp(fc, q, clamp_nonnegative=self.clamp_nonnegative)
-                )
-        return tuple(out)
+        return tuple(
+            build_interval_qcp(fc, win.quantile_with_rules(level),
+                               clamp_nonnegative=self.clamp_nonnegative)
+            for fc, win in zip(self._effective_pair(forecasts), self.windows_)
+        )
 
     def observe(self, forecasts, ys) -> StepOutcome:
         """Full per-step cycle: predict, score both flows, adapt alpha_t.
@@ -237,8 +239,9 @@ class ConformalIntervalTracker(ParamsMixin):
         """Run a segment of deployment steps in one call.
 
         Each argument is a per-step sequence (inflow band, outflow band,
-        realized demand); forecasts must be pre-collapsed for cp. Returns six
-        per-step lists: covered1, length1, empty1, covered2, length2, empty2.
+        realized demand), the bands raw for every method: cp collapses them to
+        their midpoints here, as :meth:`predict` does. Returns six per-step
+        lists: covered1, length1, empty1, covered2, length2, empty2.
         The tracker ends in the state that running the steps one at a time
         leaves, and each step's outcome is that of the intervals predict()
         builds from the state before it; the replay audit replays a whole
@@ -256,13 +259,14 @@ class ConformalIntervalTracker(ParamsMixin):
         data = np.array(segment, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError("observe_series takes six 1-D sequences")
-        scores = conformity_scores(data[0:4:2], data[1:4:2], data[4:])  # (flow, step)
+        lo, hi = self._bands(data[0:4:2], data[1:4:2])  # (flow, step)
+        scores = conformity_scores(lo, hi, data[4:])
         finite = np.isfinite(scores)
         if not finite.all():
             k = int(np.argmin(finite.all(axis=0)))
             bad = scores[0, k] if not finite[0, k] else scores[1, k]
             raise ValueError(f"score must be finite, got {float(bad)!r}")
-        lo1, hi1, lo2, hi2, y1, y2 = data.tolist()
+        (lo1, lo2), (hi1, hi2), (y1, y2) = lo.tolist(), hi.tolist(), data[4:].tolist()
         s1, s2 = scores.tolist()
 
         n_steps = len(s1)

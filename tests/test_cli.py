@@ -371,6 +371,9 @@ def write_config(path, **values):
 
 RUN_CONFIG = ["run", "--config", "{tmp}/exp.yaml", "--audit", "--out", "{tmp}/out"]
 
+# An online predictor whose step size is text and whose epoch count is a float.
+ONLINE_TEXT = "{kind: online_pinball_linear, step_size: '0.1', epochs: 2.0}"
+
 
 def synthetic(extra):
     return {"synthetic": "{n_regions: 3, horizon: 200, seed: 1, %s}" % extra}
@@ -444,14 +447,19 @@ class TestMalformedConfig:
         ("window", "40.0", 40),
         ("train_frac", "'0.4'", 0.4),
         ("region_threshold", "'1'", 1.0),
+        ("predictor.step_size", ONLINE_TEXT, 0.1),
+        ("predictor.epochs", ONLINE_TEXT, 2),
+        ("predictor.window_len", "{window_len: 24.0}", 24),
     ])
     def test_manifest_records_values_as_checked(self, runner, tmp_path, key, text, recorded):
-        write_config(tmp_path / "exp.yaml", **{key: text})
+        section, _, name = key.rpartition(".")  # "predictor.epochs" is a nested key
+        write_config(tmp_path / "exp.yaml", **{section or name: text})
         result = run_cli(runner, ["run", "--config", str(tmp_path / "exp.yaml"),
                                   "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         text = (tmp_path / "out" / "manifest.json").read_text()
-        value = json.loads(text)["config"][key]
+        config = json.loads(text)["config"]
+        value = config[section][name] if section else config[name]
         assert value == recorded and type(value) is type(recorded)
-        assert f'"{key}": {json.dumps(recorded)}' in text
+        assert f'"{name}": {json.dumps(recorded)}' in text
         assert run_cli(runner, ["report", str(tmp_path / "out")]).exit_code == 0

@@ -131,7 +131,11 @@ class TestChunkedReader:
         (b"t,region,v\n0,a,1\n1,a,2\n2,a,3\n3,a\n", 5),
         # a row after a quoted line break in the first chunk
         (b't,region,v\n0,"a\nb",1\n1,a,2\n2,a,3\n3,a,4\n4,a,oops\n', 7),
-    ])
+        # a t just past the int64 range, each way, after one at its bound
+        (b"t,region,v\n0,a,1\n1,a,2\n9223372036854775807,a,3\n9223372036854775808,a,4\n", 5),
+        (b"t,region,v\n0,a,1\n1,a,2\n-9223372036854775808,a,3\n-9223372036854775809,a,4\n", 5),
+    ], ids=["bad-number", "short-row", "after-quoted-break", "int64-overflow",
+            "int64-underflow"])
     def test_bad_row_in_a_later_chunk_names_its_physical_line(self, tmp_path, text, line):
         path = tmp_path / "d.csv"
         path.write_bytes(text)
@@ -288,7 +292,7 @@ class TestCsvShares:
     @pytest.mark.parametrize("last, message", [
         (b"98,a,x\r\n", "v must be a number, got 'x'"),
         (b"98,a\r\n", "expected 3 fields, got 2"),
-        (b"99999999999999999999,a,1\r\n", "could not convert"),
+        (b"99999999999999999999,a,1\r\n", "t must be an integer, got '99999999999999999999'"),
     ], ids=["bad-number", "field-count", "int-overflow"])
     def test_bad_row_in_the_last_share_names_its_physical_line(self, tmp_path, monkeypatch,
                                                                 forks, last, message):
@@ -301,9 +305,7 @@ class TestCsvShares:
             with pytest.raises(DataFormatError, match=re.escape(message)) as error:
                 read(path)
             messages.add(str(error.value))
-        assert len(messages) == 1
-        if "convert" not in message:
-            assert messages.pop().startswith(f"{path}:62: ")
+        assert messages == {f"{path}:62: {message}"}
         assert len(forks) == 1 + 2
 
     def test_file_below_the_floor_never_forks(self, tmp_path, monkeypatch):

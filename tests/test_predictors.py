@@ -122,6 +122,16 @@ class TestSeasonalWindow:
         with pytest.raises(NotFittedError):
             SeasonalWindowPredictor().predict(0, "in", 0)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"by_hour": "false"}, "by_hour must be true or false, got 'false'"),
+        ({"by_hour": 1}, "by_hour must be true or false, got 1"),
+        ({"fallback": "nope"}, "fallback must be 'global' or 'error', got 'nope'"),
+    ])
+    def test_constructor_refuses_what_the_spec_refuses(self, params, message):
+        for build in (SeasonalWindowPredictor, PredictorSpec):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(**params)
+
     def test_series_matches_scalar_predictions(self):
         rng = np.random.default_rng(3)
         stream = flat_stream(rng.uniform(1, 50, size=200))

@@ -128,24 +128,15 @@ class TestRegimes:
 
 class TestObservations:
     def test_lags_match_emitted_history(self):
-        spec = StreamSpec(n_regions=2, horizon=30, seed=11)
-        stream = generate(spec)
-        obs = list(stream)
-        by_cell = {}
-        for o in obs:
-            by_cell.setdefault((o.region, o.flow), []).append(o)
-        for (region, flow), cell_obs in by_cell.items():
-            ys = [o.y for o in cell_obs]
-            for p, o in enumerate(cell_obs):
-                expect = [ys[0]] * max(0, 6 - p) + ys[max(0, p - 6):p]
-                assert list(o.lags) == expect
-
-    def test_getitem_matches_iteration(self):
-        stream = generate(StreamSpec(n_regions=2, horizon=10, seed=12))
-        listed = list(stream)
-        assert len(listed) == len(stream) == 10 * 2 * 2
-        for k in (0, 7, len(stream) - 1):
-            assert stream[k] == listed[k]
+        stream = generate(StreamSpec(n_regions=2, horizon=30, seed=11))
+        for i in range(stream.n_regions):
+            for j in (0, 1):
+                ys = stream.cell_series(i, j).tolist()
+                lags = stream.lags_matrix(i, j)
+                assert lags.shape == (stream.horizon, 6)
+                for p in range(stream.horizon):
+                    expect = [ys[0]] * max(0, 6 - p) + ys[max(0, p - 6):p]
+                    assert lags[p].tolist() == expect
 
     def test_observation_validation(self):
         with pytest.raises(ValueError, match="lags"):
@@ -215,18 +206,20 @@ class TestSplit:
     def test_preserves_every_observation_once(self):
         stream = generate(StreamSpec(n_regions=2, horizon=40, seed=16))
         parts = split(stream, 0.5, 0.25)
-        merged = [o for part in parts for o in part]
-        original = list(stream)
-        assert [(o.t, o.region, o.flow, o.y) for o in merged] == [
-            (o.t, o.region, o.flow, o.y) for o in original
-        ]
+        assert all(part.region_ids == stream.region_ids for part in parts)
+        merged = np.concatenate([part.window_times() for part in parts])
+        assert merged.tolist() == stream.window_times().tolist()
+        for i in range(stream.n_regions):
+            for j in (0, 1):
+                merged = np.concatenate([part.cell_series(i, j) for part in parts])
+                assert merged.tolist() == stream.cell_series(i, j).tolist()
 
     def test_segments_share_history_for_lags(self):
         stream = generate(StreamSpec(n_regions=1, horizon=40, seed=17))
         _, _, deploy = split(stream, 0.5, 0.25)
-        first = next(iter(deploy))
+        first = deploy.lags_matrix(0, 0)[0]
         expect = stream.history[0, 0, deploy.start - 6 : deploy.start]
-        assert np.allclose(first.lags, expect)
+        assert np.allclose(first, expect)
 
 
 class TestDemandCsv:
@@ -243,8 +236,10 @@ class TestDemandCsv:
         path = tmp_path / "d.csv"
         path.write_text("t,region,inflow,outflow\n0,a,1,2\n1,a,3,4\n2,a,5,6\n")
         stream = read_demand_csv(path)
-        assert len(stream) == 3 * 1 * 2
-        assert stream.history[0, 0].tolist() == [1.0, 3.0, 5.0]
+        assert (stream.n_regions, stream.horizon) == (1, 3)
+        assert stream.window_times().tolist() == [0, 1, 2]
+        assert stream.cell_series(0, 0).tolist() == [1.0, 3.0, 5.0]
+        assert stream.cell_series(0, 1).tolist() == [2.0, 4.0, 6.0]
 
     def test_negative_demand_names_line(self, tmp_path):
         path = tmp_path / "d.csv"

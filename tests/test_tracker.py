@@ -172,8 +172,9 @@ class TestSeriesAgainstObjectPath:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("window", [5, CALIB, 45])
     @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("bands", ["raw", "collapsed"])
     @pytest.mark.parametrize("method", ["cp", "qcp", "aci_fixed", "contina"])
-    def test_random_streams_bit_identical(self, method, clamp, window, seed):
+    def test_random_streams_bit_identical(self, method, bands, clamp, window, seed):
         rng = np.random.default_rng(seed)
         calib = np.round(rng.normal(0.5, 1.0, size=(2, self.CALIB)), 1)
         # A rate of 5 moves alpha_t far enough per step that the working
@@ -195,7 +196,9 @@ class TestSeriesAgainstObjectPath:
         cuts = sorted(rng.integers(0, len(stream) + 1, size=2).tolist())
         for a, b in zip([0, *cuts], [*cuts, len(stream)]):
             segment = stream[a:b]
-            effective = [bulk._effective_pair(fcs) for fcs, _ in segment]
+            # observe_series takes the raw bands; cp's midpoints give the same bits.
+            effective = [bulk._effective_pair(fcs) if bands == "collapsed" else fcs
+                         for fcs, _ in segment]
             out = bulk.observe_series(
                 [e[0].lo for e in effective], [e[0].hi for e in effective],
                 [e[1].lo for e in effective], [e[1].hi for e in effective],
