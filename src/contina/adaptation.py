@@ -69,10 +69,6 @@ class RegionAdaptState:
     alpha: float
     moment: float = 0.0
 
-    @classmethod
-    def initial(cls, region_id, hp: AdaptHyperParams) -> "RegionAdaptState":
-        return cls(region_id=region_id, alpha=hp.target_alpha, moment=0.0)
-
 
 class DriftBounds(NamedTuple):
     lower: float
@@ -83,11 +79,6 @@ class DriftBounds(NamedTuple):
 def coverage_error(hit_inflow, hit_outflow):
     """Fraction of a region's two flows missed this step: 0, 0.5 or 1."""
     return 1.0 - (hit_inflow + hit_outflow) / 2.0
-
-
-def per_flow_error(hit):
-    """Indicator of a single flow's miss: 0 if covered, 1 otherwise."""
-    return 1.0 - hit
 
 
 def update_alpha_fixed(

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import metrics
-from .adaptation import AdaptHyperParams, RegionAdaptState, adaptive_rate, coverage_error
+from .adaptation import AdaptHyperParams, RegionAdaptState, coverage_error
 from .errors import ConfigError, DataFormatError, LedgerError
 from .intervals import conformity_score, interval_length
 from .metrics import RunLedger, coverage_gap_constant
@@ -70,7 +70,7 @@ from .streams import (
     reject_rows,
     split,
 )
-from .tracker import ConformalIntervalTracker, alpha_step
+from .tracker import ConformalIntervalTracker, alpha_step, learning_rate
 from .validation import check_bool, check_int, check_positive_int
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
@@ -406,10 +406,7 @@ def _states_follow_ledger(result: RunResult) -> bool:
         err = coverage_error(hits[:, p, 0], hits[:, p, 1])
         state, step = alpha_step(cfg.method, state, err, cfg.gamma, hp)
         update_sum += step
-    if cfg.method == "contina":
-        rate = adaptive_rate(state.moment, hp)
-    else:
-        rate = np.full(n, cfg.gamma if cfg.method == "aci_fixed" else 0.0)
+    rate = learning_rate(cfg.method, state.moment, cfg.gamma, hp)
     got = np.column_stack([state.alpha, state.moment, rate, update_sum])
     return got.tobytes() == b"".join(map(_state_bits, result.states))
 

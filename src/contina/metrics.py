@@ -5,8 +5,8 @@ covered the realized demand, its length, and whether it was the empty set.
 The cells form dense (region, step, flow) arrays, so every metric is an axis
 reduction and every period a slice along the step axis.
 ``average_coverage``, ``min_regional_coverage`` and ``mean_length`` are the
-three headline metrics; ``daily_regional_stats`` supports dispersion plots of
-per-region coverage; ``coverage_gap_constant`` and ``worst_region_bound``
+three headline metrics; ``daily_regional_coverage`` supports dispersion plots
+of per-region coverage; ``coverage_gap_constant`` and ``worst_region_bound``
 evaluate the guarantees the adaptive method is expected to satisfy:
 
 * |cov - (1 - alpha)| <= c / T with
@@ -37,9 +37,9 @@ class RunLedger:
     step labels in increasing order. A ledger built from the grids is
     complete by construction.
 
-    ``t``, ``region_idx``, ``flow_idx``, ``covered``, ``length``, ``empty``
-    and ``records`` are long-format views in (region, t, flow) order, the row
-    order of ``ledger.csv``. Long-format records enter only through
+    ``t``, ``region_idx``, ``flow_idx``, ``covered``, ``length`` and
+    ``empty`` are long-format views in (region, t, flow) order, the row order
+    of ``ledger.csv``. Long-format records enter only through
     ``from_records``, which keeps an incomplete or duplicated record set as
     an error that ``validate_complete`` (and so every metric) raises.
     """
@@ -138,20 +138,6 @@ class RunLedger:
     def empty(self) -> np.ndarray:
         return self.empty_grid.reshape(-1)
 
-    @property
-    def records(self):
-        """Row view as (t, region, flow, covered, length, empty) tuples."""
-        times = self.times.tolist()
-        rows = []
-        for i, region in enumerate(self.region_ids):
-            covered = self.covered_grid[i].tolist()
-            length = self.length_grid[i].tolist()
-            empty = self.empty_grid[i].tolist()
-            for p, t in enumerate(times):
-                for j, flow in enumerate(FLOWS):
-                    rows.append((t, region, flow, covered[p][j], length[p][j], empty[p][j]))
-        return rows
-
     def steps(self, start: int, stop: int) -> "RunLedger":
         """The ledger of the steps at positions [start, stop)."""
         if (start, stop) == (0, self.horizon):
@@ -222,45 +208,18 @@ def empty_rate(ledger: RunLedger) -> float:
     return float(ledger.empty_grid.mean())
 
 
-class DailyStat(NamedTuple):
-    day: int
-    mean_coverage: float
-    std_coverage: float
-
-
-class DailyStats(NamedTuple):
-    rows: list
-    dropped_steps: int
-
-
-def daily_regional_stats(ledger: RunLedger, steps_per_day: int) -> DailyStats:
-    """Per-day mean and population std of per-region daily coverage.
+def daily_regional_coverage(ledger: RunLedger, steps_per_day: int):
+    """(day, region, coverage) triples for whole days, for dispersion plots.
 
     Days are counted from the ledger's first step; a trailing partial day is
-    dropped and reported through ``dropped_steps``.
+    dropped.
     """
     check_positive_int(steps_per_day, "steps_per_day")
-    cov, dropped = _daily_coverage_grid(ledger, steps_per_day)
-    rows = [
-        DailyStat(day=d, mean_coverage=float(cov[d].mean()), std_coverage=float(cov[d].std()))
-        for d in range(cov.shape[0])
-    ]
-    return DailyStats(rows=rows, dropped_steps=dropped)
-
-
-def _daily_coverage_grid(ledger: RunLedger, steps_per_day: int):
-    """(n_days, n_regions) coverage for whole days + count of dropped steps."""
     ledger.validate_complete()
     n_days = ledger.horizon // steps_per_day
     whole = ledger.covered_grid[:, : n_days * steps_per_day]
     hits = whole.reshape(ledger.n_regions, n_days, 2 * steps_per_day).sum(axis=2)
-    return np.ascontiguousarray(hits.T) / (2.0 * steps_per_day), ledger.horizon % steps_per_day
-
-
-def daily_regional_coverage(ledger: RunLedger, steps_per_day: int):
-    """(day, region, coverage) triples for whole days, for dispersion plots."""
-    check_positive_int(steps_per_day, "steps_per_day")
-    cov, _ = _daily_coverage_grid(ledger, steps_per_day)
+    cov = hits.T / (2.0 * steps_per_day)
     return [
         (d, region, c)
         for d, row in enumerate(cov.tolist())

@@ -52,22 +52,6 @@ from .windows import CalibrationWindow, quantile_rank
 PREDICTOR_KINDS = ("seasonal_window", "online_pinball_linear", "file_backed")
 
 
-def pinball_loss_low(y: float, q: float, alpha: float) -> float:
-    """Pinball loss of the lower head (target quantile alpha/2)."""
-    check_in_range(alpha, "alpha", 0.0, 1.0, inclusive=False)
-    tau = alpha / 2.0
-    u = y - q
-    return np.maximum(tau * u, (tau - 1.0) * u)
-
-
-def pinball_loss_high(y: float, q: float, alpha: float) -> float:
-    """Pinball loss of the upper head (target quantile 1 - alpha/2)."""
-    check_in_range(alpha, "alpha", 0.0, 1.0, inclusive=False)
-    tau = 1.0 - alpha / 2.0
-    u = y - q
-    return np.maximum(tau * u, (tau - 1.0) * u)
-
-
 @dataclass(frozen=True)
 class PredictorSpec:
     """Which base predictor to run and its kind-specific settings."""
@@ -391,14 +375,6 @@ class OnlinePinballLinearPredictor(ParamsMixin):
         g_lo = (1.0 - tau_lo) if y <= q_lo else -tau_lo
         g_hi = (1.0 - tau_hi) if y <= q_hi else -tau_hi
         return g_lo, g_hi
-
-    def step_loss(self, region, flow, t, lags, y) -> float:
-        """Total pinball loss (both heads) of the current weights on one point."""
-        cell = self._cell(region, flow)
-        q_lo, q_hi = self._heads(cell, self._features(cell, t, lags))
-        return float(
-            pinball_loss_low(y, q_lo, self.alpha) + pinball_loss_high(y, q_hi, self.alpha)
-        )
 
     def predict(self, region, flow, t, lags) -> QuantileForecast:
         cell = self._cell(region, flow)

@@ -99,6 +99,18 @@ def alpha_step(method, state: RegionAdaptState, err, gamma, hp: AdaptHyperParams
     return state, 0.0 * err
 
 
+def learning_rate(method, moment, gamma, hp: AdaptHyperParams):
+    """``method``'s learning rate for the next update of alpha_t.
+
+    contina's adaptive gamma1 / (sqrt(moment) + epsilon), aci_fixed's fixed
+    ``gamma``, and 0 for cp and qcp. ``moment`` (finite) may hold an array of
+    independent regions; the rate then has its shape.
+    """
+    if method == "contina":
+        return adaptive_rate(moment, hp)
+    return (gamma if method == "aci_fixed" else 0.0) + 0.0 * moment
+
+
 class ConformalIntervalTracker(ParamsMixin):
     """Online conformal intervals for one region's inflow/outflow pair.
 
@@ -158,11 +170,8 @@ class ConformalIntervalTracker(ParamsMixin):
     def rate_(self) -> float:
         """Learning rate in effect for the next update (0 for static methods)."""
         self._check_fitted()
-        if self.method == "contina":
-            return self.gamma1 / (math.sqrt(self.moment_) + self.epsilon)
-        if self.method == "aci_fixed":
-            return self.gamma
-        return 0.0
+        hp = AdaptHyperParams(self.alpha, self.gamma1, self.beta, self.epsilon)
+        return float(learning_rate(self.method, self.moment_, self.gamma, hp))
 
     # -- object-path API ---------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 def check_finite(value, name):
     """Coerce to float and reject NaN/inf; the error names ``name``."""
@@ -33,9 +35,12 @@ def check_positive(value, name):
 
 
 def check_int(value, name, low):
-    """Return ``value`` as an int; it must equal that int and be >= ``low``."""
+    """Return ``value`` as an int; it must equal that int and be >= ``low``.
+
+    Booleans are refused, though ``True == 1``: YAML reads ``yes`` as true.
+    """
     try:
-        v = int(value)
+        v = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):  # such as None, "abc" or inf
         v = None
     if v is None or v != value or v < low:

@@ -131,12 +131,6 @@ class CalibrationWindow:
         """
         return self._fifo, self._sorted
 
-    @property
-    def max_score(self) -> float:
-        if not self._sorted:
-            raise EmptyCalibrationError("window holds no scores")
-        return self._sorted[-1]
-
     def push(self, score: float) -> None:
         """Append a score, evicting the oldest one at capacity."""
         self.push_series((score,))

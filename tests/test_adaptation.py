@@ -16,7 +16,6 @@ from contina.adaptation import (
     adaptive_rate,
     alpha_drift_bounds,
     coverage_error,
-    per_flow_error,
     update_alpha_adaptive,
     update_alpha_fixed,
     update_moment,
@@ -32,16 +31,6 @@ class TestCoverageError:
     )
     def test_values(self, hits, expected):
         assert coverage_error(*hits) == expected
-
-    @pytest.mark.parametrize("hit,expected", [(True, 0.0), (False, 1.0)])
-    def test_per_flow(self, hit, expected):
-        assert per_flow_error(hit) == expected
-
-    def test_per_flow_aggregates_to_coverage_error(self):
-        for a in (True, False):
-            for b in (True, False):
-                agg = (per_flow_error(a) + per_flow_error(b)) / 2.0
-                assert agg == coverage_error(a, b)
 
 
 class TestFixedUpdate:
@@ -205,7 +194,3 @@ class TestHyperParams:
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):
             AdaptHyperParams(**{**dict(target_alpha=0.1), **kw})
-
-    def test_initial_state(self):
-        s = RegionAdaptState.initial("r7", HP)
-        assert (s.alpha, s.moment, s.region_id) == (HP.target_alpha, 0.0, "r7")

@@ -430,6 +430,19 @@ class TestMalformedConfig:
         assert "error:" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("key, text", [
+        ("seed", "true"), ("window", "yes"), ("periods", "true"),
+        ("synthetic", "{n_regions: true, horizon: 200, seed: 1}"),
+    ])
+    def test_boolean_integer_settings_name_the_key(self, runner, tmp_path, key, text):
+        # YAML reads true and yes as booleans, which equal 1 but count nothing.
+        write_config(tmp_path / "exp.yaml", **{key: text})
+        result = runner.invoke(main, ["run", "--config", str(tmp_path / "exp.yaml")])
+        assert result.exit_code == 2, result.output
+        name = "n_regions" if key == "synthetic" else key
+        assert f"error: {name} must be an integer >= " in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("key", ["scale_range", "base_level"])
     @pytest.mark.parametrize("text", ["5", "[1, 2, 3]"])
     def test_synthetic_bounds_that_are_not_a_pair_name_the_key(self, runner, tmp_path, key,

@@ -21,6 +21,7 @@ from contina.errors import DataFormatError
 from contina.harness import LEDGER_COLUMNS, read_ledger_csv
 from contina.predictors import write_forecast_csv
 from contina.streams import FLOWS, DemandStream, read_csv_table, read_demand_csv
+from ledger_rows import records
 
 # Labels that need quoting, or that only look like they might, and floats
 # whose spelling is easy to get wrong.
@@ -68,10 +69,10 @@ class TestWritersMatchCsvWriter:
                 for k, r in enumerate(regions) for t in range(5) for f in FLOWS]
         ledger = metrics.RunLedger.from_records(recs)
         csv_rows(tmp_path / "want.csv", LEDGER_COLUMNS,
-                 [[t, r, f, int(c), length, int(e)] for t, r, f, c, length, e in ledger.records])
+                 [[t, r, f, int(c), length, int(e)] for t, r, f, c, length, e in records(ledger)])
         harness._write_ledger(ledger, tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert read_ledger_csv(tmp_path / "got.csv").records == ledger.records
+        assert records(read_ledger_csv(tmp_path / "got.csv")) == records(ledger)
 
     @pytest.mark.parametrize("value", ["", " s ", "a,b", 'q"', "a\nb", "c\rd", 7, True, None])
     def test_csv_field_spells_a_field_as_csv_writer_does(self, tmp_path, value):

@@ -38,6 +38,7 @@ from contina.intervals import QuantileForecast, conformity_score
 from contina.predictors import PredictorSpec, write_forecast_csv
 from contina.streams import FLOWS, DemandStream, StreamSpec, generate, write_demand_csv
 from contina.tracker import METHODS, ConformalIntervalTracker
+from ledger_rows import records
 
 
 def small_config(**kw):
@@ -72,7 +73,7 @@ def state_bits(states):
 
 def assert_same_run(got, want):
     """Ledger records and final states equal, floats bit for bit."""
-    assert got.ledger.records == want.ledger.records
+    assert records(got.ledger) == records(want.ledger)
     # == equates -0.0 with 0.0; the bytes do not.
     assert got.ledger.length_grid.tobytes() == want.ledger.length_grid.tobytes()
     assert [s.region for s in got.states] == [s.region for s in want.states]
@@ -601,7 +602,7 @@ class TestReports:
         result = run_replay(cfg)
         paths = write_report(result, tmp_path / "rep")
         back = read_ledger_csv(paths["ledger"])
-        assert sorted(back.records) == sorted(result.ledger.records)
+        assert sorted(records(back)) == sorted(records(result.ledger))
 
 
 class TestLedgerLayout:
@@ -614,10 +615,10 @@ class TestLedgerLayout:
         assert np.array_equal(ledger.t, np.tile(np.repeat(ledger.times, 2), n))
         assert np.array_equal(ledger.region_idx, np.repeat(np.arange(n), 2 * steps))
         assert np.array_equal(ledger.flow_idx, np.tile([0, 1], n * steps))
-        records = ledger.records
+        rows = records(ledger)
         for k, name in ((3, "covered"), (4, "length"), (5, "empty")):
             column = getattr(ledger, name)
-            assert column.tolist() == [r[k] for r in records]
+            assert column.tolist() == [r[k] for r in rows]
             assert np.array_equal(getattr(ledger, f"{name}_grid"), column.reshape(n, steps, 2))
 
     @pytest.mark.parametrize("method", METHODS)
@@ -649,7 +650,7 @@ class TestReportRoundTrip:
         harness._write_ledger(ledger, path)
         back = read_ledger_csv(path)
         assert back.region_ids == ledger.region_ids == regions
-        assert back.records == ledger.records == recs
+        assert records(back) == records(ledger) == recs
 
     @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
     def test_period_cells_equal_exact_counts(self, tmp_path, method, clamp, updates):
@@ -659,10 +660,10 @@ class TestReportRoundTrip:
         with open(paths["summary"], newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [row[0] for row in rows] == ["P1", "P2", "AVG"]
-        records = result.ledger.records
+        ledger_cells = records(result.ledger)
         for row in rows:
             lo, hi, steps = int(row[1]), int(row[2]), int(row[3])
-            cells = [r for r in records if lo <= r[0] <= hi]
+            cells = [r for r in ledger_cells if lo <= r[0] <= hi]
             assert len(cells) == 2 * steps * result.ledger.n_regions
             assert row[4] == repr(float(Fraction(sum(r[3] for r in cells), len(cells))))
             per_region = {

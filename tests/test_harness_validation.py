@@ -1,5 +1,6 @@
 """Config validation maps bad hyperparameters to the config error category."""
 
+import numpy as np
 import pytest
 
 from contina.errors import ConfigError
@@ -35,3 +36,20 @@ def test_bad_values_raise_config_error(kw):
 
 def test_valid_config_passes():
     base().validate()
+
+
+SYNTHETIC = {"n_regions": 2, "horizon": 100, "seed": 0}
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"synthetic": SYNTHETIC, "seed": True}, "seed"),
+    ({"synthetic": SYNTHETIC, "window": True}, "window"),
+    ({"synthetic": SYNTHETIC, "periods": True}, "periods"),
+    ({"synthetic": {**SYNTHETIC, "n_regions": True}}, "n_regions"),
+    ({"synthetic": {**SYNTHETIC, "seed": False}}, "seed"),
+    ({"synthetic": SYNTHETIC, "seed": np.True_}, "seed"),
+])
+def test_boolean_integer_settings_raise_config_error(d, key):
+    # True == 1 and False == 0, but a boolean is no count, seed or size.
+    with pytest.raises(ConfigError, match=rf"^{key} must be an integer"):
+        ExperimentConfig.from_dict(d).validate()

@@ -19,7 +19,6 @@ from contina.metrics import (
     average_coverage,
     coverage_gap_constant,
     daily_regional_coverage,
-    daily_regional_stats,
     empty_rate,
     mean_length,
     min_regional_coverage,
@@ -195,7 +194,7 @@ class TestIdentitiesAndInvariance:
         assert mean_length(relabeled) == pytest.approx(mean_length(ledger), rel=1e-12)
 
 
-class TestDailyStats:
+class TestDailyCoverage:
     def test_single_day_all_covered(self):
         recs = [
             (t, r, f, True, 1.0, False)
@@ -203,57 +202,41 @@ class TestDailyStats:
             for r in ("a", "b")
             for f in ("in", "out")
         ]
-        stats = daily_regional_stats(RunLedger.from_records(recs), steps_per_day=24)
-        assert stats.rows == [(0, 1.0, 0.0)]
-        assert stats.dropped_steps == 0
+        rows = daily_regional_coverage(RunLedger.from_records(recs), steps_per_day=24)
+        assert rows == [(0, "a", 1.0), (0, "b", 1.0)]
 
-    def test_population_std_of_split_regions(self):
+    def test_split_regions(self):
         recs = []
         for t in range(24):
             for f in ("in", "out"):
                 recs.append((t, "hit", f, True, 1.0, False))
                 recs.append((t, "miss", f, False, 1.0, False))
-        stats = daily_regional_stats(RunLedger.from_records(recs), steps_per_day=24)
-        assert stats.rows == [(0, 0.5, 0.5)]
+        rows = daily_regional_coverage(RunLedger.from_records(recs), steps_per_day=24)
+        assert rows == [(0, "hit", 1.0), (0, "miss", 0.0)]
 
-    def test_trailing_partial_day_dropped_and_flagged(self):
+    def test_trailing_partial_day_dropped(self):
         recs = [
-            (t, "a", f, True, 1.0, False) for t in range(30) for f in ("in", "out")
+            (t, "a", f, t < 24, 1.0, False) for t in range(30) for f in ("in", "out")
         ]
-        stats = daily_regional_stats(RunLedger.from_records(recs), steps_per_day=24)
-        assert len(stats.rows) == 1
-        assert stats.dropped_steps == 6
+        rows = daily_regional_coverage(RunLedger.from_records(recs), steps_per_day=24)
+        assert rows == [(0, "a", 1.0)]
 
-    def test_matches_two_pass_oracle(self):
+    @pytest.mark.parametrize("horizon", [48, 53])
+    def test_matches_brute_force_oracle(self, horizon):
         rng = np.random.default_rng(6)
-        records, ledger = random_ledger(rng, n_regions=3, horizon=48)
-        stats = daily_regional_stats(ledger, steps_per_day=12)
-        for day, mean_c, std_c in stats.rows:
+        records, ledger = random_ledger(rng, n_regions=3, horizon=horizon)
+        want = []
+        for day in range(horizon // 12):
             t_range = range(day * 12, (day + 1) * 12)
-            covs = []
             for r in ledger.region_ids:
-                hits = sum(
-                    1 for rec in records if rec[0] in t_range and rec[1] == r and rec[3]
-                )
-                covs.append(hits / 24.0)
-            mu = sum(covs) / len(covs)
-            var = sum((c - mu) ** 2 for c in covs) / len(covs)
-            assert mean_c == pytest.approx(mu, abs=1e-12)
-            assert std_c == pytest.approx(math.sqrt(var), abs=1e-12)
+                hits = sum(1 for rec in records if rec[0] in t_range and rec[1] == r and rec[3])
+                want.append((day, r, hits / 24.0))
+        assert daily_regional_coverage(ledger, steps_per_day=12) == want
 
     def test_invalid_steps_per_day(self):
         _, ledger = random_ledger(np.random.default_rng(7))
         with pytest.raises(ValueError):
-            daily_regional_stats(ledger, steps_per_day=0)
-
-    def test_daily_coverage_rows_align_with_stats(self):
-        rng = np.random.default_rng(8)
-        _, ledger = random_ledger(rng, n_regions=2, horizon=24)
-        rows = daily_regional_coverage(ledger, steps_per_day=12)
-        stats = daily_regional_stats(ledger, steps_per_day=12)
-        for day, mean_c, _ in stats.rows:
-            day_rows = [cov for d, _, cov in rows if d == day]
-            assert np.mean(day_rows) == pytest.approx(mean_c, abs=1e-12)
+            daily_regional_coverage(ledger, steps_per_day=0)
 
 
 class TestGapConstant:

@@ -1,4 +1,4 @@
-"""Tests for pinball losses and the three base predictors."""
+"""Tests for the three base predictors."""
 
 import re
 
@@ -13,8 +13,6 @@ from contina.predictors import (
     PredictorSpec,
     SeasonalWindowPredictor,
     make_predictor,
-    pinball_loss_high,
-    pinball_loss_low,
     write_forecast_csv,
 )
 from contina.streams import FLOWS, DemandStream, Observation, read_demand_csv
@@ -28,57 +26,14 @@ def flat_stream(values, n_regions=1):
     return DemandStream(region_ids=tuple(range(n_regions)), history=y)
 
 
-class TestPinballLosses:
-    def test_low_above(self):
-        assert pinball_loss_low(10, 8, 0.1) == pytest.approx(0.1, abs=1e-12)
-
-    def test_low_at_quantile(self):
-        assert pinball_loss_low(8, 8, 0.1) == 0
-
-    def test_low_below(self):
-        assert pinball_loss_low(6, 8, 0.1) == pytest.approx(1.9, abs=1e-12)
-
-    def test_high_above(self):
-        assert pinball_loss_high(10, 8, 0.1) == pytest.approx(1.9, abs=1e-12)
-
-    def test_high_at_quantile(self):
-        assert pinball_loss_high(8, 8, 0.1) == 0
-
-    def test_high_below(self):
-        assert pinball_loss_high(6, 8, 0.1) == pytest.approx(0.1, abs=1e-12)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            y, q = rng.normal(size=2) * 10
-            a = float(rng.uniform(0.01, 0.99))
-            assert pinball_loss_low(y, q, a) >= 0
-            assert pinball_loss_high(y, q, a) >= 0
-
-    @pytest.mark.parametrize("loss", [pinball_loss_low, pinball_loss_high])
-    def test_convex_in_q(self, loss):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            y = rng.normal() * 10
-            q1, q2 = rng.normal(size=2) * 10
-            lam = float(rng.uniform())
-            mix = loss(y, lam * q1 + (1 - lam) * q2, 0.1)
-            bound = lam * loss(y, q1, 0.1) + (1 - lam) * loss(y, q2, 0.1)
-            assert mix <= bound + 1e-12
-
-    def test_minimizer_is_target_quantile(self):
-        """argmin_q of mean low-head loss lands at the alpha/2 sample quantile."""
-        rng = np.random.default_rng(5)
-        ys = np.sort(rng.gamma(3.0, 2.0, size=10_000))
-        alpha = 0.1
-        losses = [float(np.mean(pinball_loss_low(ys, q, alpha))) for q in ys]
-        best_rank = int(np.argmin(losses)) + 1
-        target_rank = quantile_rank(alpha / 2.0, len(ys))
-        assert abs(best_rank - target_rank) <= 2
-
-    def test_alpha_range_checked(self):
-        with pytest.raises(ValueError):
-            pinball_loss_low(1, 1, 0.0)
+def pinball_loss(pred, cell, t, lags, y):
+    """Both heads' pinball loss, at levels alpha/2 and 1 - alpha/2, on one point."""
+    q_lo, q_hi = pred._heads(cell, pred._features(cell, t, lags))
+    loss = 0.0
+    for q, tau in ((q_lo, pred.alpha / 2.0), (q_hi, 1.0 - pred.alpha / 2.0)):
+        u = y - q
+        loss += max(tau * u, (tau - 1.0) * u)
+    return loss
 
 
 class TestSeasonalWindow:
@@ -324,9 +279,10 @@ class TestOnlinePinballLinear:
         stream = flat_stream([10.0] * 60)
         pred = OnlinePinballLinearPredictor(alpha=0.1, step_size=0.02, epochs=1).fit(stream)
         obs = Observation(60, 0, "in", 60.0, (10.0,) * 6)
+        cell = pred._cells[(0, "in")]
         losses = []
         for _ in range(50):
-            losses.append(pred.step_loss(0, "in", obs.t, obs.lags, obs.y))
+            losses.append(pinball_loss(pred, cell, obs.t, obs.lags, obs.y))
             pred.update(obs)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -352,9 +308,9 @@ class TestOnlinePinballLinear:
             for head, g in (("w_lo", g_lo), ("w_hi", g_hi)):
                 for k in range(len(x)):
                     cell[head][k] += h
-                    up = pred.step_loss(0, "out", t, lags, y)
+                    up = pinball_loss(pred, cell, t, lags, y)
                     cell[head][k] -= 2 * h
-                    down = pred.step_loss(0, "out", t, lags, y)
+                    down = pinball_loss(pred, cell, t, lags, y)
                     cell[head][k] += h
                     fd = (up - down) / (2 * h)
                     assert fd == pytest.approx(g * x[k], abs=1e-6)

@@ -198,7 +198,6 @@ class TestEvictionAndQueries:
             model.append(float(x))
         for level in (0.0, 0.1, 0.5, 0.9, 1.0):
             assert w.quantile(level) == oracle_quantile(model, level)
-        assert w.max_score == max(model)
 
 
 def bits(values) -> bytes:
