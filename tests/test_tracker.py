@@ -19,7 +19,7 @@ from contina.adaptation import (
 )
 from contina.errors import EmptyCalibrationError, NotFittedError
 from contina.intervals import QuantileForecast, contains, interval_length
-from contina.tracker import ConformalIntervalTracker
+from contina.tracker import ConformalIntervalTracker, learning_rate
 from contina.windows import CalibrationWindow
 
 HP = AdaptHyperParams()
@@ -337,3 +337,45 @@ class TestForcedMissDynamics:
         for fcs, ys in random_forecast_stream(rng, 2000):
             tr.observe(fcs, ys)
         assert tr.alpha_t_ - tr.alpha == pytest.approx(tr.update_sum_, abs=1e-9)
+
+
+METHODS = ["cp", "qcp", "aci_fixed", "contina"]
+
+
+class TestLearningRate:
+    """One rule gives the rate for scalars, region arrays and ``rate_``."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_scalar_rule(self, method):
+        hp = AdaptHyperParams(0.1, 0.02, 0.9, 1e-3)
+        expected = {"contina": 0.02 / (np.sqrt(0.25) + 1e-3),
+                    "aci_fixed": 0.07}.get(method, 0.0)
+        assert learning_rate(method, 0.25, 0.07, hp) == expected
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_array_matches_scalar_per_region(self, method):
+        moments = np.array([[0.0, 1e-12, 0.04], [0.25, 1.0, 7.5]])
+        got = learning_rate(method, moments, 0.07, HP)
+        assert got.shape == moments.shape
+        want = [learning_rate(method, float(m), 0.07, HP) for m in moments.ravel()]
+        assert bits(got.ravel()) == bits(want)
+
+    def test_rate_needs_fit(self):
+        with pytest.raises(NotFittedError):
+            ConformalIntervalTracker(method="contina").rate_
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rate_property_follows_the_rule(self, method):
+        rng = np.random.default_rng(21)
+        tr = ConformalIntervalTracker(method=method, gamma=0.03, gamma1=0.01).fit(
+            rng.normal(size=60), rng.normal(size=60)
+        )
+        for fcs, ys in random_forecast_stream(rng, 200):
+            tr.observe(fcs, ys)
+            hp = AdaptHyperParams(tr.alpha, tr.gamma1, tr.beta, tr.epsilon)
+            assert tr.rate_ == float(learning_rate(method, tr.moment_, 0.03, hp))
+        if method == "contina":
+            assert tr.moment_ > 0.0
+            assert tr.rate_ == 0.01 / (np.sqrt(tr.moment_) + tr.epsilon)
+        else:
+            assert tr.rate_ == {"aci_fixed": 0.03}.get(method, 0.0)
