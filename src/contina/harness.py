@@ -30,6 +30,7 @@ reference on the run's sampled region, without running the engine.
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
 ledger, final per-region states, and a manifest that allows an exact re-run.
+A large ledger's rows are formatted in the same region shares.
 ``read_ledger_csv`` reads a ledger file back through ``streams.read_csv_table``
 (in per-CPU byte shares when it is large), and ``report_from_dir`` checks a run
 directory's manifest and then recomputes its summary files from the ledger.
@@ -51,7 +52,7 @@ from .errors import ConfigError, DataFormatError, LedgerError
 from .intervals import conformity_score, interval_length
 from .metrics import RunLedger, coverage_gap_constant
 from .predictors import PredictorSpec, make_predictor
-from .shares import run_shares, usable_cpus
+from .shares import run_shares, share_ranges
 from .streams import (
     FLOWS,
     DemandStream,
@@ -74,6 +75,11 @@ from .tracker import ConformalIntervalTracker, alpha_step, learning_rate
 from .validation import check_bool, check_int, check_positive_int
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
+# Fewest ledger rows that _write_ledger formats in per-CPU region shares. On a
+# 2-CPU x86_64 host a two-task run_shares call cost 2.3-2.8 ms in a 70-MB
+# process and a row 0.8-1.5 us, and the one-process and two-share writers
+# tied at 10 000-14 000 rows.
+LEDGER_SHARE_MIN_ROWS = 16_000
 SUMMARY_COLUMNS = [
     "period", "start_t", "end_t", "steps", "cov", "min_rc", "min_rc_region",
     "length", "empty_rate", "coverage_gap_bound",
@@ -241,26 +247,23 @@ def _replay_region(i, stream, calib, deploy, predictor, config):
 def _replay_regions(stream, calib, deploy, predictor, config):
     """Replay every region; return the results in region order and the crossings.
 
-    The regions are cut into one contiguous share per usable CPU and run by
-    ``run_shares``. A forked share's predictor is the fitted one, and so is
-    every cell of its share when a serial loop reaches it, because predictor
-    state is per cell. Each share returns its results and the crossings its
-    predictor counted; the run's crossings are those counted before the
-    replay plus each share's. If shares fail, the first failing share's error
-    is raised, the one a replay of one region after another would raise.
+    The regions are cut into one contiguous share per usable CPU
+    (``share_ranges``) and run by ``run_shares``. A forked share's predictor
+    is the fitted one, and so is every cell of its share when a serial loop
+    reaches it, because predictor state is per cell. Each share returns its
+    results and the crossings its predictor counted; the run's crossings are
+    those counted before the replay plus each share's. If shares fail, the
+    first failing share's error is raised, the one a replay of one region
+    after another would raise.
     """
-    n = stream.n_regions
-    w = min(n, usable_cpus())
-    bounds = [k * n // w for k in range(w + 1)]
-
-    def replay(k):
+    def replay(regions):
         before = predictor.crossings
-        results = [_replay_region(i, stream, calib, deploy, predictor, config)
-                   for i in range(bounds[k], bounds[k + 1])]
+        results = [_replay_region(i, stream, calib, deploy, predictor, config) for i in regions]
         return results, predictor.crossings - before
 
     crossings = predictor.crossings
-    shares = run_shares([functools.partial(replay, k) for k in range(w)])
+    shares = run_shares([functools.partial(replay, regions)
+                         for regions in share_ranges(stream.n_regions)])
     return [r for results, _ in shares for r in results], crossings + sum(d for _, d in shares)
 
 
@@ -460,26 +463,41 @@ def _version() -> str:
 
 
 def _write_ledger(ledger: RunLedger, path) -> None:
-    """Write ``ledger.csv`` in (region, t, flow) row order, one region at a time.
+    """Write ``ledger.csv`` in (region, t, flow) row order.
 
     Rows are spelled exactly as ``csv.writer`` spells them: only the region
-    label can need quoting, and ``csv_field`` spells it once per region.
+    label can need quoting, and ``csv_field`` spells it once per region. A
+    ledger of at least ``LEDGER_SHARE_MIN_ROWS`` rows is formatted in
+    contiguous region shares, one per usable CPU (``share_ranges``), side by
+    side (``run_shares``); a smaller one in this process. The file is opened
+    only once every share has returned its bytes, so a failing share raises
+    before ``ledger.csv`` is created.
     """
     t_flow = [(f"{t},", f",{flow},") for t in ledger.times.tolist() for flow in FLOWS]
+    n = ledger.n_regions
+    regions = share_ranges(n) if n * len(t_flow) >= LEDGER_SHARE_MIN_ROWS else [range(n)]
+    parts = run_shares([functools.partial(_ledger_rows, ledger, t_flow, r) for r in regions])
+    with open(path, "wb") as fh:
+        fh.write((",".join(LEDGER_COLUMNS) + "\r\n").encode())  # as csv.writer spells it
+        fh.writelines(parts)
+
+
+def _ledger_rows(ledger: RunLedger, t_flow, regions) -> bytes:
+    """The UTF-8 ``ledger.csv`` rows of the regions at the indices ``regions``."""
     bit = ("0", "1")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(LEDGER_COLUMNS)
-        for i, region in enumerate(ledger.region_ids):
-            label = csv_field(region)
-            fh.write("".join([
-                f"{t}{label}{flow}{bit[c]},{length!r},{bit[e]}\r\n"
-                for (t, flow), c, length, e in zip(
-                    t_flow,
-                    ledger.covered_grid[i].reshape(-1).view(np.uint8).tolist(),
-                    ledger.length_grid[i].reshape(-1).tolist(),
-                    ledger.empty_grid[i].reshape(-1).view(np.uint8).tolist(),
-                )
-            ]))
+    parts = []
+    for i in regions:
+        label = csv_field(ledger.region_ids[i])
+        parts.append("".join([
+            f"{t}{label}{flow}{bit[c]},{length!r},{bit[e]}\r\n"
+            for (t, flow), c, length, e in zip(
+                t_flow,
+                ledger.covered_grid[i].reshape(-1).view(np.uint8).tolist(),
+                ledger.length_grid[i].reshape(-1).tolist(),
+                ledger.empty_grid[i].reshape(-1).view(np.uint8).tolist(),
+            )
+        ]).encode())
+    return b"".join(parts)
 
 
 def _period_slices(horizon: int, periods: int):

@@ -2,8 +2,9 @@
 
 ``run_shares`` runs the first task in the calling process and each other
 task in a forked child. A child sends its task's result, or the error the
-task raised, back through a pipe and exits. The region replay and
-the CSV reader cut their work into such tasks, one per ``usable_cpus()``.
+task raised, back through a pipe and exits. The region replay, the ledger
+writer and the CSV reader cut their work into such tasks, one per
+``usable_cpus()``: the first two by ``share_ranges``, the reader at line ends.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ def usable_cpus() -> int:
     if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def share_ranges(n: int) -> list[range]:
+    """Cut ``range(n)`` into ``min(n, usable_cpus())`` contiguous ranges, in order.
+
+    Range ``k`` of ``w`` starts at ``k * n // w``, so their sizes differ by at
+    most one.
+    """
+    w = min(n, usable_cpus())
+    return [range(k * n // w, (k + 1) * n // w) for k in range(w)]
 
 
 def run_shares(tasks) -> list:

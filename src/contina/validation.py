@@ -6,9 +6,12 @@ import numpy as np
 
 
 def check_finite(value, name):
-    """Coerce to float and reject NaN/inf; the error names ``name``."""
+    """Coerce to float and reject NaN/inf; the error names ``name``.
+
+    Booleans are refused, though ``float(True) == 1.0``: YAML reads ``yes`` as true.
+    """
     try:
-        v = float(value)
+        v = float(None if isinstance(value, (bool, np.bool_)) else value)
     except (TypeError, ValueError, OverflowError):  # such as None, "abc" or 10**400
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(v):

@@ -5,7 +5,9 @@ The writers format rows by hand; each must write exactly the bytes that
 produce the plain way. The reader parses ``streams.CHUNK_ROWS`` rows per bulk
 call; the chunk tests shrink that constant to a few rows so that every case
 sits on a chunk boundary. A large file is cut into one byte range per usable
-CPU; the share tests drop the size floor to 0 and fake 1, 2 or 3 CPUs.
+CPU; the share tests drop the size floor to 0 and fake 1, 2 or 3 CPUs. A
+large ledger is written in one region share per usable CPU; those tests fake
+1, 2 or 3 CPUs too.
 """
 
 import csv
@@ -16,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from contina import harness, metrics, streams
+from contina import harness, metrics, shares, streams
 from contina.errors import DataFormatError
 from contina.harness import LEDGER_COLUMNS, read_ledger_csv
 from contina.predictors import write_forecast_csv
@@ -86,6 +88,24 @@ TABLE = (("t", "region", "v"), (int, str, float))
 
 def refuse_fork():
     raise AssertionError("os.fork called")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of ``os.fork``, which still forks."""
+    fork, calls = os.fork, []
+
+    def counted_fork():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
+def use_cpus(monkeypatch, k):
+    """Make the share helpers see ``k`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
 
 def read(path):
@@ -177,25 +197,11 @@ class TestCsvShares:
     def no_floor(self, monkeypatch):
         monkeypatch.setattr(streams, "SHARE_MIN_BYTES", 0)
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        fork, calls = os.fork, []
-
-        def counted_fork():
-            calls.append(None)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return calls
-
-    def use_cpus(self, monkeypatch, k):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-
     def by_shares(self, monkeypatch, path, columns=TABLE[0], types=TABLE[1], strip=True):
         """The table read with 1, 2 and 3 usable CPUs."""
         tables = []
         for k in (1, 2, 3):
-            self.use_cpus(monkeypatch, k)
+            use_cpus(monkeypatch, k)
             tables.append(read_csv_table(path, columns, types, strip))
         return tables
 
@@ -245,7 +251,7 @@ class TestCsvShares:
             raw = f"t,v,region\r\n0,1,{'p' * pad}\r\n".encode() + body
             path.write_bytes(raw)
             for k in (2, 3):
-                self.use_cpus(monkeypatch, k)
+                use_cpus(monkeypatch, k)
                 met = met or any(feature in raw[c - len(feature):c + len(feature)]
                                  for c in streams._share_cuts(raw)[1:-1])
             self.assert_same(self.by_shares(monkeypatch, path, columns, types))
@@ -259,7 +265,7 @@ class TestCsvShares:
         path = tmp_path / "d.csv"
         raw = b"t,region,v\n0,a,1\n" + b"\n" * 60 + b"1,b,2\n"
         path.write_bytes(raw)
-        self.use_cpus(monkeypatch, 3)
+        use_cpus(monkeypatch, 3)
         cuts = streams._share_cuts(raw)
         assert any(not raw[a:b].strip() for a, b in zip(cuts, cuts[1:]))
         tables = self.by_shares(monkeypatch, path)
@@ -284,9 +290,9 @@ class TestCsvShares:
     def test_bare_cr_or_quote_byte_file_is_one_share(self, tmp_path, monkeypatch, raw):
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
-        self.use_cpus(monkeypatch, 1)
+        use_cpus(monkeypatch, 1)
         want = read(path)
-        self.use_cpus(monkeypatch, 3)
+        use_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", refuse_fork)
         self.assert_same([want, read(path)])
 
@@ -302,7 +308,7 @@ class TestCsvShares:
         path.write_bytes(b"t,region,v\r\n" + rows + last)
         messages = set()
         for k in (1, 2, 3):
-            self.use_cpus(monkeypatch, k)
+            use_cpus(monkeypatch, k)
             with pytest.raises(DataFormatError, match=re.escape(message)) as error:
                 read(path)
             messages.add(str(error.value))
@@ -313,14 +319,14 @@ class TestCsvShares:
         monkeypatch.setattr(streams, "SHARE_MIN_BYTES", 1 << 20)
         path = tmp_path / "d.csv"
         csv_rows(path, TABLE[0], [[t, "r", t] for t in range(1000)])
-        self.use_cpus(monkeypatch, 3)
+        use_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", refuse_fork)
         assert read(path)["t"].tolist() == list(range(1000))
 
     def test_no_fork_while_another_thread_is_alive(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
         csv_rows(path, TABLE[0], [[t, "r", t] for t in range(100)])
-        self.use_cpus(monkeypatch, 3)
+        use_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", refuse_fork)
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(60,))
@@ -336,7 +342,7 @@ class TestCsvShares:
     def test_no_child_outlives_a_parse(self, tmp_path, monkeypatch, forks):
         path = tmp_path / "d.csv"
         csv_rows(path, TABLE[0], [[t, "r", t] for t in range(100)])
-        self.use_cpus(monkeypatch, 3)
+        use_cpus(monkeypatch, 3)
         read(path)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -346,3 +352,93 @@ class TestCsvShares:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert len(forks) == 2 + 2
+
+
+# Labels that need quoting, and ones that only look like they might.
+LEDGER_LABELS = LABELS + (" s ", "")
+
+
+def share_ledger(horizon):
+    """A ledger of ``LEDGER_LABELS`` over ``horizon`` steps, spelling every FLOATS value."""
+    shape = (len(LEDGER_LABELS), horizon, 2)
+    k = np.arange(np.prod(shape)).reshape(shape)
+    return metrics.RunLedger(LEDGER_LABELS, np.arange(horizon) * 3 - 7, k % 2 == 0,
+                             np.resize(FLOATS, shape), k % 3 == 0)
+
+
+def rows_of(ledger):
+    return 2 * ledger.n_regions * ledger.horizon
+
+
+def csv_writer_bytes(path, ledger):
+    """The bytes that ``csv.writer`` writes for ``ledger``'s rows."""
+    csv_rows(path, LEDGER_COLUMNS,
+             [[t, r, f, int(c), length, int(e)] for t, r, f, c, length, e in records(ledger)])
+    return path.read_bytes()
+
+
+class TestLedgerShares:
+    """ledger.csv formatted in per-CPU region shares holds the one-process bytes."""
+
+    @pytest.fixture
+    def big(self):
+        """The smallest ``share_ledger`` at or above the writer's share floor."""
+        per_step = 2 * len(LEDGER_LABELS)
+        ledger = share_ledger(-(-harness.LEDGER_SHARE_MIN_ROWS // per_step))
+        assert rows_of(ledger) >= harness.LEDGER_SHARE_MIN_ROWS
+        return ledger
+
+    def test_every_share_count_writes_the_csv_writer_bytes(self, tmp_path, monkeypatch, big,
+                                                            forks):
+        want = csv_writer_bytes(tmp_path / "want.csv", big)
+        for k in (3, 2, 1):
+            use_cpus(monkeypatch, k)
+            if k == 1:
+                assert len(forks) == 2 + 1
+                monkeypatch.setattr(os, "fork", refuse_fork)
+            harness._write_ledger(big, tmp_path / f"got{k}.csv")
+            assert (tmp_path / f"got{k}.csv").read_bytes() == want
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_ledger_below_the_floor_never_forks(self, tmp_path, monkeypatch):
+        per_step = 2 * len(LEDGER_LABELS)
+        small = share_ledger((harness.LEDGER_SHARE_MIN_ROWS - 1) // per_step)
+        assert rows_of(small) < harness.LEDGER_SHARE_MIN_ROWS
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        harness._write_ledger(small, tmp_path / "got.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == csv_writer_bytes(tmp_path / "want.csv", small)
+
+    def test_floor_counts_rows(self, tmp_path, monkeypatch, forks):
+        ledger = share_ledger(5)
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "LEDGER_SHARE_MIN_ROWS", rows_of(ledger) + 1)
+        harness._write_ledger(ledger, tmp_path / "one.csv")
+        assert not forks
+        monkeypatch.setattr(harness, "LEDGER_SHARE_MIN_ROWS", rows_of(ledger))
+        harness._write_ledger(ledger, tmp_path / "two.csv")
+        assert len(forks) == 1
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["parent", "middle", "last"])
+    def test_failing_share_raises_before_the_ledger_exists(self, tmp_path, monkeypatch, big,
+                                                           failing):
+        use_cpus(monkeypatch, 3)
+        starts = [r.start for r in shares.share_ranges(big.n_regions)]
+        rows = harness._ledger_rows
+
+        def fail_one(ledger, t_flow, regions):
+            if regions.start == starts[failing]:
+                raise ValueError(f"share at region {regions.start} failed")
+            return rows(ledger, t_flow, regions)
+
+        monkeypatch.setattr(harness, "_ledger_rows", fail_one)
+        result = harness.RunResult(config=harness.ExperimentConfig(), ledger=big, states=[],
+                                   window_capacity=0, crossings=0, dropped_regions=[])
+        with pytest.raises(ValueError, match=f"^share at region {starts[failing]} failed$"):
+            harness.write_report(result, tmp_path / "run")
+        assert os.listdir(tmp_path / "run") == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -53,3 +53,18 @@ def test_boolean_integer_settings_raise_config_error(d, key):
     # True == 1 and False == 0, but a boolean is no count, seed or size.
     with pytest.raises(ConfigError, match=rf"^{key} must be an integer"):
         ExperimentConfig.from_dict(d).validate()
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"synthetic": SYNTHETIC, "gamma": True}, "gamma"),
+    ({"synthetic": SYNTHETIC, "gamma1": True}, "gamma1"),
+    ({"synthetic": SYNTHETIC, "epsilon": True}, "epsilon"),
+    ({"synthetic": SYNTHETIC, "predictor": {"step_size": True}}, "step_size"),
+    ({"synthetic": {**SYNTHETIC, "sigma_frac": True}}, "sigma_frac"),
+    ({"synthetic": SYNTHETIC, "gamma": np.True_}, "gamma"),
+    ({"synthetic": SYNTHETIC, "region_threshold": False}, "region_threshold"),
+])
+def test_boolean_float_settings_raise_config_error(d, key):
+    # float(True) == 1.0, but a boolean is no rate, size or level.
+    with pytest.raises(ConfigError, match=rf"^{key} must be a number, got "):
+        ExperimentConfig.from_dict(d).validate()
