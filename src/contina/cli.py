@@ -7,7 +7,9 @@ the error categories in :mod:`contina.errors` (0 on success).
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
 import sys
 
 import click
@@ -33,6 +35,17 @@ def _handle_errors(fn):
             sys.exit(e.exit_code)
 
     return wrapper
+
+
+@contextlib.contextmanager
+def _out_errors():
+    """Turn an OSError on a path, such as one under ``--out``, into a ConfigError (exit 2)."""
+    try:
+        yield
+    except OSError as e:
+        if e.filename is None:  # not about a path, such as a share's ChildProcessError
+            raise
+        raise ConfigError(f"{e.filename}: {e.strerror}") from None
 
 
 @click.group()
@@ -76,7 +89,8 @@ def generate(regions, horizon, seed, regime, noise, shift_at, shift_scale,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    write_demand_csv(generate_stream(spec), out)
+    with _out_errors():
+        write_demand_csv(generate_stream(spec), out)
     click.echo(f"wrote {regions} regions x {horizon} steps to {out}")
 
 
@@ -162,6 +176,9 @@ def run(config_path, predictor, out, audit, **flags):
         raw["synthetic"] = synth
 
     config = ExperimentConfig.from_dict(raw)
+    if out:
+        with _out_errors():
+            os.makedirs(out, exist_ok=True)  # before the replay, which can take long
     result = run_replay(config, audit=audit)
     if audit:
         if not verify_audit(result):
@@ -174,7 +191,8 @@ def run(config_path, predictor, out, audit, **flags):
     click.echo(f"cov={cov:.4f} minRC={min_rc.value:.4f} "
                f"(region {min_rc.region}) length={length:.4f}")
     if out:
-        paths = write_report(result, out)
+        with _out_errors():
+            paths = write_report(result, out)
         click.echo(f"reports written to {out}")
         for name in sorted(paths):
             click.echo(f"  {name}: {paths[name]}")

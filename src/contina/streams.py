@@ -12,7 +12,8 @@ parameters and per-region noise use independent PCG64 generators spawned from
 without changing a single bit of output.
 
 ``read_csv_table`` parses the demand, forecast and ledger files. It checks
-the file's UTF-8 and header, then parses the rows in bulk with ``np.loadtxt``.
+the file's UTF-8 and header, then parses the rows in bulk with ``np.loadtxt``,
+each label column straight into fixed-width text.
 A large file without quotes is cut at line ends into one byte range per
 usable CPU, and the ranges are parsed side by side (``shares.run_shares``).
 The table, and every error with its line number, are those of one pass.
@@ -39,7 +40,8 @@ log = logging.getLogger(__name__)
 
 N_LAGS = 6
 FLOWS = ("in", "out")
-CHUNK_ROWS = 50_000  # rows per np.loadtxt call in read_csv_table; bounds the label objects alive
+CHUNK_ROWS = 16_384  # rows per np.loadtxt call in read_csv_table, allocated up front
+LABEL_WIDTH = 16  # characters of a label column's first parse; a label that fills it doubles it
 SHARE_MIN_BYTES = 1 << 20  # smallest CSV body that read_csv_table cuts into per-CPU shares
 
 REGIMES = ("stationary", "abrupt_shift", "drift", "heterogeneous", "k_dependent")
@@ -359,10 +361,13 @@ def csv_label(region, seen: dict) -> str:
 
     Refuses (ValueError) a label ``str(region)`` that the reader would not
     give back as the same text (an empty label, one with surrounding
-    whitespace or trailing NULs) or that an unequal region in ``seen`` (label
-    -> region, updated here) already took, such as ``"1"`` after ``1``.
+    whitespace), one holding a NUL (the reader refuses the file), or one that
+    an unequal region in ``seen`` (label -> region, updated here) already
+    took, such as ``"1"`` after ``1``.
     """
     label = "" if region is None else str(region)  # csv.writer writes None as ""
+    if "\0" in label:
+        raise ValueError(f"region {region!r} holds a NUL, which a CSV input may not hold")
     text = np.char.strip(np.array([label], dtype=str))[0]  # as read_csv_table
     if text != label or not text:
         raise ValueError(f"region {region!r} would read back from a CSV file as {str(text)!r}")
@@ -411,12 +416,20 @@ def region_sort_key(region):
 
 
 def region_codes(labels: np.ndarray):
-    """Region index of each row and the region ids in canonical order."""
-    unique, codes = np.unique(labels, return_inverse=True)
+    """Region index of each row and the region ids in canonical order.
+
+    Only the first label of each run of equal labels is looked up: files
+    hold a region's rows, or a step's regions, next to each other.
+    """
+    new_run = np.ones(len(labels), dtype=bool)
+    new_run[1:] = labels[1:] != labels[:-1]
+    starts = np.flatnonzero(new_run)
+    unique, run_codes = np.unique(labels[starts], return_inverse=True)
     parsed = [parse_region(s) for s in unique.tolist()]
     region_ids = sorted(parsed, key=region_sort_key)
     index = {r: i for i, r in enumerate(region_ids)}
-    return np.array([index[r] for r in parsed], dtype=np.intp)[codes], region_ids
+    code = np.array([index[r] for r in parsed], dtype=np.intp)
+    return np.repeat(code[run_codes], np.diff(np.r_[starts, len(labels)])), region_ids
 
 
 def unrepeated(keys: np.ndarray) -> np.ndarray:
@@ -432,14 +445,16 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
 
     ``types`` gives each column's type: ``int``, ``float`` or ``str`` (a
     label; with ``strip``, labels and header names lose surrounding spaces).
-    The rows are parsed in bulk, ``CHUNK_ROWS`` rows at a time, so only one
-    chunk's labels are ever held as Python strings. A file with no quote
-    byte, a header that ends at its first newline and a body of at least
-    ``SHARE_MIN_BYTES`` is cut at line ends into one byte range per usable
-    CPU (``_share_cuts``), and the ranges are parsed side by side
+    The rows are parsed in bulk, ``CHUNK_ROWS`` rows at a time, each label
+    column straight into fixed-width text (``_read_rows``). A file with no
+    quote byte, a header that ends at its first newline and a body of at
+    least ``SHARE_MIN_BYTES`` is cut at line ends into one byte range per
+    usable CPU (``_share_cuts``), and the ranges are parsed side by side
     (``shares.run_shares``); the table is the one a single pass gives. Only
     if parsing fails does a rescan of the whole file name the physical line
-    of the first bad field count or number (DataFormatError).
+    of the first bad field count or number (DataFormatError). A NUL byte is
+    refused at its line, because a label holding one could pass the width
+    check of ``_read_rows`` cut short.
     """
     try:
         with open(path, "rb") as fh:
@@ -450,21 +465,23 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise DataFormatError(f"{path}:{line}: not UTF-8 ({e.reason})") from None
+    nul = raw.find(b"\0")
+    if nul != -1:
+        line = raw.count(b"\n", 0, nul) + 1
+        raise DataFormatError(f"{path}:{line}: NUL byte")
     cuts = _share_cuts(raw)
     del raw
+    body = functools.partial(_body, path, columns, strip)
     try:
-        # newline="" keeps a quoted line break inside its field, as csv.reader does.
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), [])
-            if ([h.strip() for h in header] if strip else header) != list(columns):
-                raise DataFormatError(f"{path}: expected header '{','.join(columns)}'")
-            parts = None
-            if cuts:
-                # A share numbers its rows from its own start; one pass raises as before.
-                with contextlib.suppress(ValueError):
-                    parts = run_shares([functools.partial(_read_range, path, a, b, columns, types)
-                                        for a, b in zip(cuts, cuts[1:])])
-            parts = parts or [_read_rows(fh, columns, types)]
+        parts = None
+        if cuts:
+            with body():  # the header is checked before any share is forked
+                pass
+            # A share numbers its rows from its own start; one pass raises as before.
+            with contextlib.suppress(ValueError):
+                parts = run_shares([functools.partial(_read_range, path, a, b, columns, types)
+                                    for a, b in zip(cuts, cuts[1:])])
+        parts = parts or [_read_rows(body, columns, types)]
     except ValueError as e:
         for line, row in _records(path):
             if len(row) != len(columns):
@@ -484,6 +501,17 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
         if kind is str and strip:
             table[name] = np.char.strip(table[name])
     return table
+
+
+@contextlib.contextmanager
+def _body(path, columns, strip):
+    """``path`` opened as text just after its header; a header other than ``columns`` fails."""
+    # newline="" keeps a quoted line break inside its field, as csv.reader does.
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+        if ([h.strip() for h in header] if strip else header) != list(columns):
+            raise DataFormatError(f"{path}: expected header '{','.join(columns)}'")
+        yield fh
 
 
 def _share_cuts(raw: bytes) -> list:
@@ -513,26 +541,43 @@ def _read_range(path, start, stop, columns, types) -> dict:
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-        return _read_rows(fh, columns, types)
+    return _read_rows(
+        lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), columns, types)
 
 
-def _read_rows(fh, columns, types) -> dict:
-    """Parse the rows of text file ``fh`` with ``np.loadtxt``: name -> list of chunk arrays."""
-    kinds = {int: "i8", float: "f8", str: "O"}
-    dtype = [(name, kinds[kind]) for name, kind in zip(columns, types)]
-    chunks = {name: [] for name in columns}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # blank lines; no rows is raised later
-        while True:
-            rows = np.loadtxt(fh, dtype=dtype, ndmin=1, max_rows=CHUNK_ROWS, delimiter=",",
-                              quotechar='"', comments=None, encoding="utf-8")
-            # Labels become fixed-width str, as with dtype=str, before the next chunk.
-            for name, kind in zip(columns, types):
-                chunks[name].append(rows[name].astype(str) if kind is str else rows[name].copy())
-            if len(rows) < CHUNK_ROWS:
-                return chunks
-            del rows  # frees this chunk's label objects before the next is parsed
+def _read_rows(open_rows, columns, types) -> dict:
+    """Parse the rows of the text file ``open_rows()`` opens: name -> list of chunk arrays.
+
+    ``np.loadtxt`` parses each label column into a fixed-width text field,
+    ``LABEL_WIDTH`` characters at first, and silently cuts a longer label to
+    that width. So a chunk whose longest label in a column fills the width
+    doubles that column's width, and the file is opened and parsed again
+    from its first row. Each chunk's label column is then narrowed to its
+    longest label, the width that ``dtype=str`` would give it.
+    """
+    widths = {name: LABEL_WIDTH for name, kind in zip(columns, types) if kind is str}
+    kinds = {int: "i8", float: "f8"}
+    while True:
+        dtype = [(name, f"U{widths[name]}" if kind is str else kinds[kind])
+                 for name, kind in zip(columns, types)]
+        chunks = {name: [] for name in columns}
+        with open_rows() as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # blank lines; no rows is raised later
+            while True:
+                rows = np.loadtxt(fh, dtype=dtype, ndmin=1, max_rows=CHUNK_ROWS, delimiter=",",
+                                  quotechar='"', comments=None, encoding="utf-8")
+                longest = {name: int(np.char.str_len(rows[name]).max(initial=0))
+                           for name in widths}
+                cut = [name for name, n in longest.items() if n >= widths[name]]
+                if cut:
+                    break
+                for name in columns:
+                    chunks[name].append(rows[name].astype(f"U{max(longest[name], 1)}")
+                                        if name in widths else rows[name].copy())
+                if len(rows) < CHUNK_ROWS:
+                    return chunks
+        for name in cut:
+            widths[name] *= 2
 
 
 def _records(path):

@@ -38,8 +38,49 @@ class TestGenerate:
         assert result.exit_code == 2
         assert "error:" in result.output
 
+    def test_out_in_a_missing_directory_exits_with_config_code(self, runner, tmp_path):
+        out = tmp_path / "missing_dir" / "g.csv"
+        result = runner.invoke(main, ["generate", "--regions", "2", "--horizon", "50",
+                                      "--out", str(out)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2
+        assert result.output == f"error: {out}: No such file or directory\n"
+
 
 class TestRun:
+    def test_out_under_a_file_exits_before_the_replay(self, runner, tmp_path, monkeypatch):
+        (tmp_path / "some_file").write_text("")
+        out = tmp_path / "some_file" / "sub"
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("replayed before --out was checked")
+
+        monkeypatch.setattr("contina.cli.run_replay", no_replay)
+        result = runner.invoke(main, ["run", "--regions", "2", "--horizon", "300",
+                                      "--out", str(out)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2
+        assert result.output == f"error: {out}: Not a directory\n"
+
+    def test_unwritable_report_file_exits_with_config_code(self, runner, tmp_path):
+        out = tmp_path / "run"
+        (out / "ledger.csv").mkdir(parents=True)
+        result = runner.invoke(main, ["run", "--regions", "2", "--horizon", "300",
+                                      "--out", str(out)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == f"error: {out / 'ledger.csv'}: Is a directory"
+
+    def test_os_error_without_a_path_is_not_an_out_error(self, runner, tmp_path, monkeypatch):
+        def lost_share(result, out_dir):
+            raise ChildProcessError("a share ended with exit status 1 and no result")
+
+        monkeypatch.setattr("contina.cli.write_report", lost_share)
+        result = runner.invoke(main, ["run", "--regions", "2", "--horizon", "300",
+                                      "--out", str(tmp_path / "run")])
+        assert isinstance(result.exception, ChildProcessError)
+        assert "error:" not in result.output
+
     def test_synthetic_run_writes_reports(self, runner, tmp_path):
         out = tmp_path / "run1"
         result = run_cli(runner, [

@@ -12,6 +12,7 @@ large ledger is written in one region share per usable CPU; those tests fake
 
 import csv
 import os
+import random
 import re
 import threading
 
@@ -21,8 +22,11 @@ import pytest
 from contina import harness, metrics, shares, streams
 from contina.errors import DataFormatError
 from contina.harness import LEDGER_COLUMNS, read_ledger_csv
-from contina.predictors import write_forecast_csv
-from contina.streams import FLOWS, DemandStream, read_csv_table, read_demand_csv
+from contina.predictors import FileBackedForecasts, write_forecast_csv
+from contina.streams import (
+    FLOWS, DemandStream, parse_region, read_csv_table, read_demand_csv, region_codes,
+    region_sort_key,
+)
 from ledger_rows import records
 
 # Labels that need quoting, or that only look like they might, and floats
@@ -179,6 +183,63 @@ class TestChunkedReader:
             k = [str(r) for r in LABELS].index(str(region))
             assert back.history[i].tolist() == stream.history[k, :, 2:6].tolist()
 
+    def loadtxt_widths(self, monkeypatch):
+        """The label column widths of each ``np.loadtxt`` call, which still parses."""
+        loadtxt, widths = np.loadtxt, []
+
+        def counted(*args, dtype, **kwargs):
+            dtype = np.dtype(dtype)
+            widths.append({name: dtype[name].itemsize // 4 for name in dtype.names
+                           if dtype[name].kind == "U"})
+            return loadtxt(*args, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        return widths
+
+    def test_labels_shorter_than_the_width_are_parsed_once(self, tmp_path, monkeypatch):
+        w = streams.LABEL_WIDTH
+        path = tmp_path / "d.csv"
+        csv_rows(path, TABLE[0], [[t, "x" * (w - 1 - t % 3), t] for t in range(8)])
+        widths = self.loadtxt_widths(monkeypatch)
+        assert read(path)["region"].dtype == np.dtype(f"<U{w - 1}")
+        assert widths == [{"region": w}] * 3
+
+    def test_a_label_that_fills_the_width_doubles_it_from_the_first_row(self, tmp_path,
+                                                                         monkeypatch):
+        w = streams.LABEL_WIDTH
+        labels = ["a"] * 7 + ["y" * (2 * w)]  # only the third chunk holds the long label
+        path = tmp_path / "d.csv"
+        csv_rows(path, TABLE[0], [[t, label, t] for t, label in enumerate(labels)])
+        widths = self.loadtxt_widths(monkeypatch)
+        table = read(path)
+        assert table["region"].tolist() == labels
+        assert table["region"].dtype == np.dtype(f"<U{2 * w}")
+        # Three chunks at w, three at 2 * w, whose longest label fills it too, then three.
+        assert widths == [{"region": k * w} for k in (1, 1, 1, 2, 2, 2, 4, 4, 4)]
+
+    def test_each_label_column_has_its_own_width(self, tmp_path, monkeypatch):
+        w = streams.LABEL_WIDTH
+        path = tmp_path / "f.csv"
+        csv_rows(path, ("t", "region", "flow", "q_lo", "q_hi"),
+                 [[t, "r" * (w + t), FLOWS[t % 2], 1, 2] for t in range(5)])
+        widths = self.loadtxt_widths(monkeypatch)
+        table = read_csv_table(path, ("t", "region", "flow", "q_lo", "q_hi"),
+                               (int, str, str, float, float))
+        assert table["region"].tolist() == ["r" * (w + t) for t in range(5)]
+        assert table["flow"].dtype == np.dtype("<U3")
+        assert widths == [{"region": k * w, "flow": w} for k in (1, 2, 2)]
+
+    @pytest.mark.parametrize("text, line", [
+        (b"t,region,v\n0,a,1\n1,a\x00b,2\n", 3),
+        (b"t,region,v\n0,a,1\n\n1,b,2\x00\n", 4),
+        (b"t,reg\x00ion,v\n0,a,1\n", 1),
+    ], ids=["in-a-label", "in-a-number", "in-the-header"])
+    def test_nul_byte_is_refused_at_its_line(self, tmp_path, text, line):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataFormatError, match=re.escape(f"d.csv:{line}: NUL byte")):
+            read(path)
+
 
 # Labels that need no quoting: multi-byte UTF-8, and a wide one, last, that
 # only the last share of a ledger holds.
@@ -315,6 +376,41 @@ class TestCsvShares:
         assert messages == {f"{path}:62: {message}"}
         assert len(forks) == 1 + 2
 
+    @pytest.mark.parametrize("where", ["first-chunk", "last-chunk", "one-share"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None], ids=["w-1", "w", "w+1", "2w+1"])
+    def test_label_widths_around_the_parse_width(self, tmp_path, monkeypatch, forks,
+                                                 extra, where):
+        monkeypatch.setattr(streams, "CHUNK_ROWS", 3)
+        w = streams.LABEL_WIDTH
+        long = "L" * (2 * w + 1) if extra is None else "L" * (w + extra)
+        labels = [f"r{t % 4}" for t in range(40)]
+        at = {"first-chunk": 0, "last-chunk": 39, "one-share": 20}[where]
+        labels[at] = long
+        path = tmp_path / "d.csv"
+        csv_rows(path, TABLE[0], [[t, label, t] for t, label in enumerate(labels)])
+        if where == "one-share":
+            raw = path.read_bytes()
+            use_cpus(monkeypatch, 3)
+            cuts = streams._share_cuts(raw)
+            held = [long.encode() in raw[a:b] for a, b in zip(cuts, cuts[1:])]
+            assert held == [False, True, False]
+        tables = self.by_shares(monkeypatch, path)
+        self.assert_same(tables)
+        assert tables[0]["region"].tolist() == labels
+        assert tables[0]["region"].dtype == np.dtype(f"<U{len(long)}")
+        assert len(forks) == 1 + 2
+
+    @pytest.mark.parametrize("k", [5, 6, 11])
+    def test_multibyte_label_across_the_width(self, tmp_path, monkeypatch, k):
+        label = "日本語" * k  # 3 k characters, 9 k bytes
+        rows = [[t, label if t % 7 == 3 else "é", t] for t in range(30)]
+        path = tmp_path / "d.csv"
+        csv_rows(path, TABLE[0], rows)
+        tables = self.by_shares(monkeypatch, path)
+        self.assert_same(tables)
+        assert tables[0]["region"].tolist() == [row[1] for row in rows]
+        assert tables[0]["region"].dtype == np.dtype(f"<U{3 * k}")
+
     def test_file_below_the_floor_never_forks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(streams, "SHARE_MIN_BYTES", 1 << 20)
         path = tmp_path / "d.csv"
@@ -442,3 +538,53 @@ class TestLedgerShares:
         assert os.listdir(tmp_path / "run") == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def test_long_flow_label_is_named_in_full(tmp_path):
+    flow = "outward-" * streams.LABEL_WIDTH
+    path = tmp_path / "f.csv"
+    csv_rows(path, ("t", "region", "flow", "q_lo", "q_hi"),
+             [[0, "a", "in", 1, 2], [0, "a", "out", 1, 2], [1, "a", flow, 1, 2]])
+    with pytest.raises(DataFormatError) as error:
+        FileBackedForecasts(path)
+    assert error.value.exit_code == 3
+    assert str(error.value) == f"{path}:4: flow must be in/out, got {flow!r}"
+
+
+def unique_codes(labels):
+    """``region_codes`` spelled with ``np.unique`` over every row."""
+    unique, codes = np.unique(labels, return_inverse=True)
+    parsed = [parse_region(s) for s in unique.tolist()]
+    region_ids = sorted(parsed, key=region_sort_key)
+    index = {r: i for i, r in enumerate(region_ids)}
+    return np.array([index[r] for r in parsed], dtype=np.intp)[codes], region_ids
+
+
+class TestRegionCodes:
+    REGIONS = ["007", "7", "-5", "b", "a", "10", "9", " x", "日本"]
+
+    @pytest.mark.parametrize("order", ["shuffled", "region-major", "time-major"])
+    def test_codes_match_every_row_spelling(self, order):
+        steps = 6
+        if order == "region-major":
+            rows = [r for r in self.REGIONS for _ in range(steps) for _ in FLOWS]
+        elif order == "time-major":
+            rows = [r for _ in range(steps) for r in self.REGIONS]
+        else:
+            rows = self.REGIONS * steps
+            random.Random(3).shuffle(rows)
+        labels = np.array(rows)
+        codes, regions = region_codes(labels)
+        want_codes, want_regions = unique_codes(labels)
+        assert regions == want_regions
+        assert codes.dtype == want_codes.dtype
+        assert codes.tolist() == want_codes.tolist()
+
+    @pytest.mark.parametrize("rows", [[], ["7"]], ids=["zero-rows", "one-row"])
+    def test_zero_and_one_row(self, rows):
+        labels = np.array(rows, dtype="<U1")
+        codes, regions = region_codes(labels)
+        want_codes, want_regions = unique_codes(labels)
+        assert regions == want_regions == [parse_region(r) for r in rows]
+        assert codes.dtype == want_codes.dtype
+        assert codes.tolist() == want_codes.tolist() == [0] * len(rows)

@@ -363,7 +363,8 @@ class TestRegionLabels:
 
     @pytest.mark.parametrize("labels, named", [
         ((" s", "s"), "' s'"), (("s ", "t"), "'s '"), (("\ts", "t"), "'\\ts'"),
-        (("x\x00", "y"), "'x\\x00'"), (("", "a"), "region ''"),
+        (("x\x00", "y"), "'x\\x00'"), (("x\x00y", "z"), "'x\\x00y' holds a NUL"),
+        (("", "a"), "region ''"),
         ((None, "a"), "region None would read back from a CSV file as ''"),
         ((7, "7"), "regions 7 and '7' share the label '7'"),
     ])
