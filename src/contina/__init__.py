@@ -2,15 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .adaptation import (
-    AdaptHyperParams,
-    RegionAdaptState,
-    alpha_drift_bounds,
-    coverage_error,
-    update_alpha_adaptive,
-    update_alpha_fixed,
-    update_moment,
-)
+from .adaptation import AdaptHyperParams, alpha_drift_bounds, alpha_step, coverage_error
 from .errors import (
     ConfigError,
     ContinaError,
@@ -32,7 +24,6 @@ from .harness import (
 from .intervals import (
     PredictionInterval,
     QuantileForecast,
-    build_interval_cp,
     build_interval_qcp,
     conformity_score,
     contains,
@@ -65,7 +56,7 @@ from .streams import (
     write_demand_csv,
 )
 from .tracker import ConformalIntervalTracker, StepOutcome
-from .windows import CalibrationWindow, QuantileResult, quantile_rank
+from .windows import CalibrationWindow, quantile_rank
 
 __all__ = [
     "AdaptHyperParams",
@@ -87,16 +78,14 @@ __all__ = [
     "PredictionInterval",
     "PredictorSpec",
     "QuantileForecast",
-    "QuantileResult",
-    "RegionAdaptState",
     "RunLedger",
     "RunResult",
     "SeasonalWindowPredictor",
     "StepOutcome",
     "StreamSpec",
     "alpha_drift_bounds",
+    "alpha_step",
     "average_coverage",
-    "build_interval_cp",
     "build_interval_qcp",
     "conformity_score",
     "contains",
@@ -114,9 +103,6 @@ __all__ = [
     "report_from_dir",
     "run_replay",
     "split",
-    "update_alpha_adaptive",
-    "update_alpha_fixed",
-    "update_moment",
     "verify_audit",
     "worst_region_bound",
     "write_demand_csv",

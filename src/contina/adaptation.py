@@ -1,16 +1,18 @@
 """Per-region online updates of the working miscoverage level alpha_t.
 
-Two update rules are provided:
+:func:`alpha_step` is the one specification of the update, per method:
 
-* fixed rate:     alpha' = alpha + gamma * (target - err)
-* adaptive rate:  v' = beta * v + (1 - beta) * (err - target)^2
+* ``aci_fixed``:  alpha' = alpha + gamma * (target - err)
+* ``contina``:    v' = beta * v + (1 - beta) * (err - target)^2
                   alpha' = alpha - gamma1 / (sqrt(v') + epsilon) * (err - target)
+* ``cp``, ``qcp``: alpha and v stay as they are
 
 The adaptive rule refreshes the second-moment accumulator v with the current
 step's error *before* the alpha step; that ordering is part of the contract.
-State fields may be scalars or numpy arrays of independent trajectories: the
-arithmetic is elementwise either way, so bulk invariant checks exercise the
-same code path as the scalar engine.
+:func:`learning_rate` gives each method's rate. Both take scalars or numpy
+arrays of independent regions: the arithmetic is elementwise either way, so
+the state audit and the bulk invariant checks run the same code as a
+tracker's ``observe``.
 
 ``alpha_drift_bounds`` gives the envelope the adaptive rule can never leave:
 with k = min(1, (0.5 - a)^2 / a^2, (1 - a)^2 / a^2) and
@@ -20,7 +22,7 @@ B = gamma1 / (a * sqrt((1 - beta) * k) + epsilon), alpha_t stays within
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,20 +58,6 @@ class AdaptHyperParams:
         check_positive(self.epsilon, "epsilon")
 
 
-@dataclass(frozen=True)
-class RegionAdaptState:
-    """One region's adaptive state: working alpha and second moment.
-
-    ``alpha`` may drift outside [0, 1]; the interval builder's out-of-range
-    quantile rules absorb that. ``moment`` stays in [0, 1) for any sequence of
-    admissible errors. Fields may be numpy arrays for bulk simulation.
-    """
-
-    region_id: object
-    alpha: float
-    moment: float = 0.0
-
-
 class DriftBounds(NamedTuple):
     lower: float
     upper: float
@@ -81,35 +69,37 @@ def coverage_error(hit_inflow, hit_outflow):
     return 1.0 - (hit_inflow + hit_outflow) / 2.0
 
 
-def update_alpha_fixed(
-    state: RegionAdaptState, err, gamma: float, hp: AdaptHyperParams
-) -> RegionAdaptState:
-    """Fixed-rate update; the second moment is left untouched."""
-    return replace(state, alpha=state.alpha + gamma * (hp.target_alpha - err))
+def learning_rate(method, moment, gamma, hp: AdaptHyperParams):
+    """``method``'s learning rate for the next update of alpha_t.
 
-
-def update_moment(state: RegionAdaptState, err, hp: AdaptHyperParams) -> RegionAdaptState:
-    """Decay the second moment toward the squared error innovation."""
-    innov = err - hp.target_alpha
-    return replace(state, moment=hp.beta * state.moment + (1.0 - hp.beta) * innov * innov)
-
-
-def adaptive_rate(moment, hp: AdaptHyperParams):
-    """Per-step learning rate gamma1 / (sqrt(moment) + epsilon)."""
-    return hp.gamma1 / (np.sqrt(moment) + hp.epsilon)
-
-
-def update_alpha_adaptive(
-    state: RegionAdaptState, err, hp: AdaptHyperParams
-) -> RegionAdaptState:
-    """Adaptive-rate update: refresh the moment, then step alpha.
-
-    Returns a new state; identical inputs produce bit-identical outputs.
+    contina's adaptive gamma1 / (sqrt(moment) + epsilon), aci_fixed's fixed
+    ``gamma``, and 0 for cp and qcp. ``moment`` (finite) may hold an array of
+    independent regions; the rate then has its shape.
     """
-    refreshed = update_moment(state, err, hp)
-    innov = err - hp.target_alpha
-    alpha = state.alpha - adaptive_rate(refreshed.moment, hp) * innov
-    return replace(refreshed, alpha=alpha)
+    if method == "contina":
+        return hp.gamma1 / (np.sqrt(moment) + hp.epsilon)
+    return (gamma if method == "aci_fixed" else 0.0) + 0.0 * moment
+
+
+def alpha_step(method, alpha, moment, err, gamma, hp: AdaptHyperParams):
+    """``method``'s update of alpha_t: (alpha, moment, step).
+
+    contina refreshes the moment with this step's error, then steps alpha at
+    the adaptive rate; aci_fixed steps alpha at ``gamma`` and keeps the
+    moment; cp and qcp keep both. The step, which the tracker adds to its
+    update sum, is rate * (target - err), computed on its own as the engine
+    computes it, not as a difference of alphas. ``alpha``, ``moment`` and
+    ``err`` may hold arrays of independent regions.
+    """
+    if method == "contina":
+        innov = err - hp.target_alpha
+        moment = hp.beta * moment + (1.0 - hp.beta) * innov * innov
+        rate = learning_rate(method, moment, gamma, hp)
+        return alpha - rate * innov, moment, rate * (hp.target_alpha - err)
+    if method == "aci_fixed":
+        step = gamma * (hp.target_alpha - err)
+        return alpha + step, moment, step
+    return alpha, moment, 0.0 * err
 
 
 def alpha_drift_bounds(hp: AdaptHyperParams) -> DriftBounds:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import metrics
-from .adaptation import AdaptHyperParams, RegionAdaptState, coverage_error
+from .adaptation import AdaptHyperParams, alpha_step, coverage_error, learning_rate
 from .errors import ConfigError, DataFormatError, LedgerError
 from .intervals import conformity_score, interval_length
 from .metrics import RunLedger, coverage_gap_constant
@@ -71,7 +71,7 @@ from .streams import (
     reject_rows,
     split,
 )
-from .tracker import ConformalIntervalTracker, alpha_step, learning_rate
+from .tracker import ConformalIntervalTracker
 from .validation import check_bool, check_int, check_positive_int
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
@@ -372,8 +372,8 @@ def verify_audit(result: RunResult) -> bool:
       region is the one the object path builds from the data before its step.
     * Every region's final state: the alpha update reads only each step's
       miss indicator, so the final alpha, moment, rate and update sum follow
-      from the ledger's covered grid alone. They are recomputed with the
-      update rules of ``contina.adaptation``, over all regions at once, and
+      from the ledger's covered grid alone. They are recomputed with
+      ``contina.adaptation.alpha_step``, over all regions at once, and
       must equal ``result.states`` bit for bit.
     """
     region = result.audit
@@ -401,16 +401,14 @@ def _states_follow_ledger(result: RunResult) -> bool:
     cfg, ledger = result.config, result.ledger
     hp = cfg.hyperparams()
     n = ledger.n_regions
-    state = RegionAdaptState(ledger.region_ids, alpha=np.full(n, cfg.alpha),
-                             moment=np.zeros(n))
-    update_sum = np.zeros(n)
+    alpha, moment, update_sum = np.full(n, cfg.alpha), np.zeros(n), np.zeros(n)
     hits = ledger.covered_grid.astype(np.float64)  # bool arrays add as logical OR
     for p in range(ledger.horizon):
         err = coverage_error(hits[:, p, 0], hits[:, p, 1])
-        state, step = alpha_step(cfg.method, state, err, cfg.gamma, hp)
+        alpha, moment, step = alpha_step(cfg.method, alpha, moment, err, cfg.gamma, hp)
         update_sum += step
-    rate = learning_rate(cfg.method, state.moment, cfg.gamma, hp)
-    got = np.column_stack([state.alpha, state.moment, rate, update_sum])
+    rate = learning_rate(cfg.method, moment, cfg.gamma, hp)
+    got = np.column_stack([alpha, moment, rate, update_sum])
     return got.tobytes() == b"".join(map(_state_bits, result.states))
 
 

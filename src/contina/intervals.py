@@ -3,8 +3,8 @@
 The score of a realized value against a quantile forecast (lo, hi) is
 ``max(y - hi, lo - y)``: negative iff y lies strictly inside the band, zero on
 the boundary. Widening both forecast quantiles by the calibrated score
-quantile produces the prediction interval; an empty quantile result produces
-an empty interval.
+quantile produces the prediction interval; a quantile of None, the rule for a
+level below 0, produces an empty interval.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .windows import QuantileResult
 from .validation import check_finite
 
 
@@ -67,8 +66,24 @@ def conformity_score(y: float, forecast: QuantileForecast) -> float:
     return max(y - forecast.hi, forecast.lo - y)
 
 
-def _band(low: float, up: float, clamp_nonnegative: bool) -> PredictionInterval:
-    # A widening negative enough to invert the band leaves no admissible y.
+def build_interval_qcp(
+    forecast: QuantileForecast,
+    v: float | None,
+    *,
+    clamp_nonnegative: bool = False,
+) -> PredictionInterval:
+    """Widen a quantile forecast by the calibrated score quantile ``v``.
+
+    ``v`` is what ``CalibrationWindow.quantile_with_rules`` returns; None
+    gives the empty set, and so does a widening negative enough to invert
+    the band, which leaves no admissible y. cp is this band around the
+    forecast midpoint. The optional non-negativity clamp floors the lower
+    bound at zero for count-valued demand; it is off by default because the
+    evaluation metrics are defined on the unclamped interval.
+    """
+    if v is None:
+        return PredictionInterval.empty_set()
+    low, up = forecast.lo - v, forecast.hi + v
     if low > up:
         return PredictionInterval.empty_set()
     if clamp_nonnegative:
@@ -77,38 +92,6 @@ def _band(low: float, up: float, clamp_nonnegative: bool) -> PredictionInterval:
         low = low if low > 0.0 else 0.0
         up = up if up > low else low
     return PredictionInterval(low, up)
-
-
-def build_interval_qcp(
-    forecast: QuantileForecast,
-    q: QuantileResult,
-    *,
-    clamp_nonnegative: bool = False,
-) -> PredictionInterval:
-    """Widen a quantile forecast by the calibrated score quantile.
-
-    The optional non-negativity clamp floors the lower bound at zero for
-    count-valued demand; it is off by default because the evaluation metrics
-    are defined on the unclamped interval.
-    """
-    if q.is_empty:
-        return PredictionInterval.empty_set()
-    v = q.widening
-    return _band(forecast.lo - v, forecast.hi + v, clamp_nonnegative)
-
-
-def build_interval_cp(
-    point: float,
-    q: QuantileResult,
-    *,
-    clamp_nonnegative: bool = False,
-) -> PredictionInterval:
-    """Symmetric interval around a point prediction (absolute-residual CP)."""
-    point = check_finite(point, "point")
-    if q.is_empty:
-        return PredictionInterval.empty_set()
-    v = q.widening
-    return _band(point - v, point + v, clamp_nonnegative)
 
 
 def contains(interval: PredictionInterval, y: float) -> bool:

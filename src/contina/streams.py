@@ -109,9 +109,9 @@ class StreamSpec:
             object.__setattr__(self, name, value)
 
         keep("seed", check_int(self.seed, "seed", 0))
-        for name in ("n_regions", "horizon", "steps_per_day"):
+        for name in ("n_regions", "horizon", "k_lag", "steps_per_day"):
             keep(name, check_positive_int(getattr(self, name), name))
-        for name in ("shift_scale", "drift_rate", "sigma_frac", "dispersion"):
+        for name in ("shift_scale", "drift_rate", "sigma_frac", "season_amp", "dispersion"):
             keep(name, check_finite(getattr(self, name), name))
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
@@ -121,10 +121,8 @@ class StreamSpec:
             keep("shift_at", check_int(self.shift_at, "shift_at", 0))
             if not self.shift_at < self.horizon:
                 raise ValueError(f"shift_at must lie within the horizon, got {self.shift_at}")
-        if self.regime == "k_dependent":
-            check_positive_int(self.k_lag, "k_lag")
-            if self.noise != "gaussian":
-                raise ValueError("k_dependent streams support gaussian noise only")
+        if self.regime == "k_dependent" and self.noise != "gaussian":
+            raise ValueError("k_dependent streams support gaussian noise only")
         for name in ("scale_range", "base_level"):
             try:
                 lo, hi = getattr(self, name)

@@ -18,9 +18,11 @@ windows from calibration scores; ``get_params``/``set_params`` work as usual).
 
 Two paths
 ---------
-``observe`` is the specification of one step. It composes ``predict``,
-``contains``, ``conformity_score``, ``CalibrationWindow.push`` and the update
-rules of :mod:`contina.adaptation`, and never calls the engine.
+``observe`` is the specification of one step. It composes ``predict`` (each
+window's ``quantile_with_rules``, a float or None, widened by
+``build_interval_qcp``), ``contains``, ``conformity_score``,
+``CalibrationWindow.push`` and :func:`contina.adaptation.alpha_step`, and
+never calls the engine.
 
 ``observe_series`` is the engine: it runs a whole segment of steps in one
 call on raw float sequences. Conformity scores depend only on forecasts and
@@ -40,14 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._params import ParamsMixin
-from .adaptation import (
-    AdaptHyperParams,
-    RegionAdaptState,
-    adaptive_rate,
-    coverage_error,
-    update_alpha_adaptive,
-    update_alpha_fixed,
-)
+from .adaptation import AdaptHyperParams, alpha_step, coverage_error, learning_rate
 from .errors import EmptyCalibrationError, NotFittedError
 from .intervals import (
     QuantileForecast,
@@ -81,34 +76,6 @@ def conformity_scores(lo, hi, y) -> np.ndarray:
     above = y - hi
     below = lo - y
     return np.where(below > above, below, above)
-
-
-def alpha_step(method, state: RegionAdaptState, err, gamma, hp: AdaptHyperParams):
-    """``method``'s update of alpha_t: (new state, the step it adds to update_sum).
-
-    contina takes the adaptive step and aci_fixed the fixed one; cp and qcp
-    keep their state and step by zero. The step is rate * (target - err),
-    computed on its own as the engine computes it, not as a difference of
-    alphas. ``state`` and ``err`` may hold arrays of independent regions.
-    """
-    if method == "contina":
-        state = update_alpha_adaptive(state, err, hp)
-        return state, adaptive_rate(state.moment, hp) * (hp.target_alpha - err)
-    if method == "aci_fixed":
-        return update_alpha_fixed(state, err, gamma, hp), gamma * (hp.target_alpha - err)
-    return state, 0.0 * err
-
-
-def learning_rate(method, moment, gamma, hp: AdaptHyperParams):
-    """``method``'s learning rate for the next update of alpha_t.
-
-    contina's adaptive gamma1 / (sqrt(moment) + epsilon), aci_fixed's fixed
-    ``gamma``, and 0 for cp and qcp. ``moment`` (finite) may hold an array of
-    independent regions; the rate then has its shape.
-    """
-    if method == "contina":
-        return adaptive_rate(moment, hp)
-    return (gamma if method == "aci_fixed" else 0.0) + 0.0 * moment
 
 
 class ConformalIntervalTracker(ParamsMixin):
@@ -170,8 +137,10 @@ class ConformalIntervalTracker(ParamsMixin):
     def rate_(self) -> float:
         """Learning rate in effect for the next update (0 for static methods)."""
         self._check_fitted()
-        hp = AdaptHyperParams(self.alpha, self.gamma1, self.beta, self.epsilon)
-        return float(learning_rate(self.method, self.moment_, self.gamma, hp))
+        return float(learning_rate(self.method, self.moment_, self.gamma, self._hyperparams()))
+
+    def _hyperparams(self) -> AdaptHyperParams:
+        return AdaptHyperParams(self.alpha, self.gamma1, self.beta, self.epsilon)
 
     # -- object-path API ---------------------------------------------------
 
@@ -223,10 +192,9 @@ class ConformalIntervalTracker(ParamsMixin):
         for win, s in zip(self.windows_, scores):
             win.push(s)
         err = coverage_error(covered[0], covered[1])
-        hp = AdaptHyperParams(self.alpha, self.gamma1, self.beta, self.epsilon)
-        state = RegionAdaptState(None, self.alpha_t_, self.moment_)
-        state, step = alpha_step(self.method, state, err, self.gamma, hp)
-        self.alpha_t_, self.moment_ = float(state.alpha), float(state.moment)
+        alpha, moment, step = alpha_step(self.method, self.alpha_t_, self.moment_, err,
+                                         self.gamma, self._hyperparams())
+        self.alpha_t_, self.moment_ = float(alpha), float(moment)
         self.update_sum_ += float(step)
         return StepOutcome(intervals=intervals, covered=covered, scores=scores, err=err)
 

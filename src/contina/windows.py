@@ -7,7 +7,10 @@ Quantile queries use the rank rule ``m = ceil(level * n)`` clamped to
 produced by adaptive targets that leave [0, 1]:
 
 * level > 1  -> an inflated stand-in of twice the window maximum,
-* level < 0  -> an empty result (downstream intervals become empty).
+* level < 0  -> None (downstream intervals become empty).
+
+:meth:`CalibrationWindow.quantile_with_rules` applies them and returns a
+float or None.
 """
 
 from __future__ import annotations
@@ -15,16 +18,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyCalibrationError
 from .validation import check_positive_int
-
-VALUE = "value"
-INFLATED = "inflated"
-EMPTY = "empty"
 
 # Levels are often computed as 1 - alpha_t from accumulated floats; a product
 # like 0.85 * 20 can land a hair above the intended integer rank. Treat
@@ -52,37 +50,6 @@ def _not_finite(values: list) -> ValueError:
     """The error naming the first non-finite score of ``values``."""
     bad = next(v for v in values if not math.isfinite(v))
     return ValueError(f"score must be finite, got {bad!r}")
-
-
-@dataclass(frozen=True)
-class QuantileResult:
-    """Outcome of a quantile query under the out-of-range level rules."""
-
-    kind: str
-    value: float | None = None
-
-    @classmethod
-    def of_value(cls, value: float) -> "QuantileResult":
-        return cls(VALUE, float(value))
-
-    @classmethod
-    def inflated(cls, value: float) -> "QuantileResult":
-        return cls(INFLATED, float(value))
-
-    @classmethod
-    def empty(cls) -> "QuantileResult":
-        return cls(EMPTY, None)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == EMPTY
-
-    @property
-    def widening(self) -> float:
-        """The interval widening amount; undefined for empty results."""
-        if self.value is None:
-            raise EmptyCalibrationError("empty quantile result carries no value")
-        return self.value
 
 
 class CalibrationWindow:
@@ -181,17 +148,17 @@ class CalibrationWindow:
             )
         return self._sorted[quantile_rank(level, len(self._sorted)) - 1]
 
-    def quantile_with_rules(self, level: float) -> QuantileResult:
+    def quantile_with_rules(self, level: float) -> float | None:
         """Quantile query accepting any real level.
 
-        Levels above 1 return an inflated value of twice the window maximum;
-        levels below 0 return an empty result; in-range levels defer to
+        Levels above 1 give twice the window maximum, levels below 0 give
+        None (the interval is empty), and in-range levels defer to
         :meth:`quantile`.
         """
         if not self._sorted:
             raise EmptyCalibrationError("cannot take a quantile of an empty window")
         if level > 1.0:
-            return QuantileResult.inflated(2.0 * self._sorted[-1])
+            return 2.0 * self._sorted[-1]
         if level < 0.0:
-            return QuantileResult.empty()
-        return QuantileResult.of_value(self.quantile(level))
+            return None
+        return self.quantile(level)

@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from contina import metrics
-from contina.adaptation import (
-    AdaptHyperParams,
-    RegionAdaptState,
-    alpha_drift_bounds,
-    update_alpha_adaptive,
-)
+from contina.adaptation import AdaptHyperParams, alpha_drift_bounds, alpha_step
 from contina.harness import ExperimentConfig, run_replay, write_report
 from contina.metrics import (
     BoundParams,
@@ -156,19 +151,15 @@ class TestCriterion4DriftEnvelope:
                 epsilon=1e-8,
             )
             lower, upper, _ = alpha_drift_bounds(hp)
-            state = RegionAdaptState(
-                "bulk",
-                alpha=np.full(per_batch, hp.target_alpha),
-                moment=np.zeros(per_batch),
-            )
+            alpha, moment = np.full(per_batch, hp.target_alpha), np.zeros(per_batch)
             for _ in range(steps):
                 errs = rng.choice([0.0, 0.5, 1.0], size=per_batch)
-                errs = np.where(state.alpha < 0.0, 0.0, errs)
-                errs = np.where(state.alpha > 1.0, 1.0, errs)
-                state = update_alpha_adaptive(state, errs, hp)
-                violations += int((state.alpha < lower).sum())
-                violations += int((state.alpha > upper).sum())
-                violations += int((state.moment >= 1.0).sum())
+                errs = np.where(alpha < 0.0, 0.0, errs)
+                errs = np.where(alpha > 1.0, 1.0, errs)
+                alpha, moment, _ = alpha_step("contina", alpha, moment, errs, 0.0, hp)
+                violations += int((alpha < lower).sum())
+                violations += int((alpha > upper).sum())
+                violations += int((moment >= 1.0).sum())
             total += per_batch
         ok = violations == 0 and total == 100_000
         assert report(

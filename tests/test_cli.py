@@ -450,6 +450,8 @@ class TestMalformedConfig:
                      id="shift-at-fraction"),
         pytest.param(RUN_CONFIG, synthetic("scale_range: [1, .inf]"), id="scale-range-inf"),
         pytest.param(RUN_CONFIG, synthetic("base_level: [5, .inf]"), id="base-level-inf"),
+        pytest.param(RUN_CONFIG, synthetic("k_lag: abc"), id="k-lag-text"),
+        pytest.param(RUN_CONFIG, synthetic("k_lag: 1.5"), id="k-lag-fraction"),
         pytest.param(["run", "--regions", "0"], None, id="regions-0"),
         pytest.param(["run", "--regions", "3", "--horizon", "200", "--seed", "-1"], None,
                      id="run-seed-negative"),
@@ -484,6 +486,16 @@ class TestMalformedConfig:
         assert f"error: {name} must be an integer >= " in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("key, message", [
+        ("k_lag", "must be an integer >= 1, got 'abc'"),
+        ("season_amp", "must be a number, got 'abc'"),
+    ])
+    def test_synthetic_text_settings_name_the_key(self, runner, tmp_path, key, message):
+        write_config(tmp_path / "exp.yaml", **synthetic(f"{key}: abc"))
+        result = runner.invoke(main, ["run", "--config", str(tmp_path / "exp.yaml")])
+        assert result.exit_code == 2, result.output
+        assert f"error: {key} {message}" in result.output
+
     @pytest.mark.parametrize("key", ["scale_range", "base_level"])
     @pytest.mark.parametrize("text", ["5", "[1, 2, 3]"])
     def test_synthetic_bounds_that_are_not_a_pair_name_the_key(self, runner, tmp_path, key,
@@ -504,6 +516,10 @@ class TestMalformedConfig:
         ("predictor.step_size", ONLINE_TEXT, 0.1),
         ("predictor.epochs", ONLINE_TEXT, 2),
         ("predictor.window_len", "{window_len: 24.0}", 24),
+        ("synthetic.k_lag", "{n_regions: 3, horizon: 200, seed: 1, regime: k_dependent, "
+                            "k_lag: 2.0}", 2),
+        ("synthetic.season_amp", "{n_regions: 3, horizon: 200, seed: 1, season_amp: '0.5'}",
+         0.5),
     ])
     def test_manifest_records_values_as_checked(self, runner, tmp_path, key, text, recorded):
         section, _, name = key.rpartition(".")  # "predictor.epochs" is a nested key

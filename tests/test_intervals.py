@@ -12,13 +12,12 @@ import pytest
 from contina.intervals import (
     PredictionInterval,
     QuantileForecast,
-    build_interval_cp,
     build_interval_qcp,
     conformity_score,
     contains,
     interval_length,
 )
-from contina.windows import QuantileResult
+from contina.windows import CalibrationWindow
 
 
 def dyadic(rng, lo=-64, hi=64, size=None):
@@ -72,34 +71,33 @@ class TestQuantileForecast:
 
 class TestBuildIntervals:
     def test_qcp_widening(self):
-        band = build_interval_qcp(QuantileForecast(2, 8), QuantileResult.of_value(1.5))
+        band = build_interval_qcp(QuantileForecast(2, 8), 1.5)
         assert (band.low, band.up) == (0.5, 9.5)
 
     def test_qcp_zero_widening_is_identity(self):
-        band = build_interval_qcp(QuantileForecast(2, 8), QuantileResult.of_value(0))
+        band = build_interval_qcp(QuantileForecast(2, 8), 0)
         assert (band.low, band.up) == (2, 8)
 
     def test_qcp_empty_quantile_gives_empty_interval(self):
-        assert build_interval_qcp(QuantileForecast(2, 8), QuantileResult.empty()).empty
+        assert build_interval_qcp(QuantileForecast(2, 8), None).empty
 
     def test_cp_wide_residual_can_cross_zero(self):
-        band = build_interval_cp(7, QuantileResult.of_value(10))
+        band = build_interval_qcp(QuantileForecast(7, 7), 10)
         assert (band.low, band.up) == (-3, 17)
 
     def test_cp_degenerate(self):
-        band = build_interval_cp(7, QuantileResult.of_value(0))
+        band = build_interval_qcp(QuantileForecast(7, 7), 0)
         assert (band.low, band.up) == (7, 7)
 
     def test_cp_inflated_widening(self):
-        band = build_interval_cp(0, QuantileResult.inflated(4))
+        inflated = CalibrationWindow(2, [1.0, 2.0]).quantile_with_rules(1.5)
+        band = build_interval_qcp(QuantileForecast(0, 0), inflated)
         assert (band.low, band.up) == (-4, 4)
 
     def test_nonnegative_clamp(self):
-        band = build_interval_cp(7, QuantileResult.of_value(10), clamp_nonnegative=True)
+        band = build_interval_qcp(QuantileForecast(7, 7), 10, clamp_nonnegative=True)
         assert (band.low, band.up) == (0, 17)
-        band = build_interval_qcp(
-            QuantileForecast(-9, -8), QuantileResult.of_value(0), clamp_nonnegative=True
-        )
+        band = build_interval_qcp(QuantileForecast(-9, -8), 0, clamp_nonnegative=True)
         assert (band.low, band.up) == (0, 0)
 
     def test_monotone_nesting(self):
@@ -108,17 +106,17 @@ class TestBuildIntervals:
         for _ in range(200):
             lo, hi = sorted(dyadic(rng, size=2))
             v1, v2 = sorted(dyadic(rng, size=2))
-            b1 = build_interval_qcp(QuantileForecast(lo, hi), QuantileResult.of_value(v1))
-            b2 = build_interval_qcp(QuantileForecast(lo, hi), QuantileResult.of_value(v2))
+            b1 = build_interval_qcp(QuantileForecast(lo, hi), v1)
+            b2 = build_interval_qcp(QuantileForecast(lo, hi), v2)
             if b2.empty:
                 assert b1.empty
             elif not b1.empty:
                 assert b2.low <= b1.low and b1.up <= b2.up
 
     def test_inverted_widening_is_empty(self):
-        band = build_interval_qcp(QuantileForecast(2, 8), QuantileResult.of_value(-4))
+        band = build_interval_qcp(QuantileForecast(2, 8), -4)
         assert band.empty
-        band = build_interval_cp(5, QuantileResult.of_value(-1))
+        band = build_interval_qcp(QuantileForecast(5, 5), -1)
         assert band.empty
 
 
@@ -151,7 +149,7 @@ class TestDuality:
             y = dyadic(rng)
             v = dyadic(rng)
             fc = QuantileForecast(lo, hi)
-            band = build_interval_qcp(fc, QuantileResult.of_value(v))
+            band = build_interval_qcp(fc, v)
             assert contains(band, y) == (conformity_score(y, fc) <= v)
 
     def test_duality_float_fuzz(self):
@@ -167,6 +165,6 @@ class TestDuality:
             if abs(s - v) < 1e-9:
                 continue
             checked += 1
-            band = build_interval_qcp(fc, QuantileResult.of_value(v))
+            band = build_interval_qcp(fc, v)
             assert contains(band, y) == (s <= v)
         assert checked > 1500

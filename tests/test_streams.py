@@ -108,9 +108,20 @@ class TestRegimes:
         assert (spec.n_regions, spec.seed, spec.shift_scale, spec.sigma_frac) == (2, 3, 3.0, 0.5)
         assert [type(v) for v in (spec.n_regions, spec.seed, spec.shift_scale)] == [
             int, int, float]
-        for bad in ({"seed": -1}, {"seed": 1.5}, {"dispersion": float("nan")}):
+        spec = StreamSpec(n_regions=1, horizon=10, seed=0, regime="k_dependent", k_lag=2.0,
+                          season_amp="0.5")
+        assert (spec.k_lag, spec.season_amp) == (2, 0.5)
+        assert [type(v) for v in (spec.k_lag, spec.season_amp)] == [int, float]
+        for bad in ({"seed": -1}, {"seed": 1.5}, {"dispersion": float("nan")},
+                    {"k_lag": 1.5}, {"k_lag": "abc"}, {"k_lag": 0},
+                    {"season_amp": "abc"}, {"season_amp": None}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 StreamSpec(n_regions=1, horizon=10, **{"seed": 0, **bad})
+
+    def test_integral_float_lag_generates_the_integer_lag_stream(self):
+        kw = dict(n_regions=2, horizon=50, seed=4, regime="k_dependent")
+        want = generate(StreamSpec(k_lag=3, **kw)).history
+        assert np.array_equal(generate(StreamSpec(k_lag=3.0, **kw)).history, want)
 
     @pytest.mark.parametrize("name", ["scale_range", "base_level"])
     @pytest.mark.parametrize("value", [5, [1.0, 2.0, 3.0], [4.0], None])

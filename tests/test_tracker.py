@@ -3,23 +3,19 @@
 The replay engine drives ``observe_series`` on raw float sequences, while
 ``observe`` is the object-path specification of a step and never runs the
 engine. Twin-run and seeded differential tests pin the two paths to
-bit-identical behavior, and the update rules are pinned to the pure functions
-in ``contina.adaptation``.
+bit-identical behavior, and the update is pinned to its recurrence written out
+step by step.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from contina.adaptation import (
-    AdaptHyperParams,
-    RegionAdaptState,
-    alpha_drift_bounds,
-    update_alpha_adaptive,
-    update_alpha_fixed,
-)
+from contina.adaptation import AdaptHyperParams, alpha_drift_bounds, alpha_step, learning_rate
 from contina.errors import EmptyCalibrationError, NotFittedError
 from contina.intervals import QuantileForecast, contains, interval_length
-from contina.tracker import ConformalIntervalTracker, learning_rate
+from contina.tracker import ConformalIntervalTracker
 from contina.windows import CalibrationWindow
 
 HP = AdaptHyperParams()
@@ -130,25 +126,29 @@ class TestFastAndObjectPathsAgree:
             assert (a.alpha_t_, a.moment_) == (b.alpha_t_, b.moment_)
             assert a.windows_[0].scores == b.windows_[0].scores
 
-    def test_contina_update_matches_pure_function(self):
+    def test_contina_update_follows_the_written_out_recurrence(self):
         rng = np.random.default_rng(8)
         tr = ConformalIntervalTracker(method="contina").fit([0.5] * 20, [0.5] * 20)
-        state = RegionAdaptState("r", alpha=tr.alpha, moment=0.0)
+        alpha, moment, total = tr.alpha, 0.0, 0.0
         for fcs, ys in random_forecast_stream(rng, 300):
-            out = tr.observe(fcs, ys)
-            state = update_alpha_adaptive(state, out.err, HP)
-            assert state.alpha == tr.alpha_t_
-            assert state.moment == tr.moment_
+            err = tr.observe(fcs, ys).err
+            innov = err - 0.1
+            moment = 0.99 * moment + (1.0 - 0.99) * innov * innov
+            rate = 0.005 / (math.sqrt(moment) + 1e-8)
+            alpha = alpha - rate * innov
+            total += rate * (0.1 - err)
+            assert (tr.alpha_t_, tr.moment_, tr.update_sum_) == (alpha, moment, total)
 
-    def test_fixed_update_matches_pure_function(self):
+    def test_fixed_update_follows_the_written_out_recurrence(self):
         rng = np.random.default_rng(9)
         tr = ConformalIntervalTracker(method="aci_fixed", gamma=0.02)
         tr.fit([0.5] * 20, [0.5] * 20)
-        state = RegionAdaptState("r", alpha=tr.alpha)
+        alpha, total = tr.alpha, 0.0
         for fcs, ys in random_forecast_stream(rng, 300):
-            out = tr.observe(fcs, ys)
-            state = update_alpha_fixed(state, out.err, 0.02, HP)
-            assert state.alpha == tr.alpha_t_
+            step = 0.02 * (0.1 - tr.observe(fcs, ys).err)
+            alpha += step
+            total += step
+            assert (tr.alpha_t_, tr.moment_, tr.update_sum_) == (alpha, 0.0, total)
 
 
 def tied_forecast_stream(rng, n):
@@ -359,6 +359,15 @@ class TestLearningRate:
         assert got.shape == moments.shape
         want = [learning_rate(method, float(m), 0.07, HP) for m in moments.ravel()]
         assert bits(got.ravel()) == bits(want)
+        # alpha_step too: (alpha, moment, step) per region, as the state audit runs it.
+        alphas = np.array([[0.1, -0.3, 0.9], [1.2, 0.05, 0.5]])
+        errs = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.5]])
+        got = alpha_step(method, alphas, moments, errs, 0.07, HP)
+        want = [alpha_step(method, float(a), float(m), float(e), 0.07, HP)
+                for a, m, e in zip(alphas.ravel(), moments.ravel(), errs.ravel())]
+        for k in range(3):
+            assert got[k].shape == moments.shape
+            assert bits(got[k].ravel()) == bits([w[k] for w in want])
 
     def test_rate_needs_fit(self):
         with pytest.raises(NotFittedError):

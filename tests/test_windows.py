@@ -3,7 +3,7 @@
 Key properties:
 1. FIFO eviction matches a reference deque model over long random runs.
 2. Quantile queries agree exactly with a sort-based oracle at every level.
-3. Out-of-range levels follow the inflated / empty rules.
+3. Out-of-range levels follow the inflated / empty rules: a float or None.
 4. A bulk ``push_series`` equals ``push`` + ``quantile`` one score at a time.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from contina.errors import EmptyCalibrationError
-from contina.windows import CalibrationWindow, QuantileResult, quantile_rank, quantile_ranks
+from contina.windows import CalibrationWindow, quantile_rank, quantile_ranks
 
 
 def oracle_quantile(scores, level):
@@ -152,20 +152,18 @@ class TestQuantileWithRules:
     def test_inflated_above_one(self):
         w = CalibrationWindow(3, [1, 4, 2])
         res = w.quantile_with_rules(1.05)
-        assert res == QuantileResult.inflated(8.0)
-        assert res.widening == 8.0
+        assert res == 8.0 and type(res) is float
 
     def test_empty_below_zero(self):
-        res = CalibrationWindow(3, [1, 4, 2]).quantile_with_rules(-0.02)
-        assert res.is_empty
-        with pytest.raises(EmptyCalibrationError):
-            res.widening
+        assert CalibrationWindow(3, [1, 4, 2]).quantile_with_rules(-0.02) is None
 
     def test_in_range_value(self):
         w = CalibrationWindow(3, [1, 4, 2])
         expected = oracle_quantile([1, 4, 2], 0.5)
         assert expected == 2
-        assert w.quantile_with_rules(0.5) == QuantileResult.of_value(expected)
+        assert w.quantile_with_rules(0.5) == expected
+        for level in (0.0, -0.0, 1e-12, 0.34, 2 / 3, 1.0):
+            assert w.quantile_with_rules(level) == w.quantile(level)
 
     def test_empty_window_raises(self):
         with pytest.raises(EmptyCalibrationError):
@@ -174,7 +172,13 @@ class TestQuantileWithRules:
     def test_inflated_is_exactly_twice_max(self):
         # holds also for negative maxima, where domination cannot
         w = CalibrationWindow(3, [-4.0, -2.0, -1.0])
-        assert w.quantile_with_rules(1.5).value == -2.0
+        assert w.quantile_with_rules(1.5) == -2.0
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            scores = rng.normal(size=int(rng.integers(1, 40))) * 10
+            w = CalibrationWindow(len(scores), scores)
+            level = 1.0 + float(rng.uniform(1e-12, 3.0))
+            assert w.quantile_with_rules(level) == 2.0 * max(scores)
 
     def test_inflated_dominates_window_with_nonnegative_max(self):
         rng = np.random.default_rng(5)
@@ -183,7 +187,7 @@ class TestQuantileWithRules:
             scores[int(rng.integers(len(scores)))] = abs(scores).max() + 1.0
             w = CalibrationWindow(len(scores), scores)
             delta = float(rng.uniform(1e-9, 3.0))
-            inflated = w.quantile_with_rules(1.0 + delta).widening
+            inflated = w.quantile_with_rules(1.0 + delta)
             assert all(inflated >= s for s in w.scores)
 
 
