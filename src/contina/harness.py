@@ -31,15 +31,20 @@ reference on the run's sampled region, without running the engine.
 a per-day per-region coverage file for dispersion plots, the full per-step
 ledger, final per-region states, and a manifest that allows an exact re-run.
 A large ledger's rows are formatted in the same region shares.
+It also writes ``ledger.bin``, a binary mirror of the ledger that records the
+sha256 of the ``ledger.csv`` bytes it mirrors.
 ``read_ledger_csv`` reads a ledger file back through ``streams.read_csv_table``
 (in per-CPU byte shares when it is large), and ``report_from_dir`` checks a run
-directory's manifest and then recomputes its summary files from the ledger.
+directory's manifest and then recomputes its summary files from the ledger:
+from the mirror when its checksums hold, from ``ledger.csv`` otherwise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -64,10 +69,12 @@ from .streams import (
     csv_field,
     flow_index,
     generate,
+    parse_region,
     read_csv_table,
     read_demand_csv,
     region_codes,
     region_filter,
+    region_sort_key,
     reject_rows,
     split,
 )
@@ -80,6 +87,7 @@ LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
 # process and a row 0.8-1.5 us, and the one-process and two-share writers
 # tied at 10 000-14 000 rows.
 LEDGER_SHARE_MIN_ROWS = 16_000
+MIRROR_FORMAT = "contina-ledger-mirror-1"  # the format tag of ledger.bin
 SUMMARY_COLUMNS = [
     "period", "start_t", "end_t", "steps", "cov", "min_rc", "min_rc_region",
     "length", "empty_rate", "coverage_gap_bound",
@@ -128,6 +136,11 @@ class ExperimentConfig:
             self.region_threshold = check_region_filter(self.region_threshold,
                                                         self.filter_mode)
             check_gap_policy(self.gap_policy)
+            # Before os.path.isfile, which reads an int as a file descriptor.
+            for key, path in (("demand_csv", self.demand_csv), ("forecast_csv", self.forecast_csv),
+                              ("predictor.path", self.predictor.path)):
+                if path is not None and not isinstance(path, str):
+                    raise ValueError(f"{key} must be a file path, got {path!r}")
             if (self.synthetic is None) == (self.demand_csv is None):
                 raise ValueError("exactly one of synthetic spec or demand_csv is required")
             if self.forecast_csv is not None:
@@ -417,7 +430,11 @@ def _fmt(x) -> str:
 
 
 def write_report(result: RunResult, out_dir) -> dict:
-    """Write ledger, summary, daily coverage, states, and manifest files."""
+    """Write ledger, summary, daily coverage, states, and manifest files.
+
+    Also writes ``ledger.bin``, the ledger's binary mirror, when the ledger
+    can have one (``_write_mirror``); the returned paths then name it too.
+    """
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "ledger": os.path.join(out_dir, "ledger.csv"),
@@ -427,7 +444,10 @@ def write_report(result: RunResult, out_dir) -> dict:
         "manifest": os.path.join(out_dir, "manifest.json"),
     }
     ledger = result.ledger
-    _write_ledger(ledger, paths["ledger"])
+    ledger_sha256 = _write_ledger(ledger, paths["ledger"])
+    mirror = os.path.join(out_dir, "ledger.bin")
+    if _write_mirror(ledger, ledger_sha256, mirror):
+        paths["mirror"] = mirror
 
     _write_summary(ledger, result.config, paths["summary"])
     _write_daily(ledger, result.config.steps_per_day, paths["daily"])
@@ -460,8 +480,8 @@ def _version() -> str:
     return __version__
 
 
-def _write_ledger(ledger: RunLedger, path) -> None:
-    """Write ``ledger.csv`` in (region, t, flow) row order.
+def _write_ledger(ledger: RunLedger, path) -> str:
+    """Write ``ledger.csv`` in (region, t, flow) row order; return its bytes' sha256.
 
     Rows are spelled exactly as ``csv.writer`` spells them: only the region
     label can need quoting, and ``csv_field`` spells it once per region. A
@@ -469,15 +489,19 @@ def _write_ledger(ledger: RunLedger, path) -> None:
     contiguous region shares, one per usable CPU (``share_ranges``), side by
     side (``run_shares``); a smaller one in this process. The file is opened
     only once every share has returned its bytes, so a failing share raises
-    before ``ledger.csv`` is created.
+    before ``ledger.csv`` is created. The bytes are hashed as they are written.
     """
     t_flow = [(f"{t},", f",{flow},") for t in ledger.times.tolist() for flow in FLOWS]
     n = ledger.n_regions
     regions = share_ranges(n) if n * len(t_flow) >= LEDGER_SHARE_MIN_ROWS else [range(n)]
     parts = run_shares([functools.partial(_ledger_rows, ledger, t_flow, r) for r in regions])
+    header = (",".join(LEDGER_COLUMNS) + "\r\n").encode()  # as csv.writer spells it
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write((",".join(LEDGER_COLUMNS) + "\r\n").encode())  # as csv.writer spells it
-        fh.writelines(parts)
+        for part in (header, *parts):
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def _ledger_rows(ledger: RunLedger, t_flow, regions) -> bytes:
@@ -496,6 +520,98 @@ def _ledger_rows(ledger: RunLedger, t_flow, regions) -> bytes:
             )
         ]).encode())
     return b"".join(parts)
+
+
+def _mirror_layout(n_regions: int, horizon: int):
+    """(dtype, count) of each array of a mirror's payload, in file order:
+    ``times``, then the length, covered and empty grids in C order (region,
+    step, flow). The 8-byte arrays come first, so each array is aligned."""
+    cells = n_regions * horizon * 2
+    return (("<i8", horizon), ("<f8", cells), ("u1", cells), ("u1", cells))
+
+
+def _mirror_meta_sha256(meta: dict):
+    """A sha256 seeded with the JSON of the mirror header's other keys."""
+    return hashlib.sha256(json.dumps(meta, sort_keys=True).encode("ascii"))
+
+
+def _write_mirror(ledger: RunLedger, ledger_sha256: str, path) -> bool:
+    """Write ``ledger.bin``, the ledger's binary mirror; return whether it was written.
+
+    Line 1 is a JSON header (``sort_keys``, ASCII): the format tag, the
+    sha256 of the ``ledger.csv`` bytes it mirrors, the region ids, the
+    horizon and ``payload_sha256``, the sha256 of the header's other keys
+    (their ``sort_keys`` JSON) followed by the payload. The payload follows
+    the header: the ``_mirror_layout`` arrays, written from their buffers.
+
+    The mirror is written only when the ledger is not empty and its region
+    ids are the ones ``read_ledger_csv`` gives back: ``parse_region`` of
+    each label, distinct, in ``region_sort_key`` order. Otherwise a mirror
+    left from an earlier run is removed, and none is written.
+    """
+    labels = ["" if r is None else str(r) for r in ledger.region_ids]  # as csv.writer spells them
+    regions = sorted(map(parse_region, labels), key=region_sort_key)
+    if not (ledger.covered_grid.size and len(set(labels)) == len(labels)
+            and tuple(regions) == ledger.region_ids):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        return False
+    meta = {"format": MIRROR_FORMAT, "horizon": ledger.horizon,
+            "ledger_sha256": ledger_sha256, "regions": regions}
+    arrays = (np.ascontiguousarray(ledger.times, dtype="<i8"),
+              np.ascontiguousarray(ledger.length_grid, dtype="<f8"),
+              ledger.covered_grid.view(np.uint8), ledger.empty_grid.view(np.uint8))
+    digest = _mirror_meta_sha256(meta)
+    for a in arrays:
+        digest.update(a)
+    header = json.dumps({**meta, "payload_sha256": digest.hexdigest()}, sort_keys=True)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for a in arrays:
+            fh.write(a)
+    return True
+
+
+def _read_mirror(out_dir):
+    """The ledger of ``out_dir``'s ``ledger.bin``, or None when it may not stand in
+    for ``ledger.csv``.
+
+    None when the mirror is missing, its header is not one ``_write_mirror``
+    writes, its payload has the wrong size, its ``payload_sha256`` does not
+    match, or its ``ledger_sha256`` is not that of the ``ledger.csv`` bytes
+    on disk (or there is no ``ledger.csv``). Otherwise the ledger is the one
+    ``read_ledger_csv`` would read from ``ledger.csv``.
+    """
+    try:
+        with open(os.path.join(out_dir, "ledger.bin"), "rb") as fh:
+            head = json.loads(fh.readline())
+            payload = fh.read()
+        meta = {k: v for k, v in head.items() if k != "payload_sha256"}
+        regions, horizon = meta["regions"], meta["horizon"]
+        layout = _mirror_layout(len(regions), horizon)
+        sizes = [np.dtype(dtype).itemsize * count for dtype, count in layout]
+        if meta["format"] != MIRROR_FORMAT or len(payload) != sum(sizes):
+            return None
+        digest = _mirror_meta_sha256(meta)
+        digest.update(payload)
+        if digest.hexdigest() != head["payload_sha256"]:
+            return None
+        digest = hashlib.sha256()
+        with open(os.path.join(out_dir, "ledger.csv"), "rb") as fh:
+            for block in iter(functools.partial(fh.read, 1 << 20), b""):
+                digest.update(block)
+        if digest.hexdigest() != meta["ledger_sha256"]:
+            return None
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):  # a header of another shape
+        return None
+    arrays, start = [], 0
+    for (dtype, count), size in zip(layout, sizes):
+        arrays.append(np.frombuffer(payload, dtype, count, start))
+        start += size
+    times, length, covered, empty = arrays
+    shape = (len(regions), horizon, 2)
+    return RunLedger(regions, times, covered.reshape(shape) != 0, length.reshape(shape),
+                     empty.reshape(shape) != 0)
 
 
 def _period_slices(horizon: int, periods: int):
@@ -563,7 +679,9 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
 
     The manifest's settings are checked before the ledger is read; a
     manifest that is not JSON, holds no ``config`` object, or whose config
-    ``report`` cannot use raises DataFormatError naming the manifest.
+    ``report`` cannot use raises DataFormatError naming the manifest. The
+    ledger is read from its mirror ``ledger.bin`` when ``_read_mirror``
+    trusts it, and otherwise from ``ledger.csv``.
     """
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -588,7 +706,9 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
             config.periods = check_positive_int(periods, "periods")
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    ledger = read_ledger_csv(os.path.join(out_dir, "ledger.csv"))
+    ledger = _read_mirror(out_dir)
+    if ledger is None:
+        ledger = read_ledger_csv(os.path.join(out_dir, "ledger.csv"))
     paths = {
         "summary": os.path.join(out_dir, "summary.csv"),
         "daily": os.path.join(out_dir, "daily_coverage.csv"),

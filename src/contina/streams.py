@@ -506,7 +506,10 @@ def _body(path, columns, strip):
     """``path`` opened as text just after its header; a header other than ``columns`` fails."""
     # newline="" keeps a quoted line break inside its field, as csv.reader does.
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
+        try:
+            header = next(csv.reader(fh), [])
+        except csv.Error as e:
+            raise DataFormatError(f"{path}:1: {e}") from None
         if ([h.strip() for h in header] if strip else header) != list(columns):
             raise DataFormatError(f"{path}: expected header '{','.join(columns)}'")
         yield fh
@@ -579,13 +582,26 @@ def _read_rows(open_rows, columns, types) -> dict:
 
 
 def _records(path):
-    """(physical line, fields) of each data row, blank lines skipped."""
+    """(physical line, fields) of each data row, blank lines skipped.
+
+    The line is the one on which the row starts; a quoted field can run on
+    over later lines. A row that ``csv.reader`` refuses, such as one whose
+    unclosed quote runs past the field size limit, raises DataFormatError
+    at the line on which it starts.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
-        for row in reader:
+        while True:
+            line = reader.line_num + 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as e:
+                raise DataFormatError(f"{path}:{line}: {e}") from None
             if row:
-                yield reader.line_num, row
+                yield line, row
 
 
 def _parses(kind, field: str) -> bool:

@@ -51,8 +51,16 @@ def check_int(value, name, low):
     return v
 
 
+# The largest count or size a setting may hold: the largest index numpy can use.
+MAX_SIZE = int(np.iinfo(np.intp).max)
+
+
 def check_positive_int(value, name):
-    return check_int(value, name, 1)
+    """``check_int`` with ``low`` 1, for a count or size: it must also be at most ``MAX_SIZE``."""
+    v = check_int(value, name, 1)
+    if v > MAX_SIZE:
+        raise ValueError(f"{name} must be at most {MAX_SIZE}, got {value!r}")
+    return v
 
 
 def check_bool(value, name):

@@ -279,7 +279,7 @@ class TestCriterion7WorstRegionBound:
 
 class TestCriterion8Determinism:
     def test_reports_bit_identical_across_runs(self, tmp_path):
-        """Identical config+seed gives byte-identical report files."""
+        """Identical config+seed gives byte-identical report files and ledger mirror."""
         config = ExperimentConfig(
             method="contina",
             seed=13,
@@ -294,6 +294,7 @@ class TestCriterion8Determinism:
         }
         ok = all(
             filecmp.cmp(paths["run_a"][name], paths["run_b"][name], shallow=False)
-            for name in ("ledger", "summary", "daily", "states", "manifest")
+            for name in ("ledger", "summary", "daily", "states", "manifest", "mirror")
         )
-        assert report("8 determinism", ok, "a rerun produces byte-identical reports")
+        assert report("8 determinism", ok,
+                      "a rerun produces byte-identical reports and ledger.bin")

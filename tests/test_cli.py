@@ -193,12 +193,17 @@ def small_run(runner, out):
 
 
 class TestMalformedLedger:
-    """A damaged ledger.csv ends in exit 3 with its line or exit 6 with its cell."""
+    """A damaged ledger.csv ends in exit 3 with its line or exit 6 with its cell.
+
+    The run directory keeps its ledger.bin, whose recorded hash the damage
+    breaks, so ``report`` parses the damaged ledger.csv.
+    """
 
     @pytest.fixture
     def run_dir(self, runner, tmp_path):
         out = tmp_path / "run"
         small_run(runner, out)
+        assert (out / "ledger.bin").is_file()
         return out
 
     def rewrite(self, run_dir, edit):
@@ -236,6 +241,17 @@ class TestMalformedLedger:
         result = self.report(runner, run_dir)
         assert result.exit_code == 3
         assert "ledger.csv:21: expected 6 fields, got 5" in result.output
+
+    def test_unclosed_quote_names_the_line_it_opens_on(self, runner, run_dir):
+        def edit(lines):
+            t, rest = lines[2].split(",", 1)
+            lines[2] = f'{t},"{rest}'
+            return lines
+
+        self.rewrite(run_dir, edit)
+        result = self.report(runner, run_dir)
+        assert result.exit_code == 3
+        assert "ledger.csv:3: expected 6 fields, got 2" in result.output
 
     def test_missing_cell_names_step_and_region(self, runner, run_dir):
         def edit(lines):
@@ -420,6 +436,10 @@ def synthetic(extra):
     return {"synthetic": "{n_regions: 3, horizon: 200, seed: 1, %s}" % extra}
 
 
+BIG = str(10**30)
+GENERATE = ["--regions", "3", "--horizon", "200"]  # click keeps the last value of a flag
+
+
 class TestMalformedConfig:
     """A malformed setting ends in exit 2 with its message, never in a traceback."""
 
@@ -472,6 +492,53 @@ class TestMalformedConfig:
         assert result.exit_code == 2, result.output
         assert "error:" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args, values, key", [
+        pytest.param(RUN_CONFIG, {"steps_per_day": BIG}, "steps_per_day", id="steps-per-day"),
+        pytest.param(RUN_CONFIG, synthetic(f"steps_per_day: {BIG}"), "steps_per_day",
+                     id="synthetic-steps-per-day"),
+        pytest.param(RUN_CONFIG, {"synthetic": f"{{n_regions: {BIG}, horizon: 200, seed: 1}}"},
+                     "n_regions", id="synthetic-n-regions"),
+        pytest.param(RUN_CONFIG, {"synthetic": f"{{n_regions: 3, horizon: {BIG}, seed: 1}}"},
+                     "horizon", id="synthetic-horizon"),
+        pytest.param(["run", "--regions", "3", "--horizon", "200", "--steps-per-day", BIG], None,
+                     "steps_per_day", id="run-steps-per-day"),
+        pytest.param(["run", "--regions", "3", "--horizon", "200", "--periods", BIG,
+                      "--out", "{tmp}/out"], None, "periods", id="run-periods"),
+        *(pytest.param(["generate", *GENERATE, flag, BIG, "--out", "{tmp}/demand.csv"], None,
+                       key, id=f"generate{flag}")
+          for flag, key in (("--regions", "n_regions"), ("--horizon", "horizon"),
+                            ("--steps-per-day", "steps_per_day"), ("--k", "k_lag"))),
+        pytest.param(["report", "{tmp}/run", "--periods", BIG], None, "periods",
+                     id="report-periods"),
+        pytest.param(["report", "{tmp}/run", "--steps-per-day", BIG], None, "steps_per_day",
+                     id="report-steps-per-day"),
+    ])
+    def test_oversized_integers_name_the_key(self, runner, tmp_path, args, values, key):
+        # 10**30 is past what numpy can index, so it is refused before numpy sees it.
+        if values is not None:
+            write_config(tmp_path / "exp.yaml", **values)
+        if args[0] == "report":
+            small_run(runner, tmp_path / "run")
+        result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        assert f"error: {key} must be at most 9223372036854775807, got {BIG}" in result.output
+
+    @pytest.mark.parametrize("values, key, shown", [
+        ({"synthetic": "null", "demand_csv": "0"}, "demand_csv", "0"),
+        ({"forecast_csv": BIG}, "forecast_csv", BIG),
+        ({"forecast_csv": "1.5"}, "forecast_csv", "1.5"),
+        ({"predictor": "{kind: file_backed, path: [a.csv]}"}, "predictor.path", "['a.csv']"),
+    ], ids=["demand-csv-int", "forecast-csv-big", "forecast-csv-float", "predictor-path-list"])
+    def test_path_settings_that_are_not_text_name_the_key(self, runner, tmp_path, values, key,
+                                                          shown):
+        # os.path.isfile(0) asks about file descriptor 0, which can be a regular file.
+        write_config(tmp_path / "exp.yaml", **values)
+        result = runner.invoke(main, ["run", "--config", str(tmp_path / "exp.yaml")])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        assert f"error: {key} must be a file path, got {shown}" in result.output
 
     @pytest.mark.parametrize("key, text", [
         ("seed", "true"), ("window", "yes"), ("periods", "true"),

@@ -11,6 +11,7 @@ large ledger is written in one region share per usable CPU; those tests fake
 """
 
 import csv
+import hashlib
 import os
 import random
 import re
@@ -166,6 +167,29 @@ class TestChunkedReader:
         path.write_bytes(text)
         with pytest.raises(DataFormatError, match=re.escape(f"d.csv:{line}: ")):
             read(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        (12_000, "field larger than field limit (131072)"),
+        (20, "expected 3 fields, got 2"),
+    ], ids=["past-the-field-limit", "to-the-end"])
+    def test_unclosed_quote_names_the_line_it_opens_on(self, tmp_path, rows, message):
+        # The quoted field runs on to the end of the file: past csv's field
+        # size limit, or within it as one record ending on the last line.
+        path = tmp_path / "d.csv"
+        body = b"".join(b"%d,a,%d\r\n" % (t, t) for t in range(2, rows))
+        path.write_bytes(b't,region,v\r\n0,a,1\r\n1,"b,2\r\n' + body)
+        assert (path.stat().st_size > 1 << 17) == (rows > 20)
+        with pytest.raises(DataFormatError) as error:
+            read(path)
+        assert str(error.value) == f"{path}:3: {message}"
+
+    def test_unclosed_quote_in_the_header_names_line_1(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b't,"region,v\r\n' + b"".join(b"%d,a,%d\r\n" % (t, t)
+                                                       for t in range(12_000)))
+        with pytest.raises(DataFormatError) as error:
+            read(path)
+        assert str(error.value) == f"{path}:1: field larger than field limit (131072)"
 
     @pytest.mark.parametrize("text", [b"t,region,v\n", b"t,region,v\r\n\r\n\n"])
     def test_header_only_file_has_no_records(self, tmp_path, text):
@@ -492,8 +516,9 @@ class TestLedgerShares:
             if k == 1:
                 assert len(forks) == 2 + 1
                 monkeypatch.setattr(os, "fork", refuse_fork)
-            harness._write_ledger(big, tmp_path / f"got{k}.csv")
+            digest = harness._write_ledger(big, tmp_path / f"got{k}.csv")
             assert (tmp_path / f"got{k}.csv").read_bytes() == want
+            assert digest == hashlib.sha256(want).hexdigest()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

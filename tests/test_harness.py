@@ -14,6 +14,7 @@ import filecmp
 import functools
 import json
 import os
+import pathlib
 import threading
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from click.testing import CliRunner
 
 from contina import harness, metrics, shares
 from contina.cli import main as cli_main
-from contina.errors import ConfigError, MissingForecastError, NotFittedError
+from contina.errors import ConfigError, DataFormatError, MissingForecastError, NotFittedError
 from contina.harness import (
     ExperimentConfig,
     ingest_csv,
@@ -36,7 +37,14 @@ from contina.harness import (
 )
 from contina.intervals import QuantileForecast, conformity_score
 from contina.predictors import PredictorSpec, write_forecast_csv
-from contina.streams import FLOWS, DemandStream, StreamSpec, generate, write_demand_csv
+from contina.streams import (
+    FLOWS,
+    DemandStream,
+    StreamSpec,
+    generate,
+    region_sort_key,
+    write_demand_csv,
+)
 from contina.tracker import METHODS, ConformalIntervalTracker
 from ledger_rows import records
 
@@ -673,6 +681,149 @@ class TestReportRoundTrip:
             worst = min(per_region.values())
             assert row[5] == repr(float(worst))
             assert row[6] == str(min(r for r, v in per_region.items() if v == worst))
+
+
+MIRROR_LABELS = {
+    "integers": (-5, 0, 3, 12),
+    "quoted": ("a\nb", "c,d", 'q"x', " s "),
+    "leading-zero": (7, "007", "7a"),
+}
+
+
+def mirror_ledger(labels, horizon=5):
+    """A ledger of ``labels`` in canonical order, with signed-zero, subnormal and large lengths."""
+    regions = tuple(sorted(labels, key=region_sort_key))
+    shape = (len(regions), horizon, 2)
+    k = np.arange(np.prod(shape)).reshape(shape)
+    lengths = np.resize([0.0, -0.0, 5e-324, 0.1, 1e300, 2.5], shape)
+    return metrics.RunLedger(regions, np.arange(horizon) * 3 - 7, k % 2 == 0, lengths,
+                             k % 3 == 0)
+
+
+def summary_bytes(out_dir):
+    paths = report_from_dir(out_dir)
+    return {k: pathlib.Path(paths[k]).read_bytes() for k in ("summary", "daily")}
+
+
+def flip_bit(path, offset, bit=0):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 1 << bit
+    path.write_bytes(bytes(data))
+
+
+class TestLedgerMirror:
+    """ledger.bin gives the ledger that ledger.csv gives, or is not used."""
+
+    @pytest.fixture
+    def run_dir(self, tmp_path):
+        write_report(run_replay(small_config()), tmp_path / "run")
+        return tmp_path / "run"
+
+    @pytest.mark.parametrize("kind", MIRROR_LABELS)
+    def test_mirror_reads_as_the_csv_reads(self, tmp_path, kind):
+        ledger = mirror_ledger(MIRROR_LABELS[kind])
+        result = run_replay(small_config())
+        result = result.__class__(config=small_config(periods=2), ledger=ledger, states=[],
+                                  window_capacity=8, crossings=0, dropped_regions=[])
+        paths = write_report(result, tmp_path)
+        got, want = harness._read_mirror(tmp_path), read_ledger_csv(paths["ledger"])
+        assert got.region_ids == want.region_ids == ledger.region_ids
+        assert [type(r) for r in got.region_ids] == [type(r) for r in want.region_ids]
+        for name in ("times", "covered_grid", "length_grid", "empty_grid"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert a.flags.aligned
+        with_mirror = summary_bytes(tmp_path)
+        os.remove(paths["mirror"])
+        assert summary_bytes(tmp_path) == with_mirror
+
+    def test_report_reads_the_mirror_and_not_the_csv(self, run_dir, monkeypatch):
+        before = {k: (run_dir / f).read_bytes()
+                  for k, f in (("summary", "summary.csv"), ("daily", "daily_coverage.csv"))}
+
+        def refuse(path):
+            raise AssertionError("ledger.csv was parsed")
+
+        monkeypatch.setattr(harness, "read_ledger_csv", refuse)
+        assert summary_bytes(run_dir) == before
+
+    @pytest.mark.parametrize("damage", [
+        "no-mirror", "other-run", "csv-bit", "payload-bit", "header-bit", "truncated",
+    ])
+    def test_an_untrusted_mirror_gives_the_csv_reports(self, run_dir, tmp_path, damage):
+        mirror = run_dir / "ledger.bin"
+        if damage == "no-mirror":
+            mirror.unlink()
+        elif damage == "other-run":
+            other = small_config(synthetic=StreamSpec(n_regions=3, horizon=600, seed=22))
+            write_report(run_replay(other), tmp_path / "other")
+            mirror.write_bytes((tmp_path / "other" / "ledger.bin").read_bytes())
+        elif damage == "csv-bit":
+            # The last digit of a length: still a valid ledger, one that reads differently.
+            text = (run_dir / "ledger.csv").read_bytes()
+            flip_bit(run_dir / "ledger.csv", text.index(b"\r\n", 200) - 3)
+        elif damage == "payload-bit":
+            flip_bit(mirror, mirror.stat().st_size - 1)
+        elif damage == "header-bit":
+            flip_bit(mirror, mirror.read_bytes().index(b'"horizon": ') + 11)
+        else:
+            mirror.write_bytes(mirror.read_bytes()[:-1])
+        assert harness._read_mirror(run_dir) is None
+        got = summary_bytes(run_dir)
+        if mirror.exists():
+            mirror.unlink()
+        assert got == summary_bytes(run_dir)
+
+    def test_every_header_bit_and_payload_byte_is_checked(self, tmp_path):
+        ledger = mirror_ledger(MIRROR_LABELS["quoted"], horizon=3)
+        digest = harness._write_ledger(ledger, tmp_path / "ledger.csv")
+        harness._write_mirror(ledger, digest, tmp_path / "ledger.bin")
+        mirror = tmp_path / "ledger.bin"
+        good = mirror.read_bytes()
+        header = good.index(b"\n") + 1
+        flips = [(k, bit) for k in range(header) for bit in range(8)]
+        flips += [(k, k % 8) for k in range(header, len(good))]
+        for k, bit in flips:
+            flip_bit(mirror, k, bit)
+            assert harness._read_mirror(tmp_path) is None, (k, bit)
+            mirror.write_bytes(good)
+        for size in (0, header - 1, header, len(good) - 1):
+            mirror.write_bytes(good[:size])
+            assert harness._read_mirror(tmp_path) is None, size
+        mirror.write_bytes(good + b"\0")
+        assert harness._read_mirror(tmp_path) is None
+
+    def test_missing_ledger_csv_keeps_its_error(self, run_dir):
+        (run_dir / "ledger.csv").unlink()
+        with pytest.raises(DataFormatError) as with_mirror:
+            report_from_dir(run_dir)
+        (run_dir / "ledger.bin").unlink()
+        with pytest.raises(DataFormatError) as without:
+            report_from_dir(run_dir)
+        assert str(with_mirror.value) == str(without.value)
+
+    @pytest.mark.parametrize("regions", [("b", "a"), (3, 1), (1, "1")],
+                             ids=["unsorted", "unsorted-ints", "one-label"])
+    def test_ledger_that_reads_back_otherwise_writes_no_mirror(self, tmp_path, regions):
+        result = run_replay(small_config())
+        paths = write_report(result, tmp_path / "rep")
+        assert os.path.isfile(paths["mirror"])
+        recs = [(t, r, f, True, 4.0, False) for r in regions for t in range(48) for f in FLOWS]
+        ledger = metrics.RunLedger.from_records(recs, region_ids=regions)
+        result = result.__class__(config=small_config(), ledger=ledger, states=[],
+                                  window_capacity=8, crossings=0, dropped_regions=[])
+        paths = write_report(result, tmp_path / "rep")
+        assert "mirror" not in paths
+        assert not (tmp_path / "rep" / "ledger.bin").exists()  # the earlier one is gone
+
+    def test_mirror_bytes_repeat_at_every_share_count(self, tmp_path, monkeypatch):
+        want = None
+        for k in (1, 2):
+            use_shares(monkeypatch, k)
+            paths = write_report(run_replay(small_config()), tmp_path / f"k{k}")
+            got = pathlib.Path(paths["mirror"]).read_bytes()
+            assert want is None or got == want
+            want = got
 
 
 class TestConfigValidation:

@@ -6,6 +6,7 @@ import pytest
 from contina.errors import ConfigError
 from contina.harness import ExperimentConfig
 from contina.streams import StreamSpec
+from contina.validation import MAX_SIZE, check_positive_int
 
 
 def base(**kw):
@@ -68,3 +69,20 @@ def test_boolean_float_settings_raise_config_error(d, key):
     # float(True) == 1.0, but a boolean is no rate, size or level.
     with pytest.raises(ConfigError, match=rf"^{key} must be a number, got "):
         ExperimentConfig.from_dict(d).validate()
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"synthetic": SYNTHETIC, "window": 10**30}, "window"),
+    ({"synthetic": SYNTHETIC, "periods": MAX_SIZE + 1}, "periods"),
+    ({"synthetic": {**SYNTHETIC, "k_lag": 10**30}}, "k_lag"),
+    ({"synthetic": SYNTHETIC, "predictor": {"epochs": 10**30}}, "epochs"),
+])
+def test_counts_past_what_numpy_can_index_raise_config_error(d, key):
+    with pytest.raises(ConfigError, match=rf"^{key} must be at most {MAX_SIZE}, got "):
+        ExperimentConfig.from_dict(d).validate()
+
+
+def test_counts_up_to_what_numpy_can_index_pass_the_check():
+    assert check_positive_int(MAX_SIZE, "periods") == MAX_SIZE == np.iinfo(np.intp).max
+    # A seed is no count or size: SeedSequence takes any non-negative int.
+    assert ExperimentConfig.from_dict({"synthetic": SYNTHETIC, "seed": 10**30}).validate()
