@@ -113,21 +113,23 @@ _RUN_FLAGS = [
     ("forecast-csv", click.Path(exists=True, dir_okay=False)),
 ]
 
+# (flag, StreamSpec key, type) of each synthetic-stream flag of ``run``.
 _SYNTH_FLAGS = [
-    ("regions", int),
-    ("horizon", int),
-    ("regime", click.Choice(REGIMES)),
-    ("noise", click.Choice(NOISES)),
-    ("shift-at", int),
-    ("shift-scale", float),
-    ("drift-rate", float),
-    ("k", int),
-    ("season-amp", float),
+    ("regions", "n_regions", int),
+    ("horizon", "horizon", int),
+    ("regime", "regime", click.Choice(REGIMES)),
+    ("noise", "noise", click.Choice(NOISES)),
+    ("shift-at", "shift_at", int),
+    ("shift-scale", "shift_scale", float),
+    ("drift-rate", "drift_rate", float),
+    ("k", "k_lag", int),
+    ("season-amp", "season_amp", float),
 ]
 
 
 def _run_options(fn):
-    for name, kind in reversed(_RUN_FLAGS + _SYNTH_FLAGS):
+    flags = _RUN_FLAGS + [(name, kind) for name, _, kind in _SYNTH_FLAGS]
+    for name, kind in reversed(flags):
         fn = click.option(f"--{name}", type=kind, default=None)(fn)
     return fn
 
@@ -154,14 +156,11 @@ def run(config_path, predictor, out, audit, **flags):
             raise ConfigError(f"{config_path}: config must be a mapping")
         raw.update(loaded)
 
-    synth_keys = {"regions": "n_regions", "horizon": "horizon", "regime": "regime",
-                  "noise": "noise", "shift-at": "shift_at", "shift-scale": "shift_scale",
-                  "drift-rate": "drift_rate", "k": "k_lag", "season-amp": "season_amp"}
     synth_overrides = {}
-    for name, _ in _SYNTH_FLAGS:
+    for name, key, _ in _SYNTH_FLAGS:
         v = flags.pop(name.replace("-", "_"))
         if v is not None:
-            synth_overrides[synth_keys[name]] = v
+            synth_overrides[key] = v
     for key, value in flags.items():
         if value is not None:
             raw[key] = value

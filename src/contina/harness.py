@@ -15,11 +15,11 @@ so running each cell's whole predict-then-update pass at once changes no
 forecast.
 
 Regions never read each other's state, so they are replayed in contiguous
-shares, one per usable CPU, through ``shares.run_shares``: this process
+shares (``shares.share_ranges``) through ``shares.run_shares``: this process
 replays the first share, and a forked child replays each other share and
-sends its results back through a pipe. Where fork is unavailable or unsafe
-(no ``os.sched_getaffinity``, or another thread alive) every region is
-replayed in this process. The results, and so every output byte, are those
+sends its results back through a pipe. With one share (one usable CPU, fork
+unavailable or unsafe, or too few region-steps) every region is replayed in
+this process. The results, and so every output byte, are those
 of a replay of one region after another.
 
 ``oracle_replay`` runs the same protocol one step at a time through the
@@ -30,17 +30,18 @@ reference on the run's sampled region, without running the engine.
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
 ledger, final per-region states, and a manifest that allows an exact re-run.
-A large ledger's rows are formatted in the same region shares.
+A large ledger's rows are formatted in region shares too.
 It also writes ``ledger.bin``, a binary mirror of the ledger that records the
 sha256 of the ``ledger.csv`` bytes it mirrors.
 ``read_ledger_csv`` reads a ledger file back through ``streams.read_csv_table``
-(in per-CPU byte shares when it is large), and ``report_from_dir`` checks a run
+(in byte shares when it is large), and ``report_from_dir`` checks a run
 directory's manifest and then recomputes its summary files from the ledger:
 from the mirror when its checksums hold, from ``ledger.csv`` otherwise.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import functools
@@ -82,11 +83,11 @@ from .tracker import ConformalIntervalTracker
 from .validation import check_bool, check_int, check_positive_int
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
-# Fewest ledger rows that _write_ledger formats in per-CPU region shares. On a
-# 2-CPU x86_64 host a two-task run_shares call cost 2.3-2.8 ms in a 70-MB
-# process and a row 0.8-1.5 us, and the one-process and two-share writers
-# tied at 10 000-14 000 rows.
-LEDGER_SHARE_MIN_ROWS = 16_000
+# Per-share floors (shares.share_ranges). On a 2-CPU x86_64 host run_shares took ~2.9 ms
+# per further child and the replay ~6.5 us a region-step (kdep_wide, one process), so
+# 4 500 region-steps cost ten children's forks; a ledger row took 0.8-1.5 us (README).
+REPLAY_SHARE_MIN_STEPS = 4_500
+LEDGER_SHARE_MIN_ROWS = 8_000
 MIRROR_FORMAT = "contina-ledger-mirror-1"  # the format tag of ledger.bin
 SUMMARY_COLUMNS = [
     "period", "start_t", "end_t", "steps", "cov", "min_rc", "min_rc_region",
@@ -260,14 +261,14 @@ def _replay_region(i, stream, calib, deploy, predictor, config):
 def _replay_regions(stream, calib, deploy, predictor, config):
     """Replay every region; return the results in region order and the crossings.
 
-    The regions are cut into one contiguous share per usable CPU
-    (``share_ranges``) and run by ``run_shares``. A forked share's predictor
-    is the fitted one, and so is every cell of its share when a serial loop
-    reaches it, because predictor state is per cell. Each share returns its
-    results and the crossings its predictor counted; the run's crossings are
-    those counted before the replay plus each share's. If shares fail, the
-    first failing share's error is raised, the one a replay of one region
-    after another would raise.
+    The regions are cut into contiguous shares (``share_ranges``, with the
+    ``REPLAY_SHARE_MIN_STEPS`` floor) and run by ``run_shares``. A forked
+    share's predictor is the fitted one, and so is every cell of its share
+    when a serial loop reaches it, because predictor state is per cell. Each
+    share returns its results and the crossings its predictor counted; the
+    run's crossings are those counted before the replay plus each share's. If
+    shares fail, the first failing share's error is raised, the one a replay
+    of one region after another would raise.
     """
     def replay(regions):
         before = predictor.crossings
@@ -275,8 +276,8 @@ def _replay_regions(stream, calib, deploy, predictor, config):
         return results, predictor.crossings - before
 
     crossings = predictor.crossings
-    shares = run_shares([functools.partial(replay, regions)
-                         for regions in share_ranges(stream.n_regions)])
+    shares = run_shares([functools.partial(replay, regions) for regions in share_ranges(
+        stream.n_regions, stream.n_regions * deploy.horizon, REPLAY_SHARE_MIN_STEPS)])
     return [r for results, _ in shares for r in results], crossings + sum(d for _, d in shares)
 
 
@@ -484,17 +485,17 @@ def _write_ledger(ledger: RunLedger, path) -> str:
     """Write ``ledger.csv`` in (region, t, flow) row order; return its bytes' sha256.
 
     Rows are spelled exactly as ``csv.writer`` spells them: only the region
-    label can need quoting, and ``csv_field`` spells it once per region. A
-    ledger of at least ``LEDGER_SHARE_MIN_ROWS`` rows is formatted in
-    contiguous region shares, one per usable CPU (``share_ranges``), side by
-    side (``run_shares``); a smaller one in this process. The file is opened
+    label can need quoting, and ``csv_field`` spells it once per region. The
+    rows are formatted in contiguous region shares of at least
+    ``LEDGER_SHARE_MIN_ROWS`` rows (``share_ranges``), side by side
+    (``run_shares``); with one share, in this process. The file is opened
     only once every share has returned its bytes, so a failing share raises
     before ``ledger.csv`` is created. The bytes are hashed as they are written.
     """
     t_flow = [(f"{t},", f",{flow},") for t in ledger.times.tolist() for flow in FLOWS]
     n = ledger.n_regions
-    regions = share_ranges(n) if n * len(t_flow) >= LEDGER_SHARE_MIN_ROWS else [range(n)]
-    parts = run_shares([functools.partial(_ledger_rows, ledger, t_flow, r) for r in regions])
+    parts = run_shares([functools.partial(_ledger_rows, ledger, t_flow, r)
+                        for r in share_ranges(n, n * len(t_flow), LEDGER_SHARE_MIN_ROWS)])
     header = (",".join(LEDGER_COLUMNS) + "\r\n").encode()  # as csv.writer spells it
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -615,9 +616,29 @@ def _read_mirror(out_dir):
 
 
 def _period_slices(horizon: int, periods: int):
-    bounds = np.linspace(0, horizon, periods + 1).astype(int)
-    return [(f"P{p + 1}", bounds[p], bounds[p + 1]) for p in range(periods)
-            if bounds[p + 1] > bounds[p]]
+    """The non-empty ``(label, start, stop)`` slices of ``periods`` equal periods.
+
+    Bound ``p`` is ``int(p * (horizon / periods))`` for ``p < periods`` and
+    ``horizon`` at the end, as ``np.linspace(0, horizon, periods + 1)`` cut to
+    ints spells them, and slice ``p`` is labelled ``P<p>``. Only the bounds
+    that the search for each slice's end meets are computed, so the cost
+    follows the at most ``horizon`` non-empty slices, not ``periods``.
+    """
+    step = horizon / periods
+
+    def bound(p):
+        return int(p * step) if p < periods else horizon
+
+    slices, p = [], 0
+    while (a := bound(p)) < horizon:
+        # The first bound past a: double the stride from p, then bisect the last one.
+        gap = 1
+        while bound(p + gap) <= a:
+            gap *= 2
+        lo = p + gap // 2 + 1
+        p = lo + bisect.bisect_right(range(lo, p + gap), a, key=bound)
+        slices.append((f"P{p}", a, bound(p)))
+    return slices
 
 
 def _write_summary(ledger: RunLedger, config: ExperimentConfig, path) -> None:

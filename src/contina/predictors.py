@@ -219,10 +219,14 @@ class SeasonalWindowPredictor(ParamsMixin):
             )
         return pair
 
-    def _first_cold(self, region, flow, hours):
-        """The index of the earliest step whose bucket has no pair, or None."""
+    def _first_cold(self, region, flow, bucket_hours, inverse):
+        """The index of the earliest step whose bucket has no pair, or None.
+
+        ``bucket_hours`` and ``inverse`` are ``np.unique`` of the steps' hours,
+        so only the hours that the steps ask for are looked up.
+        """
         cold = np.array([(region, flow, h) not in self._pairs
-                         for h in range(self.steps_per_day)])[hours]
+                         for h in bucket_hours.tolist()], dtype=bool)[inverse]
         return int(np.argmax(cold)) if cold.any() else None
 
     def predict(self, region, flow, t, lags=None) -> QuantileForecast:
@@ -235,12 +239,13 @@ class SeasonalWindowPredictor(ParamsMixin):
         if y is not None:
             return self._predict_update_series(region, flow, times, y)
         hours = self._hours(np.asarray(times, dtype=np.int64))
-        first = self._first_cold(region, flow, hours)
+        bucket_hours, inverse = np.unique(hours, return_inverse=True)
+        first = self._first_cold(region, flow, bucket_hours, inverse)
         # Cold hours that a step asks for get the fallback, or raise naming the earliest.
         fill = (0.0, 0.0) if first is None else self._pair_for(region, flow, hours[first])
         table = np.array([self._pairs.get((region, flow, h), fill)
-                          for h in range(self.steps_per_day)])
-        return table[hours, 0], table[hours, 1]
+                          for h in bucket_hours.tolist()], dtype=np.float64).reshape(-1, 2)
+        return table[inverse, 0], table[inverse, 1]
 
     def _predict_update_series(self, region, flow, times, y):
         """``predict`` then ``update`` at each step, run one hour bucket at a time.
@@ -255,7 +260,7 @@ class SeasonalWindowPredictor(ParamsMixin):
         pairs = self._pairs
         cold_hour = None
         if self.fallback == "error":
-            stop = self._first_cold(region, flow, hours)
+            stop = self._first_cold(region, flow, *np.unique(hours, return_inverse=True))
             if stop is not None:
                 cold_hour, hours, ys = int(hours[stop]), hours[:stop], ys[:stop]
         # One stable argsort lists each hour's steps in time order, as in fit.

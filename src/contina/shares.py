@@ -1,10 +1,10 @@
-"""Run independent tasks side by side, one per CPU this process may use.
+"""Run independent tasks side by side, in as many shares as ``share_ranges`` allows.
 
-``run_shares`` runs the first task in the calling process and each other
-task in a forked child. A child sends its task's result, or the error the
-task raised, back through a pipe and exits. The region replay, the ledger
-writer and the CSV reader cut their work into such tasks, one per
-``usable_cpus()``: the first two by ``share_ranges``, the reader at line ends.
+``share_ranges`` is the one share-count rule. Its users state their units, work
+and per-share floor: the region replay (regions, region-steps), the ledger writer
+(regions, rows) and the CSV reader (body bytes; it moves each start to a line end).
+``run_shares`` runs the first task in the calling process and each other task in
+a forked child, which sends back the task's result, or its error, through a pipe.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def share_ranges(n: int) -> list[range]:
-    """Cut ``range(n)`` into ``min(n, usable_cpus())`` contiguous ranges, in order.
+def share_ranges(n: int, work: int, floor: int) -> list[range]:
+    """Cut ``range(n)``, units that hold ``work`` in all, into ``w`` ranges in order.
 
-    Range ``k`` of ``w`` starts at ``k * n // w``, so their sizes differ by at
-    most one.
+    ``w = max(1, min(usable_cpus(), n, work // floor))``, and range ``k`` starts
+    at ``k * n // w``, so that the sizes differ by at most one.
     """
-    w = min(n, usable_cpus())
+    w = max(1, min(usable_cpus(), n, work // floor))
     return [range(k * n // w, (k + 1) * n // w) for k in range(w)]
 
 

@@ -14,8 +14,8 @@ without changing a single bit of output.
 ``read_csv_table`` parses the demand, forecast and ledger files. It checks
 the file's UTF-8 and header, then parses the rows in bulk with ``np.loadtxt``,
 each label column straight into fixed-width text.
-A large file without quotes is cut at line ends into one byte range per
-usable CPU, and the ranges are parsed side by side (``shares.run_shares``).
+A large file without quotes is cut at line ends into byte shares
+(``shares.share_ranges``), which are parsed side by side (``shares.run_shares``).
 The table, and every error with its line number, are those of one pass.
 """
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DataFormatError
-from .shares import run_shares, usable_cpus
+from .shares import run_shares, share_ranges
 from .validation import check_finite, check_int, check_positive_int
 
 log = logging.getLogger(__name__)
@@ -42,7 +42,7 @@ N_LAGS = 6
 FLOWS = ("in", "out")
 CHUNK_ROWS = 16_384  # rows per np.loadtxt call in read_csv_table, allocated up front
 LABEL_WIDTH = 16  # characters of a label column's first parse; a label that fills it doubles it
-SHARE_MIN_BYTES = 1 << 20  # smallest CSV body that read_csv_table cuts into per-CPU shares
+SHARE_MIN_BYTES = 1 << 19  # fewest body bytes per share of read_csv_table: ~7 ms of parsing
 
 REGIMES = ("stationary", "abrupt_shift", "drift", "heterogeneous", "k_dependent")
 NOISES = ("gaussian", "negative_binomial")
@@ -445,9 +445,9 @@ def read_csv_table(path, columns, types, strip=True) -> dict:
     label; with ``strip``, labels and header names lose surrounding spaces).
     The rows are parsed in bulk, ``CHUNK_ROWS`` rows at a time, each label
     column straight into fixed-width text (``_read_rows``). A file with no
-    quote byte, a header that ends at its first newline and a body of at
-    least ``SHARE_MIN_BYTES`` is cut at line ends into one byte range per
-    usable CPU (``_share_cuts``), and the ranges are parsed side by side
+    quote byte and a header that ends at its first newline is cut at line
+    ends into byte shares of at least ``SHARE_MIN_BYTES`` (``_share_cuts``),
+    and the shares are parsed side by side
     (``shares.run_shares``); the table is the one a single pass gives. Only
     if parsing fails does a rescan of the whole file name the physical line
     of the first bad field count or number (DataFormatError). A NUL byte is
@@ -516,24 +516,24 @@ def _body(path, columns, strip):
 
 
 def _share_cuts(raw: bytes) -> list:
-    """Byte offsets that cut a CSV file's body into one range per usable CPU.
+    """The byte offsets where the shares of a CSV file's body start, and its end.
 
-    Empty, for one pass over the file, when one CPU is usable, when the body
-    is under ``SHARE_MIN_BYTES``, when a quote byte could hide a line break
-    inside a field, or when the header does not end at the file's first
-    newline byte (a bare CR ends it). Otherwise the body starts after that
-    newline, and each cut falls just after the first newline at or after its
-    share of the body: that ends a record, for ``np.loadtxt`` as for
-    ``csv.reader``, and never falls inside a UTF-8 character.
+    The body starts after the file's first newline byte, and its bytes are
+    both the units and the work of ``share_ranges``. Empty, for one pass over
+    the file, when that gives one share, when a quote byte could hide a line
+    break inside a field, or when the header does not end at that newline (a
+    bare CR ends it). Otherwise each share's start moves to just after the
+    first newline at or after it: that ends a record, for ``np.loadtxt`` as
+    for ``csv.reader``, and never falls inside a UTF-8 character.
     """
-    w = usable_cpus()
     start = raw.find(b"\n") + 1
     n = len(raw) - start
-    if (w < 2 or not start or n < SHARE_MIN_BYTES or b'"' in raw
+    ranges = share_ranges(n, n, SHARE_MIN_BYTES)
+    if (len(ranges) < 2 or not start or b'"' in raw
             or raw.find(b"\r", 0, max(start - 2, 0)) != -1):
         return []
-    cuts = sorted({start, len(raw)} | {raw.find(b"\n", start + k * n // w) + 1 or len(raw)
-                                       for k in range(1, w)})
+    cuts = sorted({start, len(raw)} | {raw.find(b"\n", start + r.start) + 1 or len(raw)
+                                       for r in ranges[1:]})
     return cuts if len(cuts) > 2 else []
 
 

@@ -183,6 +183,23 @@ class TestReport:
         labels = [ln.split(",")[0] for ln in lines[1:]]
         assert labels == ["P1", "P2", "AVG"]
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_periods_past_the_horizon(self, runner, tmp_path, command):
+        # 10**12 periods of 160 deployment steps: 160 one-step periods and the average.
+        out = tmp_path / "run"
+        periods = ["--periods", str(10**12)]
+        result = run_cli(runner, [
+            "run", "--regions", "2", "--horizon", "400", "--seed", "8",
+            "--train-frac", "0.4", "--calib-frac", "0.2", "--out", str(out),
+            *(periods if command == "run" else []),
+        ])
+        if command == "report":
+            result = run_cli(runner, ["report", str(out), *periods])
+        assert result.exit_code == 0
+        rows = [ln.split(",") for ln in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [row[3] for row in rows] == ["1"] * 160 + ["160"]
+        assert [row[0] for row in rows[-2:]] == ["P1000000000000", "AVG"]
+
 
 def small_run(runner, out):
     result = run_cli(runner, [

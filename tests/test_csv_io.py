@@ -4,10 +4,10 @@ The writers format rows by hand; each must write exactly the bytes that
 ``csv.writer`` writes for the same rows, which the reference functions below
 produce the plain way. The reader parses ``streams.CHUNK_ROWS`` rows per bulk
 call; the chunk tests shrink that constant to a few rows so that every case
-sits on a chunk boundary. A large file is cut into one byte range per usable
-CPU; the share tests drop the size floor to 0 and fake 1, 2 or 3 CPUs. A
-large ledger is written in one region share per usable CPU; those tests fake
-1, 2 or 3 CPUs too.
+sits on a chunk boundary. A large file is cut into byte shares; the share
+tests drop the per-share floor to 1 byte and fake 1, 2 or 3 CPUs. A large
+ledger is written in region shares; those tests write ledgers of three
+per-share floors and fake 1, 2 or 3 CPUs too.
 """
 
 import csv
@@ -28,6 +28,7 @@ from contina.streams import (
     FLOWS, DemandStream, parse_region, read_csv_table, read_demand_csv, region_codes,
     region_sort_key,
 )
+from fake_cpus import forks, refuse_fork, use_cpus  # noqa: F401 (forks is a fixture)
 from ledger_rows import records
 
 # Labels that need quoting, or that only look like they might, and floats
@@ -89,28 +90,6 @@ class TestWritersMatchCsvWriter:
 
 
 TABLE = (("t", "region", "v"), (int, str, float))
-
-
-def refuse_fork():
-    raise AssertionError("os.fork called")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The calls of ``os.fork``, which still forks."""
-    fork, calls = os.fork, []
-
-    def counted_fork():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return calls
-
-
-def use_cpus(monkeypatch, k):
-    """Make the share helpers see ``k`` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
 
 def read(path):
@@ -276,11 +255,11 @@ FORMATS = {
 
 
 class TestCsvShares:
-    """Files cut into per-CPU byte shares parse to the one-pass table, bit for bit."""
+    """Files cut into byte shares parse to the one-pass table, bit for bit."""
 
     @pytest.fixture(autouse=True)
-    def no_floor(self, monkeypatch):
-        monkeypatch.setattr(streams, "SHARE_MIN_BYTES", 0)
+    def one_byte_floor(self, monkeypatch):
+        monkeypatch.setattr(streams, "SHARE_MIN_BYTES", 1)
 
     def by_shares(self, monkeypatch, path, columns=TABLE[0], types=TABLE[1], strip=True):
         """The table read with 1, 2 and 3 usable CPUs."""
@@ -425,7 +404,7 @@ class TestCsvShares:
         assert len(forks) == 1 + 2
 
     @pytest.mark.parametrize("k", [5, 6, 11])
-    def test_multibyte_label_across_the_width(self, tmp_path, monkeypatch, k):
+    def test_multibyte_label_across_the_width(self, tmp_path, monkeypatch, forks, k):
         label = "日本語" * k  # 3 k characters, 9 k bytes
         rows = [[t, label if t % 7 == 3 else "é", t] for t in range(30)]
         path = tmp_path / "d.csv"
@@ -434,6 +413,7 @@ class TestCsvShares:
         self.assert_same(tables)
         assert tables[0]["region"].tolist() == [row[1] for row in rows]
         assert tables[0]["region"].dtype == np.dtype(f"<U{3 * k}")
+        assert len(forks) == 1 + 2
 
     def test_file_below_the_floor_never_forks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(streams, "SHARE_MIN_BYTES", 1 << 20)
@@ -502,10 +482,10 @@ class TestLedgerShares:
 
     @pytest.fixture
     def big(self):
-        """The smallest ``share_ledger`` at or above the writer's share floor."""
+        """The smallest ``share_ledger`` that holds three shares' floors of rows."""
         per_step = 2 * len(LEDGER_LABELS)
-        ledger = share_ledger(-(-harness.LEDGER_SHARE_MIN_ROWS // per_step))
-        assert rows_of(ledger) >= harness.LEDGER_SHARE_MIN_ROWS
+        ledger = share_ledger(-(-3 * harness.LEDGER_SHARE_MIN_ROWS // per_step))
+        assert rows_of(ledger) >= 3 * harness.LEDGER_SHARE_MIN_ROWS
         return ledger
 
     def test_every_share_count_writes_the_csv_writer_bytes(self, tmp_path, monkeypatch, big,
@@ -522,23 +502,23 @@ class TestLedgerShares:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_ledger_below_the_floor_never_forks(self, tmp_path, monkeypatch):
+    def test_ledger_below_two_floors_never_forks(self, tmp_path, monkeypatch):
         per_step = 2 * len(LEDGER_LABELS)
-        small = share_ledger((harness.LEDGER_SHARE_MIN_ROWS - 1) // per_step)
-        assert rows_of(small) < harness.LEDGER_SHARE_MIN_ROWS
+        small = share_ledger((2 * harness.LEDGER_SHARE_MIN_ROWS - 1) // per_step)
+        assert rows_of(small) < 2 * harness.LEDGER_SHARE_MIN_ROWS
         use_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", refuse_fork)
         harness._write_ledger(small, tmp_path / "got.csv")
         got = (tmp_path / "got.csv").read_bytes()
         assert got == csv_writer_bytes(tmp_path / "want.csv", small)
 
-    def test_floor_counts_rows(self, tmp_path, monkeypatch, forks):
+    def test_floor_counts_rows_per_share(self, tmp_path, monkeypatch, forks):
         ledger = share_ledger(5)
         use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(harness, "LEDGER_SHARE_MIN_ROWS", rows_of(ledger) + 1)
+        monkeypatch.setattr(harness, "LEDGER_SHARE_MIN_ROWS", rows_of(ledger) // 2 + 1)
         harness._write_ledger(ledger, tmp_path / "one.csv")
         assert not forks
-        monkeypatch.setattr(harness, "LEDGER_SHARE_MIN_ROWS", rows_of(ledger))
+        monkeypatch.setattr(harness, "LEDGER_SHARE_MIN_ROWS", rows_of(ledger) // 2)
         harness._write_ledger(ledger, tmp_path / "two.csv")
         assert len(forks) == 1
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
@@ -547,7 +527,8 @@ class TestLedgerShares:
     def test_failing_share_raises_before_the_ledger_exists(self, tmp_path, monkeypatch, big,
                                                            failing):
         use_cpus(monkeypatch, 3)
-        starts = [r.start for r in shares.share_ranges(big.n_regions)]
+        starts = [r.start for r in shares.share_ranges(big.n_regions, rows_of(big),
+                                                        harness.LEDGER_SHARE_MIN_ROWS)]
         rows = harness._ledger_rows
 
         def fail_one(ledger, t_flow, regions):

@@ -16,6 +16,7 @@ import json
 import os
 import pathlib
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,7 @@ from contina.streams import (
     write_demand_csv,
 )
 from contina.tracker import METHODS, ConformalIntervalTracker
+from fake_cpus import forks, refuse_fork, use_cpus  # noqa: F401 (forks is a fixture)
 from ledger_rows import records
 
 
@@ -171,6 +173,30 @@ class TestEngineAgainstOracle:
         assert got.ledger.empty.any()
         assert_same_run(got, want)
 
+    @pytest.mark.parametrize("updates", [False, True])
+    def test_a_day_of_10_9_steps_costs_the_series_not_the_day(self, updates):
+        # Every deployment hour is cold, so each forecast is the fallback pair.
+        def config():
+            return small_config(steps_per_day=10**9, predictor_updates=updates)
+
+        start = time.perf_counter()
+        got = run_replay(config())
+        assert time.perf_counter() - start < 10  # about 0.1 s; hours when a day's hours are listed
+        assert_same_run(got, oracle_replay(config()))
+
+    @pytest.mark.parametrize("updates", [False, True])
+    def test_a_day_of_10_9_steps_raises_as_the_oracle_without_fallback(self, updates):
+        def config():
+            return small_config(steps_per_day=10**9, predictor_updates=updates,
+                                predictor=PredictorSpec(fallback="error"))
+
+        with pytest.raises(NotFittedError) as want:
+            oracle_replay(config())
+        with pytest.raises(NotFittedError) as got:
+            run_replay(config())
+        assert str(got.value) == str(want.value)
+        assert "region=0, flow=in, hour=240)" in str(got.value)  # the first calibration step
+
 
 class TestDeterminismAndParallelism:
     def test_same_config_same_ledger(self):
@@ -195,15 +221,6 @@ class TestDeterminismAndParallelism:
         )
         assert metrics.min_regional_coverage(res2.ledger).value == \
             metrics.min_regional_coverage(base.ledger).value
-
-
-def use_shares(monkeypatch, k):
-    """Make ``run_replay`` see ``k`` usable CPUs, so it replays ``k`` region shares."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-
-
-def refuse_fork():
-    raise AssertionError("os.fork called")
 
 
 def share_configs(tmp_path):
@@ -231,22 +248,22 @@ def share_configs(tmp_path):
 class TestRegionShares:
     """Region shares replayed in forked children give the serial replay's run."""
 
+    @pytest.fixture(autouse=True)
+    def one_step_floor(self, monkeypatch):
+        """A share of one region-step, so that ``k`` usable CPUs give ``k`` shares."""
+        monkeypatch.setattr(harness, "REPLAY_SHARE_MIN_STEPS", 1)
+
     @pytest.mark.parametrize("name", ["contina", "aci_fixed_clamped", "seasonal_updates",
                                       "pinball_updates", "file_backed_crossed"])
-    def test_shares_match_one_share_and_oracle(self, tmp_path, monkeypatch, name):
+    def test_shares_match_one_share_and_oracle(self, tmp_path, monkeypatch, forks, name):
         config = share_configs(tmp_path)[name]
         want = oracle_replay(config())
-        fork, forks = os.fork, []
-
-        def counted_fork():
-            forks.append(None)
-            return fork()
-
-        for k in (1, 2, 3):
-            use_shares(monkeypatch, k)
-            monkeypatch.setattr(os, "fork", refuse_fork if k == 1 else counted_fork)
+        for k in (3, 2, 1):
+            use_cpus(monkeypatch, k)
+            if k == 1:
+                assert len(forks) == 2 + 1
+                monkeypatch.setattr(os, "fork", refuse_fork)
             assert_same_run(run_replay(config()), want)
-        assert len(forks) == 1 + 2
         if name == "pinball_updates":
             # The last share's children count crossings that the sum must keep.
             last = want.ledger.region_ids[-1]
@@ -254,7 +271,8 @@ class TestRegionShares:
 
     @pytest.mark.parametrize("regions", [(4,), (0, 4), (1, 4)],
                              ids=["last", "first-and-last", "second-and-last"])
-    def test_missing_forecast_raises_the_serial_error(self, tmp_path, monkeypatch, regions):
+    def test_missing_forecast_raises_the_serial_error(self, tmp_path, monkeypatch, forks,
+                                                       regions):
         # With five regions, 2 shares hold regions 0-1 and 2-4, and 3 shares
         # hold 0, 1-2 and 3-4: the failures fall in the parent's share, in
         # one child's, or in two children's.
@@ -265,7 +283,7 @@ class TestRegionShares:
         want = f"t={150 + regions[0]}, region={regions[0]}, flow=out"
         messages = set()
         for k in (1, 2, 3):
-            use_shares(monkeypatch, k)
+            use_cpus(monkeypatch, k)
             with pytest.raises(MissingForecastError, match=want) as error:
                 run_replay(ExperimentConfig(demand_csv=str(demand), forecast_csv=str(forecasts),
                                             train_frac=0.4, calib_frac=0.2))
@@ -274,9 +292,10 @@ class TestRegionShares:
             assert result.exit_code == 5
             assert f"error: {error.value}" in result.output
         assert len(messages) == 1
+        assert len(forks) == 2 * (1 + 2)  # run_replay and the CLI, at 2 and 3 CPUs
 
-    def test_no_child_or_pipe_outlives_the_replay(self, tmp_path, monkeypatch):
-        use_shares(monkeypatch, 3)
+    def test_no_child_or_pipe_outlives_the_replay(self, tmp_path, monkeypatch, forks):
+        use_cpus(monkeypatch, 3)
         fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
         run_replay(share_configs(tmp_path)["contina"]())
         with pytest.raises(ChildProcessError):
@@ -290,9 +309,10 @@ class TestRegionShares:
             os.waitpid(-1, os.WNOHANG)
         if fds is not None:
             assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert len(forks) == 2 + 2
 
     def test_child_without_a_result_names_its_exit_status(self, tmp_path, monkeypatch):
-        use_shares(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         monkeypatch.setattr(shares, "_send_share", lambda fd, *args: os._exit(3))
         with pytest.raises(ChildProcessError, match="exit status 3 and no result"):
             run_replay(share_configs(tmp_path)["contina"]())
@@ -301,9 +321,9 @@ class TestRegionShares:
 
     def test_no_fork_while_another_thread_is_alive(self, tmp_path, monkeypatch):
         config = share_configs(tmp_path)["seasonal_updates"]
-        use_shares(monkeypatch, 1)
+        use_cpus(monkeypatch, 1)
         want = run_replay(config())
-        use_shares(monkeypatch, 3)
+        use_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", refuse_fork)
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(60,))
@@ -613,6 +633,29 @@ class TestReports:
         assert sorted(records(back)) == sorted(records(result.ledger))
 
 
+def linspace_slices(horizon, periods):
+    """``_period_slices`` spelled with every bound, through ``np.linspace``."""
+    bounds = np.linspace(0, horizon, periods + 1).astype(int)
+    return [(f"P{p + 1}", int(bounds[p]), int(bounds[p + 1])) for p in range(periods)
+            if bounds[p + 1] > bounds[p]]
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 2, 3, 7, 24, 97, 160, 1000, 2001])
+def test_period_slices_match_the_linspace_spelling(horizon):
+    for periods in [*range(1, 40), 96, 97, 98, 159, 160, 161, 999, 1000, 1001, 2000, 2001,
+                    2002, 4096, 10**5 + 3]:
+        got = harness._period_slices(horizon, periods)
+        assert [(label, int(a), int(b)) for label, a, b in got] == \
+            linspace_slices(horizon, periods), periods
+
+
+def test_period_slices_cost_follows_the_horizon():
+    got = harness._period_slices(160, 10**12)
+    assert len(got) == 160
+    assert [b - a for _, a, b in got] == [1] * 160
+    assert got[-1] == ("P1000000000000", 159, 160)
+
+
 class TestLedgerLayout:
     """The dense ledger's long-format views keep the (region, t, flow) layout."""
 
@@ -816,14 +859,18 @@ class TestLedgerMirror:
         assert "mirror" not in paths
         assert not (tmp_path / "rep" / "ledger.bin").exists()  # the earlier one is gone
 
-    def test_mirror_bytes_repeat_at_every_share_count(self, tmp_path, monkeypatch):
-        want = None
-        for k in (1, 2):
-            use_shares(monkeypatch, k)
+    def test_report_bytes_repeat_at_every_share_count(self, tmp_path, monkeypatch, forks):
+        # Floors of one region-step and one row: k usable CPUs give k shares.
+        monkeypatch.setattr(harness, "REPLAY_SHARE_MIN_STEPS", 1)
+        monkeypatch.setattr(harness, "LEDGER_SHARE_MIN_ROWS", 1)
+        reports = []
+        for k in (1, 2, 3):
+            use_cpus(monkeypatch, k)
             paths = write_report(run_replay(small_config()), tmp_path / f"k{k}")
-            got = pathlib.Path(paths["mirror"]).read_bytes()
-            assert want is None or got == want
-            want = got
+            reports.append({name: pathlib.Path(p).read_bytes() for name, p in paths.items()})
+        assert "mirror" in reports[0]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert len(forks) == 2 * (1 + 2)  # the replay and the ledger writer, at 2 and 3 CPUs
 
 
 class TestConfigValidation:
