@@ -23,6 +23,7 @@ from .streams import (
     GAP_POLICIES, NOISES, REGIMES, StreamSpec, generate as generate_stream, write_demand_csv,
 )
 from .tracker import METHODS
+from .validation import check_mapping
 
 
 def _handle_errors(fn):
@@ -127,6 +128,15 @@ _SYNTH_FLAGS = [
 ]
 
 
+def _section(raw, key):
+    """Config section ``key`` of ``raw``, for flags to set values on top of."""
+    section = raw.get(key)
+    try:
+        return {} if section is None else check_mapping(section, key)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _run_options(fn):
     flags = _RUN_FLAGS + [(name, kind) for name, _, kind in _SYNTH_FLAGS]
     for name, kind in reversed(flags):
@@ -165,14 +175,10 @@ def run(config_path, predictor, out, audit, **flags):
         if value is not None:
             raw[key] = value
     if predictor is not None:
-        pred = dict(raw.get("predictor") or {})
-        pred["kind"] = predictor
-        raw["predictor"] = pred
+        raw["predictor"] = {**_section(raw, "predictor"), "kind": predictor}
     if synth_overrides:
-        synth = dict(raw.get("synthetic") or {})
-        synth.update(synth_overrides)
-        synth.setdefault("seed", raw.get("seed", 0))
-        raw["synthetic"] = synth
+        raw["synthetic"] = {"seed": raw.get("seed", 0), **_section(raw, "synthetic"),
+                            **synth_overrides}
 
     config = ExperimentConfig.from_dict(raw)
     if out:

@@ -80,7 +80,7 @@ from .streams import (
     split,
 )
 from .tracker import ConformalIntervalTracker
-from .validation import check_bool, check_int, check_positive_int
+from .validation import check_bool, check_int, check_positive_int, check_section
 
 LEDGER_COLUMNS = ["t", "region", "flow", "covered", "length", "empty"]
 # Per-share floors (shares.share_ranges). On a 2-CPU x86_64 host run_shares took ~2.9 ms
@@ -144,14 +144,17 @@ class ExperimentConfig:
                     raise ValueError(f"{key} must be a file path, got {path!r}")
             if (self.synthetic is None) == (self.demand_csv is None):
                 raise ValueError("exactly one of synthetic spec or demand_csv is required")
+            inputs = [("demand_csv", self.demand_csv)]
             if self.forecast_csv is not None:
                 if self.predictor.kind not in ("seasonal_window", "file_backed"):
                     raise ValueError("forecast_csv conflicts with an explicit non-file predictor")
                 self.predictor = PredictorSpec(kind="file_backed", path=self.forecast_csv)
-            for path in (self.demand_csv,
-                         self.predictor.path if self.predictor.kind == "file_backed" else None):
+                inputs.append(("forecast_csv", self.forecast_csv))
+            elif self.predictor.kind == "file_backed":
+                inputs.append(("predictor.path", self.predictor.path))
+            for key, path in inputs:
                 if path is not None and not os.path.isfile(path):
-                    raise ValueError(f"input file {path!r} does not exist")
+                    raise ValueError(f"{key}: input file {path!r} does not exist")
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
         return self
@@ -178,15 +181,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            if d.get("predictor") is not None and not isinstance(d["predictor"], PredictorSpec):
-                d["predictor"] = PredictorSpec.from_dict(d["predictor"])
-            if d.get("synthetic") is not None and not isinstance(d["synthetic"], StreamSpec):
-                d["synthetic"] = StreamSpec.from_dict(d["synthetic"])
+            d = check_section(d, "config", cls)
+            for key, spec in (("predictor", PredictorSpec), ("synthetic", StreamSpec)):
+                if d.get(key) is not None and not isinstance(d[key], spec):
+                    d[key] = spec.from_dict(check_section(d[key], key, spec))
             return cls(**{k: v for k, v in d.items() if v is not None or k in
                           ("window", "synthetic", "demand_csv", "forecast_csv")})
         except (TypeError, ValueError) as e:

@@ -176,16 +176,26 @@ class SeasonalWindowPredictor(ParamsMixin):
         """The hour bucket of step ``t``, an int or an int64 array (0 without ``by_hour``)."""
         return t % (self.steps_per_day if self.by_hour else 1)
 
+    def _by_hour(self, hours):
+        """Steps grouped by hour: ``(order, bucket_hours, bounds)``.
+
+        ``order`` is one stable argsort of ``hours``, so bucket ``k`` holds the
+        steps ``order[bounds[k]:bounds[k + 1]]`` of hour ``bucket_hours[k]``,
+        in time order. The hours are sorted as the narrowest integers that
+        hold them (int8 for 24 steps a day), which numpy sorts by radix.
+        """
+        hours = hours.astype(np.min_scalar_type(-self.steps_per_day))
+        order = np.argsort(hours, kind="stable")
+        srt = hours[order]
+        starts = [0, *(np.flatnonzero(srt[1:] != srt[:-1]) + 1).tolist()] if len(srt) else []
+        return order, srt[starts].tolist(), [*starts, len(srt)]
+
     def fit(self, stream: DemandStream):
         _check_training_demand(stream)
-        hours = self._hours(stream.window_times())
-        # One stable argsort, shared by all cells, lists each hour's steps in time order.
-        order = np.argsort(hours, kind="stable")
-        bucket_hours, starts = np.unique(hours[order], return_index=True)
-        ends = [*starts[1:].tolist(), len(order)]
+        order, bucket_hours, bounds = self._by_hour(self._hours(stream.window_times()))
         self._capacity = self.window_len
         self._buckets, self._values, self._pairs = {}, {}, {}
-        for h, a, b in zip(bucket_hours.tolist(), starts.tolist(), ends):
+        for h, a, b in zip(bucket_hours, bounds, bounds[1:]):
             # Every cell's last window_len values of hour h, shape (regions, flows, n).
             steps = stream.start + order[max(a, b - self.window_len) : b]
             values = stream.history[:, :, steps].astype(np.float64, copy=False)
@@ -219,70 +229,47 @@ class SeasonalWindowPredictor(ParamsMixin):
             )
         return pair
 
-    def _first_cold(self, region, flow, bucket_hours, inverse):
-        """The index of the earliest step whose bucket has no pair, or None.
-
-        ``bucket_hours`` and ``inverse`` are ``np.unique`` of the steps' hours,
-        so only the hours that the steps ask for are looked up.
-        """
-        cold = np.array([(region, flow, h) not in self._pairs
-                         for h in bucket_hours.tolist()], dtype=bool)[inverse]
-        return int(np.argmax(cold)) if cold.any() else None
-
     def predict(self, region, flow, t, lags=None) -> QuantileForecast:
         lo, hi = self._pair_for(region, flow, t)
         return QuantileForecast(lo, hi)
 
     def predict_series(self, region, flow, times, lags=None, y=None):
+        """One pass over the hour buckets that ``times`` touch.
+
+        Buckets never read each other's state. Frozen, each bucket's steps
+        get its pair. With ``y``, each bucket's steps run as one
+        :meth:`CalibrationWindow.push_series`, and a step's forecast is its
+        bucket's pair before the step's push. Under ``fallback="error"`` only
+        the steps before the earliest step of a cold bucket run, then that
+        step raises.
+        """
         if self._pairs is None:
             raise NotFittedError("predictor must be fitted before predicting")
-        if y is not None:
-            return self._predict_update_series(region, flow, times, y)
+        ys = None if y is None else _demand(y, times)
         hours = self._hours(np.asarray(times, dtype=np.int64))
-        bucket_hours, inverse = np.unique(hours, return_inverse=True)
-        first = self._first_cold(region, flow, bucket_hours, inverse)
-        # Cold hours that a step asks for get the fallback, or raise naming the earliest.
-        fill = (0.0, 0.0) if first is None else self._pair_for(region, flow, hours[first])
-        table = np.array([self._pairs.get((region, flow, h), fill)
-                          for h in bucket_hours.tolist()], dtype=np.float64).reshape(-1, 2)
-        return table[inverse, 0], table[inverse, 1]
-
-    def _predict_update_series(self, region, flow, times, y):
-        """``predict`` then ``update`` at each step, run one hour bucket at a time.
-
-        Buckets never read each other's state, so each bucket's steps run as
-        one :meth:`CalibrationWindow.push_series`; a step's forecast is its
-        bucket's pair before the step's push. Under ``fallback="error"`` only
-        the steps before the earliest cold step run, then that step raises.
-        """
-        ys = _demand(y, times)
-        hours = self._hours(np.asarray(times, dtype=np.int64))
+        order, bucket_hours, bounds = self._by_hour(hours)
         pairs = self._pairs
-        cold_hour = None
+        stop = len(hours)
         if self.fallback == "error":
-            stop = self._first_cold(region, flow, *np.unique(hours, return_inverse=True))
-            if stop is not None:
-                cold_hour, hours, ys = int(hours[stop]), hours[:stop], ys[:stop]
-        # One stable argsort lists each hour's steps in time order, as in fit.
-        order = np.argsort(hours, kind="stable")
-        bucket_hours, starts = np.unique(hours[order], return_index=True)
-        ends = [*starts[1:].tolist(), len(order)]
+            stop = min((order[a] for h, a in zip(bucket_hours, bounds)
+                        if (region, flow, h) not in pairs), default=stop)
+            if stop < len(hours):
+                order, bucket_hours, bounds = self._by_hour(hours[:stop])
         levels = (self.alpha / 2.0, 1.0 - self.alpha / 2.0)
-        ys = ys[order]
-        los, his = [], []  # in bucket-major order
-        for h, a, b in zip(bucket_hours.tolist(), starts.tolist(), ends):
+        lo, hi = np.empty(len(hours)), np.empty(len(hours))
+        for h, a, b in zip(bucket_hours, bounds, bounds[1:]):
             key = (region, flow, h)
+            steps = order[a:b]
             first = pairs.get(key) or self._pair_for(region, flow, h)  # cold: the fallback
-            q_lo, q_hi = self._window(key).push_series(ys[a:b], levels)
-            los.append(first[0])
-            los += q_lo[:-1]
-            his.append(first[1])
-            his += q_hi[:-1]
+            if ys is None:
+                lo[steps], hi[steps] = first
+                continue
+            q_lo, q_hi = self._window(key).push_series(ys[steps], levels)
+            lo[steps] = [first[0], *q_lo[:-1]]
+            hi[steps] = [first[1], *q_hi[:-1]]
             pairs[key] = (q_lo[-1], q_hi[-1])
-        if cold_hour is not None:
-            self._pair_for(region, flow, cold_hour)  # raises NotFittedError
-        lo, hi = np.empty(len(order)), np.empty(len(order))
-        lo[order], hi[order] = los, his
+        if stop < len(hours):
+            self._pair_for(region, flow, hours[stop])  # raises NotFittedError
         return lo, hi
 
     def update(self, obs: Observation) -> None:

@@ -1,6 +1,7 @@
 """Small input-validation helpers shared across the package."""
 
 import math
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -68,3 +69,27 @@ def check_bool(value, name):
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+def check_mapping(value, name):
+    """Refuse a config section that is not a mapping, such as a list or a string."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a mapping, got {value!r}")
+    return value
+
+
+def check_section(value, name, cls):
+    """A copy of config section ``name``, whose keys are the fields of the dataclass ``cls``.
+
+    Refuses a value that is not a mapping, and names its unknown keys and the
+    fields without a default that it leaves out.
+    """
+    known = fields(cls)
+    unknown = set(check_mapping(value, name)) - {f.name for f in known}
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown, key=str)}")
+    missing = [f.name for f in known if f.name not in value
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {name} keys: {missing}")
+    return dict(value)

@@ -337,19 +337,22 @@ class TestMalformedInputs:
         assert result.exit_code == 3
         assert f"{damaged}.csv:" in result.output
 
-    @pytest.mark.parametrize("missing", ["demand_csv", "predictor path"])
+    @pytest.mark.parametrize("missing", ["demand_csv", pytest.param("predictor.path",
+                                                                    id="predictor path"),
+                                         "forecast_csv"])
     def test_missing_input_file_in_config_is_a_config_error(self, runner, tmp_path, missing):
         files = self.inputs(tmp_path)
         gone = tmp_path / "gone.csv"
         demand = gone if missing == "demand_csv" else files["demand"]
-        forecasts = gone if missing == "predictor path" else files["forecast"]
+        forecasts = files["forecast"] if missing == "demand_csv" else gone
+        source = (f"forecast_csv: {forecasts}\n" if missing == "forecast_csv" else
+                  f"predictor:\n  kind: file_backed\n  path: {forecasts}\n")
         cfg = tmp_path / "exp.yaml"
-        cfg.write_text(f"demand_csv: {demand}\ntrain_frac: 0.4\ncalib_frac: 0.2\n"
-                       f"predictor:\n  kind: file_backed\n  path: {forecasts}\n")
+        cfg.write_text(f"demand_csv: {demand}\ntrain_frac: 0.4\ncalib_frac: 0.2\n{source}")
         result = runner.invoke(main, ["run", "--config", str(cfg)])
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 2
-        assert str(gone) in result.output
+        assert f"error: {missing}: input file '{gone}' does not exist" in result.output
 
     def test_report_without_manifest_is_not_a_run_directory(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path)])
@@ -509,6 +512,50 @@ class TestMalformedConfig:
         assert result.exit_code == 2, result.output
         assert "error:" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args, values, message", [
+        pytest.param(RUN_CONFIG, {"predictor": "{bogus: 2}"}, "unknown predictor keys: ['bogus']",
+                     id="predictor-unknown"),
+        pytest.param(RUN_CONFIG, {"synthetic": "[1, 2]"},
+                     "synthetic must be a mapping, got [1, 2]", id="synthetic-list"),
+        pytest.param(RUN_CONFIG, {"synthetic": "{n_regions: 2}"},
+                     "missing synthetic keys: ['horizon', 'seed']", id="synthetic-missing"),
+        pytest.param(RUN_CONFIG, {"1": "2", "bogus": "3"}, "unknown config keys: [1, 'bogus']",
+                     id="config-int-key"),
+        pytest.param(["run", "--k", "0"], None, "missing synthetic keys: ['n_regions', 'horizon']",
+                     id="flag-without-regions"),
+        pytest.param(["run", "--config", "{tmp}/exp.yaml", "--predictor", "seasonal_window"],
+                     {"predictor": "[1, 2]"}, "predictor must be a mapping, got [1, 2]",
+                     id="predictor-flag-on-a-list"),
+        pytest.param(["run", "--config", "{tmp}/exp.yaml", "--regions", "2"],
+                     {"synthetic": "abc"}, "synthetic must be a mapping, got 'abc'",
+                     id="regions-flag-on-text"),
+    ])
+    def test_malformed_sections_name_the_section_and_the_key(self, runner, tmp_path, args,
+                                                             values, message):
+        if values is not None:
+            write_config(tmp_path / "exp.yaml", **values)
+        result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}\n" in result.output
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("predictor", {"bogus": 2}, "unknown predictor keys: ['bogus']"),
+        ("synthetic", [1, 2], "synthetic must be a mapping, got [1, 2]"),
+        ("synthetic", {"n_regions": 2}, "missing synthetic keys: ['horizon', 'seed']"),
+    ], ids=["predictor-unknown", "synthetic-list", "synthetic-missing"])
+    def test_malformed_manifest_sections_name_the_section_and_the_key(self, runner, tmp_path,
+                                                                      key, value, message):
+        small_run(runner, tmp_path / "run")
+        manifest = tmp_path / "run" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["config"][key] = value
+        manifest.write_text(json.dumps(data))
+        result = runner.invoke(main, ["report", str(tmp_path / "run")])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 3, result.output
+        assert f"error: {manifest}: malformed manifest: {message}\n" in result.output
 
     @pytest.mark.parametrize("args, values, key", [
         pytest.param(RUN_CONFIG, {"steps_per_day": BIG}, "steps_per_day", id="steps-per-day"),

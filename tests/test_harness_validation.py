@@ -1,5 +1,7 @@
 """Config validation maps bad hyperparameters to the config error category."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,18 @@ def test_counts_up_to_what_numpy_can_index_pass_the_check():
     assert check_positive_int(MAX_SIZE, "periods") == MAX_SIZE == np.iinfo(np.intp).max
     # A seed is no count or size: SeedSequence takes any non-negative int.
     assert ExperimentConfig.from_dict({"synthetic": SYNTHETIC, "seed": 10**30}).validate()
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"synthetic": SYNTHETIC, "predictor": {"bogus": 2}}, "unknown predictor keys: ['bogus']"),
+    ({"synthetic": [1, 2]}, "synthetic must be a mapping, got [1, 2]"),
+    ({"synthetic": {"n_regions": 2}}, "missing synthetic keys: ['horizon', 'seed']"),
+    ({"synthetic": {**SYNTHETIC, 1: 2, "zz": 3}}, "unknown synthetic keys: [1, 'zz']"),
+    ({"synthetic": SYNTHETIC, "predictor": "global"}, "predictor must be a mapping, got 'global'"),
+    ({"synthetic": SYNTHETIC, 1: 2, "bogus": 3}, "unknown config keys: [1, 'bogus']"),
+    ([("synthetic", SYNTHETIC)], "config must be a mapping, got [('synthetic', "),
+], ids=["predictor-unknown", "synthetic-list", "synthetic-missing", "synthetic-int-key",
+        "predictor-text", "config-int-key", "config-list"])
+def test_malformed_sections_name_the_section_and_the_key(d, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        ExperimentConfig.from_dict(d)

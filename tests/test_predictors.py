@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from contina import predictors
 from contina.errors import DataFormatError, MissingForecastError, NotFittedError
 from contina.predictors import (
     PREDICTOR_KINDS,
@@ -116,6 +117,35 @@ class TestSeasonalWindow:
         assert list(zip(lo, hi)) == [(fc.lo, fc.hi) for fc in (
             glob.predict(0, "in", t) for t in times)]
 
+    @pytest.mark.parametrize("fallback, times, raises", [
+        ("global", [3, 4, 5, 27], None),
+        ("global", [3, 4, 12, 5, 11, 27], None),  # cold hours 12 and 11 get the fallback
+        ("error", [3, 4, 5, 27], None),
+        ("error", [3, 27, 12, 5, 11], "hour=12"),  # the cold step sits mid-series
+        ("error", [35, 36, 13], "hour=11"),
+    ])
+    def test_frozen_series_builds_no_window_and_leaves_the_state(self, monkeypatch, fallback,
+                                                                  times, raises):
+        # Ten training steps leave hours 10..23 cold; hour 3 has learned one value.
+        pred = SeasonalWindowPredictor(alpha=0.2, window_len=4, fallback=fallback)
+        pred.fit(flat_stream(np.arange(10.0)))
+        pred.update(Observation(3, 0, "in", 7.0, (1.0,) * 6))
+        before = predictor_state(pred)
+
+        def refuse_window(*args):
+            raise AssertionError("a frozen series built a CalibrationWindow")
+
+        monkeypatch.setattr(predictors, "CalibrationWindow", refuse_window)
+        if raises is None:
+            lo, hi = pred.predict_series(0, "in", times)
+            fcs = [pred.predict(0, "in", t) for t in times]
+            assert bits(lo) == bits([fc.lo for fc in fcs])
+            assert bits(hi) == bits([fc.hi for fc in fcs])
+        else:
+            with pytest.raises(NotFittedError, match=f"{raises}\\)"):
+                pred.predict_series(0, "in", times)
+        assert predictor_state(pred) == before
+
 
 def eager_windows(stream, window_len, by_hour, steps_per_day=24):
     """Each bucket's ``CalibrationWindow``, built from its values at fit as one would eagerly."""
@@ -158,6 +188,10 @@ class TestSeasonalFitMatchesEagerWindows:
     def test_pairs(self, seed, by_hour, window_len):
         # 250 steps leave hours 0..9 one value longer than the rest.
         self.check(signed_demand(2, 250, seed), window_len=window_len, by_hour=by_hour)
+
+    @pytest.mark.parametrize("steps_per_day", [127, 128, 129, 40_000])
+    def test_day_lengths_at_the_edges_of_the_hour_dtype(self, steps_per_day):
+        self.check(signed_demand(2, 300, 6), window_len=2, steps_per_day=steps_per_day)
 
     @pytest.mark.parametrize("by_hour", [True, False])
     def test_many_tied_signed_zeros(self, by_hour):
@@ -549,8 +583,9 @@ class TestSeriesWithUpdatesMatchesObjectPath:
         times = np.delete(np.arange(3, 353 + gap), np.arange(260, 260 + gap))
         self.check(lambda: SeasonalWindowPredictor(alpha=0.2, window_len=5), times=times)
 
-    @pytest.mark.parametrize("steps_per_day", [1, 7, 96])
+    @pytest.mark.parametrize("steps_per_day", [1, 7, 96, 128, 129, 40_000])
     def test_seasonal_other_steps_per_day(self, steps_per_day):
+        # Hours are grouped as int8 up to 128 steps a day, then int16, then int32.
         self.check(lambda: SeasonalWindowPredictor(alpha=0.2, window_len=4,
                                                    steps_per_day=steps_per_day))
 
