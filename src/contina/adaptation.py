@@ -52,9 +52,9 @@ class AdaptHyperParams:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        check_in_range(self.target_alpha, "target_alpha", 0.0, 1.0, inclusive=False)
+        check_in_range(self.target_alpha, "target_alpha", 0.0, 1.0)
         check_positive(self.gamma1, "gamma1")
-        check_in_range(self.beta, "beta", 0.0, 1.0, inclusive=False)
+        check_in_range(self.beta, "beta", 0.0, 1.0)
         check_positive(self.epsilon, "epsilon")
 
 

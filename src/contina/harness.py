@@ -36,19 +36,19 @@ sha256 of the ``ledger.csv`` bytes it mirrors.
 ``read_ledger_csv`` reads a ledger file back through ``streams.read_csv_table``
 (in byte shares when it is large), and ``report_from_dir`` checks a run
 directory's manifest and then recomputes its summary files from the ledger:
-from the mirror when its checksums hold, from ``ledger.csv`` otherwise.
+from the mirror when its checksums hold, from ``ledger.csv`` otherwise, once
+its regions and steps are found to be the manifest's.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
 import csv
 import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -124,7 +124,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check each setting, before any input is read, by the code that uses it.
 
-        A bad one raises ConfigError; each value is stored as its check returns it.
+        The one check of YAML, CLI and manifest settings. A bad one raises
+        ConfigError; each value is stored as its check returns it.
         """
         try:
             vars(self).update(self.tracker().get_params())
@@ -137,24 +138,17 @@ class ExperimentConfig:
             self.region_threshold = check_region_filter(self.region_threshold,
                                                         self.filter_mode)
             check_gap_policy(self.gap_policy)
-            # Before os.path.isfile, which reads an int as a file descriptor.
+            # Text, as os.path.isfile (in _prepare) reads an int as a file descriptor.
             for key, path in (("demand_csv", self.demand_csv), ("forecast_csv", self.forecast_csv),
                               ("predictor.path", self.predictor.path)):
                 if path is not None and not isinstance(path, str):
                     raise ValueError(f"{key} must be a file path, got {path!r}")
             if (self.synthetic is None) == (self.demand_csv is None):
                 raise ValueError("exactly one of synthetic spec or demand_csv is required")
-            inputs = [("demand_csv", self.demand_csv)]
             if self.forecast_csv is not None:
                 if self.predictor.kind not in ("seasonal_window", "file_backed"):
                     raise ValueError("forecast_csv conflicts with an explicit non-file predictor")
                 self.predictor = PredictorSpec(kind="file_backed", path=self.forecast_csv)
-                inputs.append(("forecast_csv", self.forecast_csv))
-            elif self.predictor.kind == "file_backed":
-                inputs.append(("predictor.path", self.predictor.path))
-            for key, path in inputs:
-                if path is not None and not os.path.isfile(path):
-                    raise ValueError(f"{key}: input file {path!r} does not exist")
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
         return self
@@ -184,10 +178,11 @@ class ExperimentConfig:
         try:
             d = check_section(d, "config", cls)
             for key, spec in (("predictor", PredictorSpec), ("synthetic", StreamSpec)):
-                if d.get(key) is not None and not isinstance(d[key], spec):
+                # A null section is absent only where its field defaults to None.
+                if key in d and not isinstance(d[key], spec) and not (
+                        d[key] is None and cls.__dataclass_fields__[key].default is None):
                     d[key] = spec.from_dict(check_section(d[key], key, spec))
-            return cls(**{k: v for k, v in d.items() if v is not None or k in
-                          ("window", "synthetic", "demand_csv", "forecast_csv")})
+            return cls(**d)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
 
@@ -226,11 +221,25 @@ def ingest_csv(config: ExperimentConfig) -> tuple[DemandStream, list]:
     return region_filter(stream, config.region_threshold, config.filter_mode)
 
 
-def _load_stream(config: ExperimentConfig) -> tuple[DemandStream, list]:
-    if config.synthetic is not None:
-        return region_filter(generate(config.synthetic), config.region_threshold,
-                             config.filter_mode)
-    return ingest_csv(config)
+def _prepare(config: ExperimentConfig):
+    """Check ``config`` and that its input files exist, then load, filter and split
+    the stream and fit the predictor: ``(stream, dropped, calib, deploy, predictor)``."""
+    config.validate()
+    forecasts = config.predictor.path if config.predictor.kind == "file_backed" else None
+    for key, path in (("demand_csv", config.demand_csv),
+                      ("forecast_csv" if config.forecast_csv is not None else "predictor.path",
+                       forecasts)):
+        if path is not None and not os.path.isfile(path):
+            raise ConfigError(f"{key}: input file {path!r} does not exist")
+    if config.synthetic is None:
+        stream, dropped = ingest_csv(config)
+    else:
+        stream, dropped = region_filter(generate(config.synthetic), config.region_threshold,
+                                        config.filter_mode)
+    train, calib, deploy = split(stream, config.train_frac, config.calib_frac)
+    predictor = make_predictor(config.predictor, config.alpha, config.steps_per_day)
+    predictor.fit(train)
+    return stream, dropped, calib, deploy, predictor
 
 
 def _replay_region(i, stream, calib, deploy, predictor, config):
@@ -282,12 +291,7 @@ def _replay_regions(stream, calib, deploy, predictor, config):
 
 def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
     """Execute one experiment end to end and return its ledger and states."""
-    config.validate()
-    stream, dropped = _load_stream(config)
-    train, calib, deploy = split(stream, config.train_frac, config.calib_frac)
-    predictor = make_predictor(config.predictor, config.alpha, config.steps_per_day)
-    predictor.fit(train)
-
+    stream, dropped, calib, deploy, predictor = _prepare(config)
     audit_region = None
     if audit:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xA0D17]))
@@ -328,11 +332,7 @@ def oracle_replay(config: ExperimentConfig, region=None) -> RunResult:
     and the result's ledger and states hold that region alone. Regions never
     read each other's state, so its records equal those of the full replay.
     """
-    config.validate()
-    stream, dropped = _load_stream(config)
-    train, calib, deploy = split(stream, config.train_frac, config.calib_frac)
-    predictor = make_predictor(config.predictor, config.alpha, config.steps_per_day)
-    predictor.fit(train)
+    stream, dropped, calib, deploy, predictor = _prepare(config)
     region_ids = stream.region_ids
     if region is not None:
         if region not in region_ids:
@@ -430,11 +430,18 @@ def _fmt(x) -> str:
 
 
 def write_report(result: RunResult, out_dir) -> dict:
-    """Write ledger, summary, daily coverage, states, and manifest files.
+    """Write ledger, summary, daily coverage, states, and manifest files, and
+    ``ledger.bin``, the ledger's binary mirror.
 
-    Also writes ``ledger.bin``, the ledger's binary mirror, when the ledger
-    can have one (``_write_mirror``); the returned paths then name it too.
+    The ledger must read back as written: it has steps, and its region ids
+    are ``_read_back_ids`` in ``region_sort_key`` order. Otherwise
+    LedgerError is raised before any file is created.
     """
+    ledger = result.ledger
+    ids = sorted(set(_read_back_ids(ledger)), key=region_sort_key)  # a repeat shortens it
+    if not (ledger.covered_grid.size and tuple(ids) == ledger.region_ids):
+        raise LedgerError("the ledger would not read back as written: it needs steps, and "
+                          "distinct region labels in region_sort_key order")
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "ledger": os.path.join(out_dir, "ledger.csv"),
@@ -442,12 +449,9 @@ def write_report(result: RunResult, out_dir) -> dict:
         "daily": os.path.join(out_dir, "daily_coverage.csv"),
         "states": os.path.join(out_dir, "states.csv"),
         "manifest": os.path.join(out_dir, "manifest.json"),
+        "mirror": os.path.join(out_dir, "ledger.bin"),
     }
-    ledger = result.ledger
-    ledger_sha256 = _write_ledger(ledger, paths["ledger"])
-    mirror = os.path.join(out_dir, "ledger.bin")
-    if _write_mirror(ledger, ledger_sha256, mirror):
-        paths["mirror"] = mirror
+    _write_mirror(ledger, _write_ledger(ledger, paths["ledger"]), paths["mirror"])
 
     _write_summary(ledger, result.config, paths["summary"])
     _write_daily(ledger, result.config.steps_per_day, paths["daily"])
@@ -461,7 +465,7 @@ def write_report(result: RunResult, out_dir) -> dict:
 
     manifest = {
         "config": result.config.to_dict(),
-        "regions": list(result.ledger.region_ids),
+        "regions": ids,  # as read_ledger_csv gives them back, so no numpy integer
         "dropped_regions": list(result.dropped_regions),
         "window_capacity": result.window_capacity,
         "crossings": result.crossings,
@@ -535,29 +539,23 @@ def _mirror_meta_sha256(meta: dict):
     return hashlib.sha256(json.dumps(meta, sort_keys=True).encode("ascii"))
 
 
-def _write_mirror(ledger: RunLedger, ledger_sha256: str, path) -> bool:
-    """Write ``ledger.bin``, the ledger's binary mirror; return whether it was written.
+def _read_back_ids(ledger: RunLedger) -> list:
+    """``parse_region`` of each label: the region ids ``read_ledger_csv`` gives back."""
+    return [parse_region("" if r is None else str(r)) for r in ledger.region_ids]
+
+
+def _write_mirror(ledger: RunLedger, ledger_sha256: str, path) -> None:
+    """Write ``ledger.bin``, the ledger's binary mirror.
 
     Line 1 is a JSON header (``sort_keys``, ASCII): the format tag, the
-    sha256 of the ``ledger.csv`` bytes it mirrors, the region ids, the
-    horizon and ``payload_sha256``, the sha256 of the header's other keys
-    (their ``sort_keys`` JSON) followed by the payload. The payload follows
-    the header: the ``_mirror_layout`` arrays, written from their buffers.
-
-    The mirror is written only when the ledger is not empty and its region
-    ids are the ones ``read_ledger_csv`` gives back: ``parse_region`` of
-    each label, distinct, in ``region_sort_key`` order. Otherwise a mirror
-    left from an earlier run is removed, and none is written.
+    sha256 of the ``ledger.csv`` bytes it mirrors, the region ids as
+    ``read_ledger_csv`` gives them back (``_read_back_ids``), the horizon and
+    ``payload_sha256``, the sha256 of the header's other keys (their
+    ``sort_keys`` JSON) followed by the payload. The payload follows the
+    header: the ``_mirror_layout`` arrays, written from their buffers.
     """
-    labels = ["" if r is None else str(r) for r in ledger.region_ids]  # as csv.writer spells them
-    regions = sorted(map(parse_region, labels), key=region_sort_key)
-    if not (ledger.covered_grid.size and len(set(labels)) == len(labels)
-            and tuple(regions) == ledger.region_ids):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path)
-        return False
     meta = {"format": MIRROR_FORMAT, "horizon": ledger.horizon,
-            "ledger_sha256": ledger_sha256, "regions": regions}
+            "ledger_sha256": ledger_sha256, "regions": _read_back_ids(ledger)}
     arrays = (np.ascontiguousarray(ledger.times, dtype="<i8"),
               np.ascontiguousarray(ledger.length_grid, dtype="<f8"),
               ledger.covered_grid.view(np.uint8), ledger.empty_grid.view(np.uint8))
@@ -569,7 +567,6 @@ def _write_mirror(ledger: RunLedger, ledger_sha256: str, path) -> bool:
         fh.write(header.encode("ascii") + b"\n")
         for a in arrays:
             fh.write(a)
-    return True
 
 
 def _read_mirror(out_dir):
@@ -697,11 +694,13 @@ def read_ledger_csv(path) -> RunLedger:
 def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
     """Recompute summary.csv and daily_coverage.csv from a run directory.
 
-    The manifest's settings are checked before the ledger is read; a
-    manifest that is not JSON, holds no ``config`` object, or whose config
-    ``report`` cannot use raises DataFormatError naming the manifest. The
-    ledger is read from its mirror ``ledger.bin`` when ``_read_mirror``
-    trusts it, and otherwise from ``ledger.csv``.
+    The manifest's config goes through ``ExperimentConfig.validate`` before
+    the ledger is read; a manifest that is not JSON, holds no ``config``
+    object or ``regions`` list, or whose config it refuses raises
+    DataFormatError naming the manifest. A bad override raises ConfigError.
+    The ledger is read from ``ledger.bin`` when ``_read_mirror`` trusts it,
+    and otherwise from ``ledger.csv``; LedgerError names its first difference
+    from the manifest's regions or step count.
     """
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -709,26 +708,27 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
-            raise ValueError('expected a JSON object with a "config" object')
-        config = ExperimentConfig.from_dict(manifest["config"])
-        config.hyperparams()
-        if steps_per_day is None:
-            config.steps_per_day = check_positive_int(config.steps_per_day, "steps_per_day")
-        if periods is None:
-            config.periods = check_positive_int(config.periods, "periods")
+        if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+                and isinstance(manifest.get("regions"), list)):
+            raise ValueError('expected a JSON object with a "config" object and a "regions" list')
+        config = ExperimentConfig.from_dict(manifest["config"]).validate()
     except (ConfigError, TypeError, ValueError) as e:
         raise DataFormatError(f"{manifest_path}: malformed manifest: {e}") from None
-    try:
-        if steps_per_day is not None:
-            config.steps_per_day = check_positive_int(steps_per_day, "steps_per_day")
-        if periods is not None:
-            config.periods = check_positive_int(periods, "periods")
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    overrides = {"steps_per_day": steps_per_day, "periods": periods}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None}).validate()
     ledger = _read_mirror(out_dir)
     if ledger is None:
         ledger = read_ledger_csv(os.path.join(out_dir, "ledger.csv"))
+    got, want = list(ledger.region_ids), manifest["regions"]
+    if got != want:
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        at = [repr(ids[k]) if k < len(ids) else "none" for ids in (got, want)]
+        raise LedgerError(f"{out_dir}: the ledger's region at position {k} is {at[0]}, "
+                          f"manifest.json's {at[1]} ({len(got)} and {len(want)} regions)")
+    if ledger.horizon != manifest.get("deploy_steps"):
+        raise LedgerError(f"{out_dir}: the ledger holds {ledger.horizon} deployment steps, "
+                          f"manifest.json {manifest.get('deploy_steps')!r}")
     paths = {
         "summary": os.path.join(out_dir, "summary.csv"),
         "daily": os.path.join(out_dir, "daily_coverage.csv"),
@@ -736,3 +736,4 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
     _write_summary(ledger, config, paths["summary"])
     _write_daily(ledger, config.steps_per_day, paths["daily"])
     return paths
+

@@ -273,7 +273,7 @@ def worst_region_bound(bp: BoundParams, alpha: float) -> RegionBound:
     With a single region the log term vanishes; the flag records that the
     multi-region correction was dropped.
     """
-    check_in_range(alpha, "alpha", 0.0, 1.0, inclusive=False)
+    check_in_range(alpha, "alpha", 0.0, 1.0)
     if bp.n_regions < 2:
         return RegionBound(value=1.0 - alpha - bp.c1 / bp.horizon, log_term_dropped=True)
     correction = math.sqrt(bp.c2 * bp.k_lag * math.log(bp.n_regions) / bp.horizon)

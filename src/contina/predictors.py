@@ -158,7 +158,7 @@ class SeasonalWindowPredictor(ParamsMixin):
 
     def __init__(self, alpha=0.1, window_len=168, by_hour=True, steps_per_day=24,
                  fallback="global"):
-        self.alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive=False)
+        self.alpha = check_in_range(alpha, "alpha", 0.0, 1.0)
         self.window_len = check_positive_int(window_len, "window_len")
         self.by_hour = check_bool(by_hour, "by_hour")
         self.steps_per_day = check_positive_int(steps_per_day, "steps_per_day")
@@ -303,7 +303,7 @@ class OnlinePinballLinearPredictor(ParamsMixin):
     N_FEATURES = 8
 
     def __init__(self, alpha=0.1, step_size=0.05, epochs=3, steps_per_day=24):
-        self.alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive=False)
+        self.alpha = check_in_range(alpha, "alpha", 0.0, 1.0)
         self.step_size = check_positive(step_size, "step_size")
         self.epochs = check_positive_int(epochs, "epochs")
         self.steps_per_day = check_positive_int(steps_per_day, "steps_per_day")

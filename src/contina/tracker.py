@@ -103,10 +103,10 @@ class ConformalIntervalTracker(ParamsMixin):
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {method!r}")
         self.method = method
-        self.alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive=False)
+        self.alpha = check_in_range(alpha, "alpha", 0.0, 1.0)
         self.gamma = check_positive(gamma, "gamma")
         self.gamma1 = check_positive(gamma1, "gamma1")
-        self.beta = check_in_range(beta, "beta", 0.0, 1.0, inclusive=False)
+        self.beta = check_in_range(beta, "beta", 0.0, 1.0)
         self.epsilon = check_positive(epsilon, "epsilon")
         self.window = None if window is None else check_positive_int(window, "window")
         self.clamp_nonnegative = check_bool(clamp_nonnegative, "clamp_nonnegative")

@@ -20,14 +20,11 @@ def check_finite(value, name):
     return v
 
 
-def check_in_range(value, name, low, high, *, inclusive=True):
+def check_in_range(value, name, low, high):
+    """A finite number strictly between ``low`` and ``high``; the error names ``name``."""
     v = check_finite(value, name)
-    if inclusive:
-        if not (low <= v <= high):
-            raise ValueError(f"{name} must be in [{low}, {high}], got {v}")
-    else:
-        if not (low < v < high):
-            raise ValueError(f"{name} must be in ({low}, {high}), got {v}")
+    if not (low < v < high):
+        raise ValueError(f"{name} must be in ({low}, {high}), got {v}")
     return v
 
 

@@ -289,6 +289,24 @@ class TestMalformedLedger:
         assert result.exit_code == 6
         assert f"(t={t}, region={region}): 3 of 2 flow records" in result.output
 
+    @pytest.mark.parametrize("lost, fault", [
+        ("region", "the ledger's region at position 1 is 2, manifest.json's 1 (2 and 3 regions)"),
+        ("step", "the ledger holds 159 deployment steps, manifest.json 160"),
+    ])
+    def test_ledger_that_differs_from_the_manifest_is_a_ledger_error(self, runner, run_dir,
+                                                                      lost, fault):
+        # Without region 1's rows, or the last step's, the rest is a complete grid:
+        # only the manifest's regions and deploy_steps tell it apart.
+        def edit(lines):
+            last = lines[-1].split(",")[0]
+            return [ln for ln in lines if (ln.split(",")[1] != "1" if lost == "region"
+                                           else ln.split(",")[0] != last)]
+
+        self.rewrite(run_dir, edit)
+        result = self.report(runner, run_dir)
+        assert result.exit_code == 6
+        assert result.output == f"error: {run_dir}: {fault}\n"
+
     def test_invalid_utf8_is_a_format_error(self, runner, run_dir):
         path = run_dir / "ledger.csv"
         data = bytearray(path.read_bytes())
@@ -364,8 +382,11 @@ class TestMalformedInputs:
         (lambda text: text[:-5], "Expecting"),
         (lambda text: f"[{text}]", 'a JSON object with a "config" object'),
         (lambda text: text.replace('"config"', '"settings"'), '"config" object'),
-        (lambda text: text.replace('"alpha": 0.1', '"alpha": "x"'), "target_alpha"),
-    ], ids=["not-json", "list", "no-config", "alpha-not-a-number"])
+        (lambda text: text.replace('"alpha": 0.1', '"alpha": "x"'), "alpha must be a number"),
+        (lambda text: text.replace('"alpha": 0.1', '"alpha": null'),
+         "alpha must be a number, got None"),
+        (lambda text: json.dumps({**json.loads(text), "regions": "0,1,2"}), '"regions" list'),
+    ], ids=["not-json", "list", "no-config", "alpha-not-a-number", "alpha-null", "regions-text"])
     def test_malformed_manifest_is_a_format_error(self, runner, tmp_path, edit, fault):
         small_run(runner, tmp_path / "run")
         manifest = tmp_path / "run" / "manifest.json"
@@ -544,7 +565,8 @@ class TestMalformedConfig:
         ("predictor", {"bogus": 2}, "unknown predictor keys: ['bogus']"),
         ("synthetic", [1, 2], "synthetic must be a mapping, got [1, 2]"),
         ("synthetic", {"n_regions": 2}, "missing synthetic keys: ['horizon', 'seed']"),
-    ], ids=["predictor-unknown", "synthetic-list", "synthetic-missing"])
+        ("predictor", None, "predictor must be a mapping, got None"),
+    ], ids=["predictor-unknown", "synthetic-list", "synthetic-missing", "predictor-null"])
     def test_malformed_manifest_sections_name_the_section_and_the_key(self, runner, tmp_path,
                                                                       key, value, message):
         small_run(runner, tmp_path / "run")

@@ -537,11 +537,9 @@ class TestLedgerShares:
             return rows(ledger, t_flow, regions)
 
         monkeypatch.setattr(harness, "_ledger_rows", fail_one)
-        result = harness.RunResult(config=harness.ExperimentConfig(), ledger=big, states=[],
-                                   window_capacity=0, crossings=0, dropped_regions=[])
         with pytest.raises(ValueError, match=f"^share at region {starts[failing]} failed$"):
-            harness.write_report(result, tmp_path / "run")
-        assert os.listdir(tmp_path / "run") == []
+            harness._write_ledger(big, tmp_path / "ledger.csv")
+        assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

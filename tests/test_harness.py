@@ -25,7 +25,9 @@ from click.testing import CliRunner
 
 from contina import harness, metrics, shares
 from contina.cli import main as cli_main
-from contina.errors import ConfigError, DataFormatError, MissingForecastError, NotFittedError
+from contina.errors import (
+    ConfigError, DataFormatError, LedgerError, MissingForecastError, NotFittedError,
+)
 from contina.harness import (
     ExperimentConfig,
     ingest_csv,
@@ -730,6 +732,7 @@ MIRROR_LABELS = {
     "integers": (-5, 0, 3, 12),
     "quoted": ("a\nb", "c,d", 'q"x', " s "),
     "leading-zero": (7, "007", "7a"),
+    "numpy-integers": tuple(np.arange(-2, 2)),  # JSON holds no numpy integer
 }
 
 
@@ -845,19 +848,20 @@ class TestLedgerMirror:
             report_from_dir(run_dir)
         assert str(with_mirror.value) == str(without.value)
 
-    @pytest.mark.parametrize("regions", [("b", "a"), (3, 1), (1, "1")],
-                             ids=["unsorted", "unsorted-ints", "one-label"])
-    def test_ledger_that_reads_back_otherwise_writes_no_mirror(self, tmp_path, regions):
-        result = run_replay(small_config())
-        paths = write_report(result, tmp_path / "rep")
-        assert os.path.isfile(paths["mirror"])
-        recs = [(t, r, f, True, 4.0, False) for r in regions for t in range(48) for f in FLOWS]
-        ledger = metrics.RunLedger.from_records(recs, region_ids=regions)
-        result = result.__class__(config=small_config(), ledger=ledger, states=[],
-                                  window_capacity=8, crossings=0, dropped_regions=[])
-        paths = write_report(result, tmp_path / "rep")
-        assert "mirror" not in paths
-        assert not (tmp_path / "rep" / "ledger.bin").exists()  # the earlier one is gone
+    @pytest.mark.parametrize("regions, horizon", [
+        (("b", "a"), 48), ((3, 1), 48), ((1, "1"), 48), (("a",), 0), ((), 48),
+    ], ids=["unsorted", "unsorted-ints", "one-label", "no-steps", "no-regions"])
+    def test_ledger_that_reads_back_otherwise_is_refused(self, tmp_path, regions, horizon):
+        # report_from_dir would read ("b", "a") back as ("a", "b"), (1, "1") as one
+        # region, and an empty ledger not at all.
+        shape = (len(regions), horizon, 2)
+        ledger = metrics.RunLedger(regions, np.arange(horizon), np.ones(shape, bool),
+                                   np.full(shape, 4.0), np.zeros(shape, bool))
+        result = harness.RunResult(config=small_config(), ledger=ledger, states=[],
+                                   window_capacity=8, crossings=0, dropped_regions=[])
+        with pytest.raises(LedgerError, match="would not read back as written"):
+            write_report(result, tmp_path / "rep")
+        assert not (tmp_path / "rep").exists()
 
     def test_report_bytes_repeat_at_every_share_count(self, tmp_path, monkeypatch, forks):
         # Floors of one region-step and one row: k usable CPUs give k shares.

@@ -90,16 +90,42 @@ def test_counts_up_to_what_numpy_can_index_pass_the_check():
     assert ExperimentConfig.from_dict({"synthetic": SYNTHETIC, "seed": 10**30}).validate()
 
 
+@pytest.mark.parametrize("key, message", [
+    ("method", "method must be one of ('cp', 'qcp', 'aci_fixed', 'contina'), got None"),
+    ("alpha", "alpha must be a number, got None"),
+    ("gamma", "gamma must be a number, got None"),
+    ("clamp_nonnegative", "clamp_nonnegative must be true or false, got None"),
+    ("seed", "seed must be an integer >= 0, got None"),
+    ("periods", "periods must be an integer >= 1, got None"),
+    ("train_frac", "train_frac must be a number, got None"),
+    ("gap_policy", "gap_policy must be one of ('abort', 'drop_day'), got None"),
+])
+def test_null_settings_are_refused_by_their_own_check(key, message):
+    # null stands for the default only where the default is None.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict({"synthetic": SYNTHETIC, key: None}).validate()
+
+
+def test_null_settings_whose_default_is_none_pass():
+    config = ExperimentConfig.from_dict({
+        "synthetic": {**SYNTHETIC, "shift_at": None}, "window": None, "demand_csv": None,
+        "forecast_csv": None, "predictor": {"path": None}}).validate()
+    assert config == base()
+    config = ExperimentConfig.from_dict({"synthetic": None, "demand_csv": "demand.csv"})
+    assert config.validate().synthetic is None  # validate reads no file
+
+
 @pytest.mark.parametrize("d, message", [
     ({"synthetic": SYNTHETIC, "predictor": {"bogus": 2}}, "unknown predictor keys: ['bogus']"),
     ({"synthetic": [1, 2]}, "synthetic must be a mapping, got [1, 2]"),
     ({"synthetic": {"n_regions": 2}}, "missing synthetic keys: ['horizon', 'seed']"),
     ({"synthetic": {**SYNTHETIC, 1: 2, "zz": 3}}, "unknown synthetic keys: [1, 'zz']"),
     ({"synthetic": SYNTHETIC, "predictor": "global"}, "predictor must be a mapping, got 'global'"),
+    ({"synthetic": SYNTHETIC, "predictor": None}, "predictor must be a mapping, got None"),
     ({"synthetic": SYNTHETIC, 1: 2, "bogus": 3}, "unknown config keys: [1, 'bogus']"),
     ([("synthetic", SYNTHETIC)], "config must be a mapping, got [('synthetic', "),
 ], ids=["predictor-unknown", "synthetic-list", "synthetic-missing", "synthetic-int-key",
-        "predictor-text", "config-int-key", "config-list"])
+        "predictor-text", "predictor-null", "config-int-key", "config-list"])
 def test_malformed_sections_name_the_section_and_the_key(d, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         ExperimentConfig.from_dict(d)

@@ -2,10 +2,11 @@
 
 Every run goes through click's ``CliRunner`` in-process and must end in an
 exit code of the README's table, with no exception but ``SystemExit``
-escaping. A setting refused with exit 2 must be named in the message. The
-settings are the leaves of ``ExperimentConfig(...).to_dict()``, so a new
-setting is swept without an edit here; the files are small demand, forecast
-and ledger files with seeded byte mutations.
+escaping. A setting refused with exit 2 must be named in the message. A null
+must be refused so, unless the setting's default is None. The settings are
+the leaves of ``ExperimentConfig(...).to_dict()``, so a new setting is swept
+without an edit here; the files are small demand, forecast and ledger files
+with seeded byte mutations.
 """
 
 import math
@@ -31,6 +32,9 @@ BAD_VALUES = [True, "abc", None, [1, 2], {"a": 1}, math.nan, -1, 10**30]
 BASE = ExperimentConfig(synthetic=StreamSpec(n_regions=2, horizon=120, seed=1),
                         train_frac=0.4, calib_frac=0.2)
 SECTIONS = ("predictor", "synthetic")
+# The settings that may be null, those whose default is None; any other null exits 2.
+NULLABLE = {(None, "window"), (None, "synthetic"), (None, "demand_csv"), (None, "forecast_csv"),
+            ("predictor", "path"), ("synthetic", "shift_at")}
 DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml's, where it is built
 
 
@@ -65,7 +69,9 @@ def test_malformed_values_of_a_setting(runner, tmp_path, section, key):
         d = BASE.to_dict()
         (d[section] if section else d)[key] = value
         path.write_text(yaml.dump(d, Dumper=DUMPER))
-        checked(runner.invoke(main, ["run", "--config", str(path)]), key)
+        code = checked(runner.invoke(main, ["run", "--config", str(path)]), key)
+        if value is None and (section, key) not in NULLABLE:
+            assert code == 2, (section, key)
 
 
 def mutate(data: bytes, rng) -> bytes:
