@@ -95,51 +95,40 @@ def generate(regions, horizon, seed, regime, noise, shift_at, shift_scale,
     click.echo(f"wrote {regions} regions x {horizon} steps to {out}")
 
 
+# (flag, config key, type) of each flag of ``run``. A dotted key is set inside its
+# section, such as ``synthetic`` for the stream flags.
 _RUN_FLAGS = [
-    ("method", click.Choice(METHODS)),
-    ("alpha", float),
-    ("gamma", float),
-    ("gamma1", float),
-    ("beta", float),
-    ("epsilon", float),
-    ("window", int),
-    ("seed", int),
-    ("train-frac", float),
-    ("calib-frac", float),
-    ("steps-per-day", int),
-    ("periods", int),
-    ("region-threshold", float),
-    ("gap-policy", click.Choice(GAP_POLICIES)),
-    ("demand-csv", click.Path(exists=True, dir_okay=False)),
-    ("forecast-csv", click.Path(exists=True, dir_okay=False)),
+    ("method", "method", click.Choice(METHODS)),
+    ("alpha", "alpha", float),
+    ("gamma", "gamma", float),
+    ("gamma1", "gamma1", float),
+    ("beta", "beta", float),
+    ("epsilon", "epsilon", float),
+    ("window", "window", int),
+    ("seed", "seed", int),
+    ("train-frac", "train_frac", float),
+    ("calib-frac", "calib_frac", float),
+    ("steps-per-day", "steps_per_day", int),
+    ("periods", "periods", int),
+    ("region-threshold", "region_threshold", float),
+    ("gap-policy", "gap_policy", click.Choice(GAP_POLICIES)),
+    ("demand-csv", "demand_csv", click.Path()),
+    ("forecast-csv", "forecast_csv", click.Path()),
+    ("predictor", "predictor.kind", click.Choice(PREDICTOR_KINDS)),
+    ("regions", "synthetic.n_regions", int),
+    ("horizon", "synthetic.horizon", int),
+    ("regime", "synthetic.regime", click.Choice(REGIMES)),
+    ("noise", "synthetic.noise", click.Choice(NOISES)),
+    ("shift-at", "synthetic.shift_at", int),
+    ("shift-scale", "synthetic.shift_scale", float),
+    ("drift-rate", "synthetic.drift_rate", float),
+    ("k", "synthetic.k_lag", int),
+    ("season-amp", "synthetic.season_amp", float),
 ]
-
-# (flag, StreamSpec key, type) of each synthetic-stream flag of ``run``.
-_SYNTH_FLAGS = [
-    ("regions", "n_regions", int),
-    ("horizon", "horizon", int),
-    ("regime", "regime", click.Choice(REGIMES)),
-    ("noise", "noise", click.Choice(NOISES)),
-    ("shift-at", "shift_at", int),
-    ("shift-scale", "shift_scale", float),
-    ("drift-rate", "drift_rate", float),
-    ("k", "k_lag", int),
-    ("season-amp", "season_amp", float),
-]
-
-
-def _section(raw, key):
-    """Config section ``key`` of ``raw``, for flags to set values on top of."""
-    section = raw.get(key)
-    try:
-        return {} if section is None else check_mapping(section, key)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
 
 def _run_options(fn):
-    flags = _RUN_FLAGS + [(name, kind) for name, _, kind in _SYNTH_FLAGS]
-    for name, kind in reversed(flags):
+    for name, _, kind in reversed(_RUN_FLAGS):
         fn = click.option(f"--{name}", type=kind, default=None)(fn)
     return fn
 
@@ -147,8 +136,6 @@ def _run_options(fn):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="YAML config file; flags override its values.")
-@click.option("--predictor", type=click.Choice(PREDICTOR_KINDS), default=None,
-              help="Base predictor kind.")
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Directory for report files.")
 @click.option("--audit/--no-audit", default=False,
@@ -156,7 +143,7 @@ def _run_options(fn):
                    "and check it.")
 @_run_options
 @_handle_errors
-def run(config_path, predictor, out, audit, **flags):
+def run(config_path, out, audit, **flags):
     """Replay one experiment and write its reports."""
     raw: dict = {}
     if config_path:
@@ -166,19 +153,18 @@ def run(config_path, predictor, out, audit, **flags):
             raise ConfigError(f"{config_path}: config must be a mapping")
         raw.update(loaded)
 
-    synth_overrides = {}
-    for name, key, _ in _SYNTH_FLAGS:
-        v = flags.pop(name.replace("-", "_"))
-        if v is not None:
-            synth_overrides[key] = v
-    for key, value in flags.items():
-        if value is not None:
+    for name, key, _ in _RUN_FLAGS:
+        value = flags[name.replace("-", "_")]
+        if value is None:
+            continue
+        section, _, sub = key.rpartition(".")
+        if not section:
             raw[key] = value
-    if predictor is not None:
-        raw["predictor"] = {**_section(raw, "predictor"), "kind": predictor}
-    if synth_overrides:
-        raw["synthetic"] = {"seed": raw.get("seed", 0), **_section(raw, "synthetic"),
-                            **synth_overrides}
+            continue
+        try:  # a flag has no key to set inside a section that is not a mapping
+            raw[section] = {**check_mapping(raw.get(section, {}), section), sub: value}
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
     config = ExperimentConfig.from_dict(raw)
     if out:

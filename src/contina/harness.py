@@ -177,6 +177,10 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         try:
             d = check_section(d, "config", cls)
+            if isinstance(d.get("synthetic"), dict):  # seed and day length default to the run's
+                d["synthetic"] = {"seed": d.get("seed", cls.seed),
+                                  "steps_per_day": d.get("steps_per_day", cls.steps_per_day),
+                                  **d["synthetic"]}
             for key, spec in (("predictor", PredictorSpec), ("synthetic", StreamSpec)):
                 # A null section is absent only where its field defaults to None.
                 if key in d and not isinstance(d[key], spec) and not (
@@ -230,7 +234,8 @@ def _prepare(config: ExperimentConfig):
                       ("forecast_csv" if config.forecast_csv is not None else "predictor.path",
                        forecasts)):
         if path is not None and not os.path.isfile(path):
-            raise ConfigError(f"{key}: input file {path!r} does not exist")
+            fault = "is a directory" if os.path.isdir(path) else "does not exist"
+            raise ConfigError(f"{key}: input file {path!r} {fault}")
     if config.synthetic is None:
         stream, dropped = ingest_csv(config)
     else:

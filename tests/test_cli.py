@@ -2,14 +2,19 @@
 
 import json
 import logging
+import re
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
 
 from contina.cli import main
-from contina.predictors import write_forecast_csv
-from contina.streams import FLOWS, DemandStream, StreamSpec, generate, write_demand_csv
+from contina.predictors import PREDICTOR_KINDS, write_forecast_csv
+from contina.streams import (
+    FLOWS, GAP_POLICIES, NOISES, REGIMES, DemandStream, StreamSpec, generate, write_demand_csv,
+)
+from contina.tracker import METHODS
 
 
 @pytest.fixture
@@ -46,8 +51,83 @@ class TestGenerate:
         assert result.exit_code == 2
         assert result.output == f"error: {out}: No such file or directory\n"
 
+    def test_flag_defaults_are_the_stream_spec_defaults(self):
+        flags = {p.name: p.default for p in main.commands["generate"].params}
+        spec = {f.name: f.default for f in fields(StreamSpec)}
+        for name in ("regime", "noise", "shift_at", "shift_scale", "drift_rate", "k_lag",
+                     "sigma_frac", "season_amp", "steps_per_day"):
+            assert flags[name] == spec[name], name
+        assert (flags["scale_min"], flags["scale_max"]) == spec["scale_range"]
+        assert (flags["base_min"], flags["base_max"]) == spec["base_level"]
+
+
+# Each flag of ``run``, with the name of its click type and its choices.
+RUN_FLAGS = {
+    "--config": ("Path", None), "--out": ("Path", None), "--audit": ("BoolParamType", None),
+    "--method": ("Choice", METHODS), "--predictor": ("Choice", PREDICTOR_KINDS),
+    "--gap-policy": ("Choice", GAP_POLICIES), "--regime": ("Choice", REGIMES),
+    "--noise": ("Choice", NOISES),
+    **{f"--{name}": ("FloatParamType", None) for name in (
+        "alpha", "gamma", "gamma1", "beta", "epsilon", "train-frac", "calib-frac",
+        "region-threshold", "shift-scale", "drift-rate", "season-amp")},
+    **{f"--{name}": ("IntParamType", None) for name in (
+        "window", "seed", "steps-per-day", "periods", "regions", "horizon", "shift-at", "k")},
+    "--demand-csv": ("Path", None), "--forecast-csv": ("Path", None),
+}
+
 
 class TestRun:
+    def test_help_lists_every_flag_with_its_type(self, runner):
+        params = main.commands["run"].params
+        assert {p.opts[0]: (type(p.type).__name__, getattr(p.type, "choices", None))
+                for p in params} == RUN_FLAGS
+        shown = re.findall(r"^  (--[\w-]+)", run_cli(runner, ["run", "--help"]).output, re.M)
+        assert sorted(shown) == sorted([*RUN_FLAGS, "--help"])
+
+    @pytest.mark.parametrize("flag, key", [("--demand-csv", "demand_csv"),
+                                           ("--forecast-csv", "forecast_csv")])
+    @pytest.mark.parametrize("name, fault", [("nope.csv", "does not exist"),
+                                             ("", "is a directory")])
+    def test_input_file_flag_without_a_file_is_a_config_error(self, runner, tmp_path, flag,
+                                                              key, name, fault):
+        path = tmp_path / name
+        args = ["--regions", "2", "--horizon", "300"] if key == "forecast_csv" else []
+        result = runner.invoke(main, ["run", flag, str(path), *args])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2
+        assert result.output == f"error: {key}: input file '{path}' {fault}\n"
+
+    @pytest.mark.parametrize("steps_per_day", ["24", "12"])
+    def test_generated_csv_replays_as_the_inline_stream(self, runner, tmp_path, steps_per_day):
+        stream = ["--regions", "3", "--horizon", "480", "--seed", "7", "--season-amp", "0.5",
+                  "--steps-per-day", steps_per_day]
+        run = ["--train-frac", "0.4", "--calib-frac", "0.2", "--steps-per-day", steps_per_day]
+        demand = tmp_path / "demand.csv"
+        assert run_cli(runner, ["generate", *stream, "--out", str(demand)]).exit_code == 0
+        result = run_cli(runner, ["run", "--demand-csv", str(demand), "--seed", "7", *run,
+                                  "--out", str(tmp_path / "csv")])
+        assert result.exit_code == 0, result.output
+        result = run_cli(runner, ["run", *stream, *run, "--out", str(tmp_path / "inline")])
+        assert result.exit_code == 0, result.output
+        for name in ("ledger.csv", "summary.csv", "daily_coverage.csv", "states.csv",
+                     "ledger.bin"):
+            assert (tmp_path / "csv" / name).read_bytes() == \
+                (tmp_path / "inline" / name).read_bytes(), name
+
+    def test_synthetic_seed_defaults_to_the_run_seed(self, runner, tmp_path):
+        ledgers = []
+        for i, seed in enumerate(["", ", seed: 5"]):
+            write_config(tmp_path / "exp.yaml", seed="5",
+                         synthetic="{n_regions: 3, horizon: 200%s}" % seed)
+            out = tmp_path / f"run{i}"
+            result = run_cli(runner, ["run", "--config", str(tmp_path / "exp.yaml"),
+                                      "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert json.loads((out / "manifest.json").read_text())["config"]["synthetic"][
+                "seed"] == 5
+            ledgers.append((out / "ledger.csv").read_bytes())
+        assert ledgers[0] == ledgers[1]
+
     def test_out_under_a_file_exits_before_the_replay(self, runner, tmp_path, monkeypatch):
         (tmp_path / "some_file").write_text("")
         out = tmp_path / "some_file" / "sub"
@@ -171,6 +251,16 @@ class TestReport:
         result = run_cli(runner, ["report", str(out)])
         assert result.exit_code == 0
         assert (out / "summary.csv").read_bytes() == before
+
+    def test_manifest_synthetic_section_without_seed_is_read(self, runner, tmp_path):
+        small_run(runner, tmp_path / "run")
+        manifest = tmp_path / "run" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        del data["config"]["synthetic"]["seed"]
+        manifest.write_text(json.dumps(data))
+        before = (tmp_path / "run" / "summary.csv").read_bytes()
+        assert run_cli(runner, ["report", str(tmp_path / "run")]).exit_code == 0
+        assert (tmp_path / "run" / "summary.csv").read_bytes() == before
 
     def test_periods_override(self, runner, tmp_path):
         out = tmp_path / "run4"
@@ -540,7 +630,7 @@ class TestMalformedConfig:
         pytest.param(RUN_CONFIG, {"synthetic": "[1, 2]"},
                      "synthetic must be a mapping, got [1, 2]", id="synthetic-list"),
         pytest.param(RUN_CONFIG, {"synthetic": "{n_regions: 2}"},
-                     "missing synthetic keys: ['horizon', 'seed']", id="synthetic-missing"),
+                     "missing synthetic keys: ['horizon']", id="synthetic-missing"),
         pytest.param(RUN_CONFIG, {"1": "2", "bogus": "3"}, "unknown config keys: [1, 'bogus']",
                      id="config-int-key"),
         pytest.param(["run", "--k", "0"], None, "missing synthetic keys: ['n_regions', 'horizon']",
@@ -551,6 +641,12 @@ class TestMalformedConfig:
         pytest.param(["run", "--config", "{tmp}/exp.yaml", "--regions", "2"],
                      {"synthetic": "abc"}, "synthetic must be a mapping, got 'abc'",
                      id="regions-flag-on-text"),
+        pytest.param(["run", "--config", "{tmp}/exp.yaml", "--predictor", "seasonal_window"],
+                     {"predictor": "null"}, "predictor must be a mapping, got None",
+                     id="predictor-flag-on-null"),
+        pytest.param(["run", "--config", "{tmp}/exp.yaml", "--regions", "2"],
+                     {"synthetic": "null", "demand_csv": "demand.csv"},
+                     "synthetic must be a mapping, got None", id="regions-flag-on-null"),
     ])
     def test_malformed_sections_name_the_section_and_the_key(self, runner, tmp_path, args,
                                                              values, message):
@@ -564,7 +660,7 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("key, value, message", [
         ("predictor", {"bogus": 2}, "unknown predictor keys: ['bogus']"),
         ("synthetic", [1, 2], "synthetic must be a mapping, got [1, 2]"),
-        ("synthetic", {"n_regions": 2}, "missing synthetic keys: ['horizon', 'seed']"),
+        ("synthetic", {"n_regions": 2}, "missing synthetic keys: ['horizon']"),
         ("predictor", None, "predictor must be a mapping, got None"),
     ], ids=["predictor-unknown", "synthetic-list", "synthetic-missing", "predictor-null"])
     def test_malformed_manifest_sections_name_the_section_and_the_key(self, runner, tmp_path,

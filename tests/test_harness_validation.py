@@ -106,6 +106,17 @@ def test_null_settings_are_refused_by_their_own_check(key, message):
         ExperimentConfig.from_dict({"synthetic": SYNTHETIC, key: None}).validate()
 
 
+@pytest.mark.parametrize("top, spec, want", [
+    ({}, {}, (0, 24)),
+    ({"seed": 4, "steps_per_day": 12}, {}, (4, 12)),
+    ({"seed": 4, "steps_per_day": 12}, {"seed": 9, "steps_per_day": 6}, (9, 6)),
+], ids=["defaults", "the-run-s", "the-section-s"])
+def test_synthetic_seed_and_day_length_default_to_the_run_s(top, spec, want):
+    config = ExperimentConfig.from_dict({**top, "synthetic": {"n_regions": 2, "horizon": 100,
+                                                              **spec}})
+    assert (config.synthetic.seed, config.synthetic.steps_per_day) == want
+
+
 def test_null_settings_whose_default_is_none_pass():
     config = ExperimentConfig.from_dict({
         "synthetic": {**SYNTHETIC, "shift_at": None}, "window": None, "demand_csv": None,
@@ -118,7 +129,7 @@ def test_null_settings_whose_default_is_none_pass():
 @pytest.mark.parametrize("d, message", [
     ({"synthetic": SYNTHETIC, "predictor": {"bogus": 2}}, "unknown predictor keys: ['bogus']"),
     ({"synthetic": [1, 2]}, "synthetic must be a mapping, got [1, 2]"),
-    ({"synthetic": {"n_regions": 2}}, "missing synthetic keys: ['horizon', 'seed']"),
+    ({"synthetic": {"n_regions": 2}}, "missing synthetic keys: ['horizon']"),
     ({"synthetic": {**SYNTHETIC, 1: 2, "zz": 3}}, "unknown synthetic keys: [1, 'zz']"),
     ({"synthetic": SYNTHETIC, "predictor": "global"}, "predictor must be a mapping, got 'global'"),
     ({"synthetic": SYNTHETIC, "predictor": None}, "predictor must be a mapping, got None"),
