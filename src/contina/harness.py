@@ -701,8 +701,9 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
 
     The manifest's config goes through ``ExperimentConfig.validate`` before
     the ledger is read; a manifest that is not JSON, holds no ``config``
-    object or ``regions`` list, or whose config it refuses raises
-    DataFormatError naming the manifest. A bad override raises ConfigError.
+    object, ``regions`` list or integer ``deploy_steps``, or whose config it
+    refuses raises DataFormatError naming the manifest. A bad override raises
+    ConfigError.
     The ledger is read from ``ledger.bin`` when ``_read_mirror`` trusts it,
     and otherwise from ``ledger.csv``; LedgerError names its first difference
     from the manifest's regions or step count.
@@ -716,6 +717,7 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
         if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
                 and isinstance(manifest.get("regions"), list)):
             raise ValueError('expected a JSON object with a "config" object and a "regions" list')
+        deploy_steps = check_int(manifest.get("deploy_steps"), "deploy_steps", 1)
         config = ExperimentConfig.from_dict(manifest["config"]).validate()
     except (ConfigError, TypeError, ValueError) as e:
         raise DataFormatError(f"{manifest_path}: malformed manifest: {e}") from None
@@ -731,9 +733,9 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
         at = [repr(ids[k]) if k < len(ids) else "none" for ids in (got, want)]
         raise LedgerError(f"{out_dir}: the ledger's region at position {k} is {at[0]}, "
                           f"manifest.json's {at[1]} ({len(got)} and {len(want)} regions)")
-    if ledger.horizon != manifest.get("deploy_steps"):
+    if ledger.horizon != deploy_steps:
         raise LedgerError(f"{out_dir}: the ledger holds {ledger.horizon} deployment steps, "
-                          f"manifest.json {manifest.get('deploy_steps')!r}")
+                          f"manifest.json {deploy_steps}")
     paths = {
         "summary": os.path.join(out_dir, "summary.csv"),
         "daily": os.path.join(out_dir, "daily_coverage.csv"),

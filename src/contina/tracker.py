@@ -54,7 +54,6 @@ from .validation import check_bool, check_in_range, check_positive, check_positi
 from .windows import _RANK_SLACK, CalibrationWindow
 
 METHODS = ("cp", "qcp", "aci_fixed", "contina")
-ADAPTIVE_METHODS = ("aci_fixed", "contina")
 
 
 @dataclass(frozen=True)

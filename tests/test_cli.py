@@ -476,7 +476,13 @@ class TestMalformedInputs:
         (lambda text: text.replace('"alpha": 0.1', '"alpha": null'),
          "alpha must be a number, got None"),
         (lambda text: json.dumps({**json.loads(text), "regions": "0,1,2"}), '"regions" list'),
-    ], ids=["not-json", "list", "no-config", "alpha-not-a-number", "alpha-null", "regions-text"])
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "deploy_steps"}),
+         "deploy_steps must be an integer >= 1, got None"),
+        (lambda text: json.dumps({**json.loads(text), "deploy_steps": "160"}),
+         "deploy_steps must be an integer >= 1, got '160'"),
+    ], ids=["not-json", "list", "no-config", "alpha-not-a-number", "alpha-null", "regions-text",
+            "no-deploy-steps", "deploy-steps-text"])
     def test_malformed_manifest_is_a_format_error(self, runner, tmp_path, edit, fault):
         small_run(runner, tmp_path / "run")
         manifest = tmp_path / "run" / "manifest.json"
