@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .adaptation import AdaptHyperParams, alpha_drift_bounds, alpha_step, coverage_error
+from .adaptation import AdaptHyperParams, alpha_drift_bounds, alpha_path, alpha_step, coverage_error
 from .errors import (
     ConfigError,
     ContinaError,
@@ -84,6 +84,7 @@ __all__ = [
     "StepOutcome",
     "StreamSpec",
     "alpha_drift_bounds",
+    "alpha_path",
     "alpha_step",
     "average_coverage",
     "build_interval_qcp",

@@ -11,8 +11,8 @@ The adaptive rule refreshes the second-moment accumulator v with the current
 step's error *before* the alpha step; that ordering is part of the contract.
 :func:`learning_rate` gives each method's rate. Both take scalars or numpy
 arrays of independent regions: the arithmetic is elementwise either way, so
-the state audit and the bulk invariant checks run the same code as a
-tracker's ``observe``.
+:func:`alpha_path`, which runs the update over a run's covered grid, and the
+bulk invariant checks run the same code as a tracker's ``observe``.
 
 ``alpha_drift_bounds`` gives the envelope the adaptive rule can never leave:
 with k = min(1, (0.5 - a)^2 / a^2, (1 - a)^2 / a^2) and
@@ -100,6 +100,24 @@ def alpha_step(method, alpha, moment, err, gamma, hp: AdaptHyperParams):
         step = gamma * (hp.target_alpha - err)
         return alpha + step, moment, step
     return alpha, moment, 0.0 * err
+
+
+def alpha_path(method, covered, gamma, hp: AdaptHyperParams):
+    """:func:`alpha_step` over a (regions, steps, 2) covered grid, all regions at once.
+
+    Returns (alpha, moment, rate, update_sum): each region's alpha_t and
+    moment before every step and after the last, as (regions, steps + 1)
+    arrays starting where a fitted tracker starts (``hp.target_alpha``, 0),
+    then its final rate and its update sum, a sum of each step's own step.
+    """
+    hits = np.asarray(covered, dtype=np.float64)  # bool arrays add as logical OR
+    alpha, moment = np.empty((2, hits.shape[1] + 1, len(hits)))
+    alpha[0], moment[0], update_sum = hp.target_alpha, 0.0, np.zeros(len(hits))
+    for p in range(hits.shape[1]):
+        err = coverage_error(hits[:, p, 0], hits[:, p, 1])
+        alpha[p + 1], moment[p + 1], step = alpha_step(method, alpha[p], moment[p], err, gamma, hp)
+        update_sum += step
+    return alpha.T, moment.T, learning_rate(method, moment[-1], gamma, hp), update_sum
 
 
 def alpha_drift_bounds(hp: AdaptHyperParams) -> DriftBounds:

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import metrics
-from .adaptation import AdaptHyperParams, alpha_step, coverage_error, learning_rate
+from .adaptation import AdaptHyperParams, alpha_path
 from .errors import ConfigError, DataFormatError, LedgerError
 from .intervals import conformity_score, interval_length
 from .metrics import RunLedger, coverage_gap_constant
@@ -390,9 +390,9 @@ def verify_audit(result: RunResult) -> bool:
       region is the one the object path builds from the data before its step.
     * Every region's final state: the alpha update reads only each step's
       miss indicator, so the final alpha, moment, rate and update sum follow
-      from the ledger's covered grid alone. They are recomputed with
-      ``contina.adaptation.alpha_step``, over all regions at once, and
-      must equal ``result.states`` bit for bit.
+      from the ledger's covered grid alone. They are the last column of
+      ``contina.adaptation.alpha_path``, over all regions at once, and must
+      equal ``result.states`` bit for bit.
     """
     region = result.audit
     if region is None:
@@ -404,30 +404,18 @@ def verify_audit(result: RunResult) -> bool:
         a[i].tobytes() == b[0].tobytes()
         for a, b in ((got.covered_grid, ref.covered_grid), (got.length_grid, ref.length_grid),
                      (got.empty_grid, ref.empty_grid)))
+    cfg = result.config
+    alpha, moment, rate, update_sum = alpha_path(cfg.method, got.covered_grid, cfg.gamma,
+                                                 cfg.hyperparams())
+    final = np.column_stack([alpha[:, -1], moment[:, -1], rate, update_sum])
     return (same and _state_bits(result.states[i]) == _state_bits(want.states[0])
-            and _states_follow_ledger(result))
+            and final.tobytes() == b"".join(map(_state_bits, result.states)))
 
 
 def _state_bits(state: RegionFinalState) -> bytes:
     """The final alpha, moment, rate and update sum as float64 bytes."""
     return np.array([state.alpha, state.moment, state.rate, state.update_sum],
                     dtype=np.float64).tobytes()
-
-
-def _states_follow_ledger(result: RunResult) -> bool:
-    """Whether ``result.states`` is the alpha recurrence run on the ledger's misses."""
-    cfg, ledger = result.config, result.ledger
-    hp = cfg.hyperparams()
-    n = ledger.n_regions
-    alpha, moment, update_sum = np.full(n, cfg.alpha), np.zeros(n), np.zeros(n)
-    hits = ledger.covered_grid.astype(np.float64)  # bool arrays add as logical OR
-    for p in range(ledger.horizon):
-        err = coverage_error(hits[:, p, 0], hits[:, p, 1])
-        alpha, moment, step = alpha_step(cfg.method, alpha, moment, err, cfg.gamma, hp)
-        update_sum += step
-    rate = learning_rate(cfg.method, moment, cfg.gamma, hp)
-    got = np.column_stack([alpha, moment, rate, update_sum])
-    return got.tobytes() == b"".join(map(_state_bits, result.states))
 
 
 def _fmt(x) -> str:
@@ -439,14 +427,15 @@ def write_report(result: RunResult, out_dir) -> dict:
     ``ledger.bin``, the ledger's binary mirror.
 
     The ledger must read back as written: it has steps, and its region ids
-    are ``_read_back_ids`` in ``region_sort_key`` order. Otherwise
+    are NUL-free ``_read_back_ids`` in ``region_sort_key`` order. Otherwise
     LedgerError is raised before any file is created.
     """
     ledger = result.ledger
     ids = sorted(set(_read_back_ids(ledger)), key=region_sort_key)  # a repeat shortens it
-    if not (ledger.covered_grid.size and tuple(ids) == ledger.region_ids):
+    if not (ledger.covered_grid.size and tuple(ids) == ledger.region_ids
+            and "\0" not in "".join(map(str, ids))):
         raise LedgerError("the ledger would not read back as written: it needs steps, and "
-                          "distinct region labels in region_sort_key order")
+                          "distinct region labels without a NUL in region_sort_key order")
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "ledger": os.path.join(out_dir, "ledger.csv"),
@@ -579,10 +568,10 @@ def _read_mirror(out_dir):
     for ``ledger.csv``.
 
     None when the mirror is missing, its header is not one ``_write_mirror``
-    writes, its payload has the wrong size, its ``payload_sha256`` does not
-    match, or its ``ledger_sha256`` is not that of the ``ledger.csv`` bytes
-    on disk (or there is no ``ledger.csv``). Otherwise the ledger is the one
-    ``read_ledger_csv`` would read from ``ledger.csv``.
+    writes (``horizon`` an int), its payload has the wrong size, its
+    ``payload_sha256`` does not match, or its ``ledger_sha256`` is not that
+    of the ``ledger.csv`` bytes on disk (or there is no ``ledger.csv``).
+    Otherwise the ledger is the one ``read_ledger_csv`` would read.
     """
     try:
         with open(os.path.join(out_dir, "ledger.bin"), "rb") as fh:
@@ -592,7 +581,8 @@ def _read_mirror(out_dir):
         regions, horizon = meta["regions"], meta["horizon"]
         layout = _mirror_layout(len(regions), horizon)
         sizes = [np.dtype(dtype).itemsize * count for dtype, count in layout]
-        if meta["format"] != MIRROR_FORMAT or len(payload) != sum(sizes):
+        if (meta["format"] != MIRROR_FORMAT or type(horizon) is not int
+                or len(payload) != sum(sizes)):
             return None
         digest = _mirror_meta_sha256(meta)
         digest.update(payload)

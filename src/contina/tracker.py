@@ -203,8 +203,9 @@ class ConformalIntervalTracker(ParamsMixin):
         """One step of :meth:`observe_series` on raw floats.
 
         Returns (covered1, length1, empty1, covered2, length2, empty2, err).
-        Nothing in contina calls it; it is kept because the benchmark's
-        tracer (``perfbench/tracing.py``) wraps it by name to count steps.
+        Nothing in contina calls it, the replay included, so the level counts
+        of the benchmark's tracer (``perfbench/tracing.py``), which wraps it by
+        name, read 0: ``alpha_path`` gives them. ROADMAP item 1(d) deletes it.
         """
         c1, l1, e1, c2, l2, e2 = self.observe_series(
             (lo1,), (hi1,), (lo2,), (hi2,), (y1,), (y2,)

@@ -2,7 +2,8 @@
 
 ``alpha_step`` is the one specification of the update. The envelope checks
 drive it with per-region arrays (the arithmetic is elementwise), so bulk
-random trajectories run the code the tracker and the state audit run.
+random trajectories run the code the tracker runs, and ``alpha_path``, which
+the state audit runs, must equal a loop of scalar steps bit for bit.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 from contina.adaptation import (
     AdaptHyperParams,
     alpha_drift_bounds,
+    alpha_path,
     alpha_step,
     coverage_error,
     learning_rate,
@@ -184,6 +186,34 @@ class TestDriftBounds:
                 alpha, moment, _ = adaptive(alpha, moment, errs, hp)
                 assert (alpha >= lower).all() and (alpha <= upper).all()
                 assert (moment < 1.0).all()
+
+
+class TestAlphaPath:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rate", [0.005, 5.0])
+    @pytest.mark.parametrize("method", ["cp", "qcp", "aci_fixed", "contina"])
+    def test_columns_equal_a_loop_of_scalar_steps(self, method, rate, seed):
+        rng = np.random.default_rng(seed)
+        hp = AdaptHyperParams(target_alpha=rng.uniform(0.02, 0.5), gamma1=rate,
+                              beta=rng.uniform(0.5, 0.999), epsilon=1e-8)
+        # Per-region hit rates from rare to always, over 5 regions x 300 steps.
+        covered = rng.random((5, 300, 2)) < np.linspace(0.2, 1.0, 5)[:, None, None]
+        alpha, moment, rate_t, update_sum = alpha_path(method, covered, rate, hp)
+        assert alpha.shape == moment.shape == (5, 301)
+        for i in range(5):
+            a, m, total, want = hp.target_alpha, 0.0, 0.0, [(hp.target_alpha, 0.0)]
+            for hit_in, hit_out in covered[i].tolist():
+                a, m, step = alpha_step(method, a, m, coverage_error(hit_in, hit_out), rate, hp)
+                total += step
+                want.append((a, m))
+            assert np.column_stack([alpha[i], moment[i]]).tobytes() == np.array(want).tobytes()
+            assert np.array([rate_t[i], update_sum[i]]).tobytes() == \
+                np.array([learning_rate(method, m, rate, hp), total]).tobytes()
+        if method in ("cp", "qcp"):
+            assert (alpha == hp.target_alpha).all() and not moment.any()
+            assert not rate_t.any() and not update_sum.any()
+        elif rate == 5.0:
+            assert (alpha < 0.0).any() and (alpha > 1.0).any()
 
 
 class TestHyperParams:

@@ -24,6 +24,7 @@ import pytest
 from click.testing import CliRunner
 
 from contina import harness, metrics, shares
+from contina.adaptation import alpha_path
 from contina.cli import main as cli_main
 from contina.errors import (
     ConfigError, DataFormatError, LedgerError, MissingForecastError, NotFittedError,
@@ -174,6 +175,12 @@ class TestEngineAgainstOracle:
         got = run_replay(config())
         assert got.ledger.empty.any()
         assert_same_run(got, want)
+        # The levels alpha_path reads off the engine's ledger are the ones the
+        # oracle's predict saw, region after region, and leave [0, 1] both ways.
+        alpha = alpha_path(method, got.ledger.covered_grid, 5.0, config().hyperparams())[0]
+        path_levels = 1.0 - alpha[:, :-1]
+        assert path_levels.tobytes() == np.array(levels).tobytes()
+        assert (path_levels > 1.0).any() and (path_levels < 0.0).any()
 
     @pytest.mark.parametrize("updates", [False, True])
     def test_a_day_of_10_9_steps_costs_the_series_not_the_day(self, updates):
@@ -794,7 +801,8 @@ class TestLedgerMirror:
         assert summary_bytes(run_dir) == before
 
     @pytest.mark.parametrize("damage", [
-        "no-mirror", "other-run", "csv-bit", "payload-bit", "header-bit", "truncated",
+        "no-mirror", "other-run", "csv-bit", "payload-bit", "float-horizon", "header-bit",
+        "truncated",
     ])
     def test_an_untrusted_mirror_gives_the_csv_reports(self, run_dir, tmp_path, damage):
         mirror = run_dir / "ledger.bin"
@@ -810,6 +818,15 @@ class TestLedgerMirror:
             flip_bit(run_dir / "ledger.csv", text.index(b"\r\n", 200) - 3)
         elif damage == "payload-bit":
             flip_bit(mirror, mirror.stat().st_size - 1)
+        elif damage == "float-horizon":
+            # Checksum-valid: only the type of the horizon is not one _write_mirror writes.
+            line, payload = mirror.read_bytes().split(b"\n", 1)
+            meta = {k: v for k, v in json.loads(line).items() if k != "payload_sha256"}
+            meta["horizon"] = float(meta["horizon"])
+            digest = harness._mirror_meta_sha256(meta)
+            digest.update(payload)
+            head = json.dumps({**meta, "payload_sha256": digest.hexdigest()}, sort_keys=True)
+            mirror.write_bytes(head.encode("ascii") + b"\n" + payload)
         elif damage == "header-bit":
             flip_bit(mirror, mirror.read_bytes().index(b'"horizon": ') + 11)
         else:
@@ -850,10 +867,11 @@ class TestLedgerMirror:
 
     @pytest.mark.parametrize("regions, horizon", [
         (("b", "a"), 48), ((3, 1), 48), ((1, "1"), 48), (("a",), 0), ((), 48),
-    ], ids=["unsorted", "unsorted-ints", "one-label", "no-steps", "no-regions"])
+        (("a\0b", "c"), 48),
+    ], ids=["unsorted", "unsorted-ints", "one-label", "no-steps", "no-regions", "nul-label"])
     def test_ledger_that_reads_back_otherwise_is_refused(self, tmp_path, regions, horizon):
         # report_from_dir would read ("b", "a") back as ("a", "b"), (1, "1") as one
-        # region, and an empty ledger not at all.
+        # region, and an empty ledger or a label holding a NUL not at all.
         shape = (len(regions), horizon, 2)
         ledger = metrics.RunLedger(regions, np.arange(horizon), np.ones(shape, bool),
                                    np.full(shape, 4.0), np.zeros(shape, bool))
