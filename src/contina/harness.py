@@ -571,27 +571,35 @@ def _read_mirror(out_dir):
     writes (``horizon`` an int), its payload has the wrong size, its
     ``payload_sha256`` does not match, or its ``ledger_sha256`` is not that
     of the ``ledger.csv`` bytes on disk (or there is no ``ledger.csv``).
-    Otherwise the ledger is the one ``read_ledger_csv`` would read.
+    Otherwise the ledger is the one ``read_ledger_csv`` would read. The
+    payload is read into one buffer of the size the header gives, and
+    ``ledger.csv`` is hashed through one reused 1 MiB buffer.
     """
     try:
         with open(os.path.join(out_dir, "ledger.bin"), "rb") as fh:
             head = json.loads(fh.readline())
-            payload = fh.read()
-        meta = {k: v for k, v in head.items() if k != "payload_sha256"}
-        regions, horizon = meta["regions"], meta["horizon"]
-        layout = _mirror_layout(len(regions), horizon)
-        sizes = [np.dtype(dtype).itemsize * count for dtype, count in layout]
-        if (meta["format"] != MIRROR_FORMAT or type(horizon) is not int
-                or len(payload) != sum(sizes)):
-            return None
+            meta = {k: v for k, v in head.items() if k != "payload_sha256"}
+            regions, horizon = meta["regions"], meta["horizon"]
+            if meta["format"] != MIRROR_FORMAT or type(horizon) is not int:
+                return None
+            layout = _mirror_layout(len(regions), horizon)
+            sizes = [np.dtype(dtype).itemsize * count for dtype, count in layout]
+            size = sum(sizes)
+            if os.fstat(fh.fileno()).st_size - fh.tell() != size:
+                return None
+            # One read into one buffer; its spare byte shows a file that grew since.
+            payload = bytearray(size + 1)
+            if fh.readinto(payload) != size:
+                return None
         digest = _mirror_meta_sha256(meta)
-        digest.update(payload)
+        digest.update(memoryview(payload)[:size])
         if digest.hexdigest() != head["payload_sha256"]:
             return None
-        digest = hashlib.sha256()
-        with open(os.path.join(out_dir, "ledger.csv"), "rb") as fh:
-            for block in iter(functools.partial(fh.read, 1 << 20), b""):
-                digest.update(block)
+        digest, block = hashlib.sha256(), bytearray(1 << 20)
+        with open(os.path.join(out_dir, "ledger.csv"), "rb", buffering=0) as fh, \
+                memoryview(block) as view:
+            while n := fh.readinto(block):
+                digest.update(view[:n])
         if digest.hexdigest() != meta["ledger_sha256"]:
             return None
     except (OSError, ValueError, TypeError, KeyError, AttributeError):  # a header of another shape
@@ -660,10 +668,21 @@ def _write_summary(ledger: RunLedger, config: ExperimentConfig, path) -> None:
 
 
 def _write_daily(ledger: RunLedger, steps_per_day: int, path) -> None:
+    """Write ``daily_coverage.csv``: the rows of ``metrics.daily_regional_coverage``
+    spelled as ``csv.writer`` spells them.
+
+    A day's coverage takes at most ``2 * steps_per_day + 1`` values, so each
+    distinct value is spelled once, as each region label is.
+    """
+    cov = metrics.daily_coverage_grid(ledger, steps_per_day)
+    values, inverse = np.unique(cov, return_inverse=True)
+    words = np.array([repr(v) for v in values.tolist()], dtype=object)
+    labels = [csv_field(r) for r in ledger.region_ids]
+    rows = [f"{d},{label},{word}\r\n"
+            for d, row in enumerate(words[inverse.reshape(cov.shape)].tolist())
+            for label, word in zip(labels, row)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["day", "region", "coverage"])
-        w.writerows(metrics.daily_regional_coverage(ledger, steps_per_day))
+        fh.write("day,region,coverage\r\n" + "".join(rows))
 
 
 def read_ledger_csv(path) -> RunLedger:
@@ -711,8 +730,10 @@ def report_from_dir(out_dir, steps_per_day=None, periods=None) -> dict:
         config = ExperimentConfig.from_dict(manifest["config"]).validate()
     except (ConfigError, TypeError, ValueError) as e:
         raise DataFormatError(f"{manifest_path}: malformed manifest: {e}") from None
-    overrides = {"steps_per_day": steps_per_day, "periods": periods}
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None}).validate()
+    overrides = {k: v for k, v in (("steps_per_day", steps_per_day), ("periods", periods))
+                 if v is not None}
+    if overrides:
+        config = replace(config, **overrides).validate()
     ledger = _read_mirror(out_dir)
     if ledger is None:
         ledger = read_ledger_csv(os.path.join(out_dir, "ledger.csv"))

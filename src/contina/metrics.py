@@ -90,8 +90,17 @@ class RunLedger:
 
         The grid spans every region and every distinct ``t``; a cell with no
         record stays (False, 0.0, False) and makes the ledger incomplete.
+        ``times`` and ``t_pos`` are ``np.unique(t, return_inverse=True)``, from
+        one stable argsort, which is quick on ``ledger.csv``'s runs of
+        increasing steps.
         """
-        times, t_pos = np.unique(t, return_inverse=True)
+        order = np.argsort(t, kind="stable")
+        sorted_t = t[order]
+        new = np.ones(len(t), dtype=bool)
+        new[1:] = sorted_t[1:] != sorted_t[:-1]
+        times = sorted_t[new]
+        t_pos = np.empty(len(t), dtype=np.intp)
+        t_pos[order] = np.cumsum(new) - 1
         n_regions, horizon = len(region_ids), len(times)
         shape = (n_regions, horizon, 2)
         cell = (region_idx * horizon + t_pos) * 2 + flow_idx
@@ -208,21 +217,25 @@ def empty_rate(ledger: RunLedger) -> float:
     return float(ledger.empty_grid.mean())
 
 
-def daily_regional_coverage(ledger: RunLedger, steps_per_day: int):
-    """(day, region, coverage) triples for whole days, for dispersion plots.
+def daily_coverage_grid(ledger: RunLedger, steps_per_day: int) -> np.ndarray:
+    """Coverage of each region on each whole day, as a (day, region) array.
 
     Days are counted from the ledger's first step; a trailing partial day is
-    dropped.
+    dropped. A day's coverage is its hits over ``2 * steps_per_day`` cells.
     """
     check_positive_int(steps_per_day, "steps_per_day")
     ledger.validate_complete()
     n_days = ledger.horizon // steps_per_day
     whole = ledger.covered_grid[:, : n_days * steps_per_day]
     hits = whole.reshape(ledger.n_regions, n_days, 2 * steps_per_day).sum(axis=2)
-    cov = hits.T / (2.0 * steps_per_day)
+    return hits.T / (2.0 * steps_per_day)
+
+
+def daily_regional_coverage(ledger: RunLedger, steps_per_day: int):
+    """(day, region, coverage) triples of ``daily_coverage_grid``, for dispersion plots."""
     return [
         (d, region, c)
-        for d, row in enumerate(cov.tolist())
+        for d, row in enumerate(daily_coverage_grid(ledger, steps_per_day).tolist())
         for region, c in zip(ledger.region_ids, row)
     ]
 

@@ -12,6 +12,7 @@ children.
 import csv
 import filecmp
 import functools
+import io
 import json
 import os
 import pathlib
@@ -66,18 +67,18 @@ def small_config(**kw):
     return ExperimentConfig(**defaults)
 
 
-def layout_config(method, clamp, updates, seed):
+def layout_config(method, clamp, updates, seed, n_regions=3):
     # Low, noisy demand so widened lower bounds go negative and the clamp binds.
     return small_config(
         method=method, clamp_nonnegative=clamp, predictor_updates=updates, seed=seed,
-        synthetic=StreamSpec(n_regions=3, horizon=400, seed=seed,
+        synthetic=StreamSpec(n_regions=n_regions, horizon=400, seed=seed,
                              base_level=(0.5, 3.0), sigma_frac=1.0),
     )
 
 
 @functools.lru_cache(maxsize=None)
-def layout_run(method, clamp, updates, seed):
-    return run_replay(layout_config(method, clamp, updates, seed))
+def layout_run(method, clamp, updates, seed, n_regions=3):
+    return run_replay(layout_config(method, clamp, updates, seed, n_regions))
 
 
 def state_bits(states):
@@ -601,7 +602,7 @@ class TestReports:
             window_capacity=8, crossings=0, dropped_regions=[],
         )
         paths = write_report(result, tmp_path / "out")
-        lines = open(paths["summary"]).read().splitlines()
+        lines = pathlib.Path(paths["summary"]).read_text().splitlines()
         avg = [ln for ln in lines if ln.startswith("AVG")][0]
         assert avg.split(",")[4] == "1.0"
 
@@ -613,7 +614,7 @@ class TestReports:
         paths = write_report(result, tmp_path / "rep")
         daily = np.genfromtxt(paths["daily"], delimiter=",", names=True)
         mean_daily = float(np.mean(daily["coverage"]))
-        summary = open(paths["summary"]).read().splitlines()
+        summary = pathlib.Path(paths["summary"]).read_text().splitlines()
         avg_cov = float([ln for ln in summary if ln.startswith("AVG")][0].split(",")[4])
         assert mean_daily == pytest.approx(avg_cov, abs=1e-12)
         assert avg_cov == metrics.average_coverage(result.ledger)
@@ -621,7 +622,7 @@ class TestReports:
     def test_manifest_replay_reproduces_files_byte_for_byte(self, tmp_path):
         cfg = small_config(method="contina")
         paths1 = write_report(run_replay(cfg), tmp_path / "one")
-        manifest = json.load(open(paths1["manifest"]))
+        manifest = json.loads(pathlib.Path(paths1["manifest"]).read_text())
         cfg2 = ExperimentConfig.from_dict(manifest["config"])
         paths2 = write_report(run_replay(cfg2), tmp_path / "two")
         for name in ("ledger", "summary", "daily", "states", "manifest"):
@@ -630,9 +631,9 @@ class TestReports:
     def test_report_from_dir_rebuilds_summary(self, tmp_path):
         cfg = small_config()
         paths = write_report(run_replay(cfg), tmp_path / "rep")
-        before = open(paths["summary"]).read()
+        before = pathlib.Path(paths["summary"]).read_text()
         rebuilt = report_from_dir(tmp_path / "rep")
-        assert open(rebuilt["summary"]).read() == before
+        assert pathlib.Path(rebuilt["summary"]).read_text() == before
 
     def test_ledger_csv_roundtrip(self, tmp_path):
         cfg = small_config()
@@ -688,6 +689,14 @@ class TestLedgerLayout:
         assert not np.array_equal(off.length_grid, on.length_grid)
 
 
+MIRROR_LABELS = {
+    "integers": (-5, 0, 3, 12),
+    "quoted": ("a\nb", "c,d", 'q"x', " s "),
+    "leading-zero": (7, "007", "7a"),
+    "numpy-integers": tuple(np.arange(-2, 2)),  # JSON holds no numpy integer
+}
+
+
 class TestReportRoundTrip:
     @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
     def test_write_read_and_rewrite(self, tmp_path, method, clamp, updates):
@@ -697,9 +706,9 @@ class TestReportRoundTrip:
         assert back.region_ids == result.ledger.region_ids
         for name in ("times", "covered_grid", "length_grid", "empty_grid"):
             assert np.array_equal(getattr(back, name), getattr(result.ledger, name))
-        before = {k: open(paths[k], "rb").read() for k in ("summary", "daily")}
+        before = {k: pathlib.Path(paths[k]).read_bytes() for k in ("summary", "daily")}
         rebuilt = report_from_dir(tmp_path)
-        assert {k: open(rebuilt[k], "rb").read() for k in before} == before
+        assert {k: pathlib.Path(rebuilt[k]).read_bytes() for k in before} == before
 
     def test_labels_that_need_quoting_round_trip(self, tmp_path):
         regions = (7, " s ", "#h", "007", "a\nb", "c,d", 'q"x')
@@ -712,9 +721,14 @@ class TestReportRoundTrip:
         assert back.region_ids == ledger.region_ids == regions
         assert records(back) == records(ledger) == recs
 
-    @pytest.mark.parametrize("method, clamp, updates", LAYOUT_CASES)
-    def test_period_cells_equal_exact_counts(self, tmp_path, method, clamp, updates):
-        result = layout_run(method, clamp, updates, 21)
+    # The last case's periods hold 9600 cells, past numpy's 8192-element
+    # reduction buffer, where a strided period sums in another order.
+    @pytest.mark.parametrize(
+        "method, clamp, updates, n_regions",
+        [(*case, 3) for case in LAYOUT_CASES] + [("contina", True, False, 60)],
+        ids=["-".join(map(str, case)) for case in LAYOUT_CASES] + ["contina-True-False-60"])
+    def test_period_cells_equal_exact_counts(self, tmp_path, method, clamp, updates, n_regions):
+        result = layout_run(method, clamp, updates, 21, n_regions)
         write_report(result, tmp_path)
         paths = report_from_dir(tmp_path, periods=2)
         with open(paths["summary"], newline="") as fh:
@@ -733,14 +747,28 @@ class TestReportRoundTrip:
             worst = min(per_region.values())
             assert row[5] == repr(float(worst))
             assert row[6] == str(min(r for r, v in per_region.items() if v == worst))
+            # Means over a contiguous copy of the period, as summary.csv holds them.
+            a = result.ledger.times.tolist().index(lo)
+            for k, name in ((7, "length_grid"), (8, "empty_grid")):
+                period = np.ascontiguousarray(getattr(result.ledger, name)[:, a:a + steps])
+                assert row[k] == repr(float(period.mean())), name
 
-
-MIRROR_LABELS = {
-    "integers": (-5, 0, 3, 12),
-    "quoted": ("a\nb", "c,d", 'q"x', " s "),
-    "leading-zero": (7, "007", "7a"),
-    "numpy-integers": tuple(np.arange(-2, 2)),  # JSON holds no numpy integer
-}
+    @pytest.mark.parametrize("kind", MIRROR_LABELS)
+    @pytest.mark.parametrize("steps_per_day", [1, 7, 24, 25, 51])
+    def test_daily_file_is_what_csv_writer_writes(self, tmp_path, kind, steps_per_day):
+        """50 steps: 7 and 24 steps a day drop a trailing partial day, 51 every day."""
+        regions = tuple(sorted(MIRROR_LABELS[kind], key=region_sort_key))
+        covered = np.random.default_rng(steps_per_day).random((len(regions), 50, 2)) < 0.7
+        ledger = metrics.RunLedger(regions, np.arange(50) + 3, covered,
+                                   np.ones(covered.shape), np.zeros(covered.shape, dtype=bool))
+        want = io.StringIO()
+        w = csv.writer(want)
+        w.writerow(["day", "region", "coverage"])
+        w.writerows(metrics.daily_regional_coverage(ledger, steps_per_day))
+        harness._write_daily(ledger, steps_per_day, tmp_path / "daily_coverage.csv")
+        got = (tmp_path / "daily_coverage.csv").read_bytes()
+        assert got == want.getvalue().encode("utf-8")
+        assert got.count(b"\r\n") == 1 + (50 // steps_per_day) * len(regions)
 
 
 def mirror_ledger(labels, horizon=5):
