@@ -48,6 +48,7 @@ import functools
 import hashlib
 import json
 import os
+from array import array
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -248,7 +249,13 @@ def _prepare(config: ExperimentConfig):
 
 
 def _replay_region(i, stream, calib, deploy, predictor, config):
-    """Replay one region's deployment. Returns per-step arrays and final state."""
+    """Replay one region's deployment.
+
+    Returns the region's (step, flow, outcome) float64 grid (covered, length
+    and empty, as 0/1 for the flags), its final state and its window
+    capacity. The grid is filled column by column from ``observe_series``'
+    lists: the flags through ``bytes`` and the lengths through ``array("d")``.
+    """
     region = stream.region_ids[i]
     tracker = config.tracker()
 
@@ -266,8 +273,12 @@ def _replay_region(i, stream, calib, deploy, predictor, config):
     updates = config.predictor_updates
     forecasts = (*cell_forecasts(deploy, 0, y1 if updates else None),
                  *cell_forecasts(deploy, 1, y2 if updates else None))
-    cols = tracker.observe_series(*forecasts, y1, y2)
-    out = np.array(cols, dtype=np.float64).T.reshape(deploy.horizon, 2, 3)
+    cov1, len1, emp1, cov2, len2, emp2 = tracker.observe_series(*forecasts, y1, y2)
+    out = np.empty((deploy.horizon, 2, 3))
+    for j, (covered, length, empty) in enumerate(((cov1, len1, emp1), (cov2, len2, emp2))):
+        out[:, j, 0] = np.frombuffer(bytes(covered), dtype=np.bool_)
+        out[:, j, 1] = np.frombuffer(array("d", length))
+        out[:, j, 2] = np.frombuffer(bytes(empty), dtype=np.bool_)
     return out, RegionFinalState.of(region, tracker), tracker.windows_[0].capacity
 
 

@@ -47,7 +47,7 @@ from .streams import (
     unrepeated,
 )
 from .validation import check_bool, check_in_range, check_positive, check_positive_int
-from .windows import CalibrationWindow, quantile_rank
+from .windows import CalibrationWindow, quantile_rank, quantile_ranks
 
 PREDICTOR_KINDS = ("seasonal_window", "online_pinball_linear", "file_backed")
 
@@ -236,12 +236,14 @@ class SeasonalWindowPredictor(ParamsMixin):
     def predict_series(self, region, flow, times, lags=None, y=None):
         """One pass over the hour buckets that ``times`` touch.
 
-        Buckets never read each other's state. Frozen, each bucket's steps
-        get its pair. With ``y``, each bucket's steps run as one
-        :meth:`CalibrationWindow.push_series`, and a step's forecast is its
-        bucket's pair before the step's push. Under ``fallback="error"`` only
-        the steps before the earliest step of a cold bucket run, then that
-        step raises.
+        Buckets never read each other's state. Frozen, each bucket's pair is
+        repeated over its steps. With ``y``, each bucket's steps run as one
+        :meth:`CalibrationWindow.push_series`, reading the positions that one
+        ``quantile_ranks`` call over the whole cell gives, and a step's
+        forecast is its bucket's pair before the step's push. Either way
+        ``lo`` and ``hi`` are written with one scatter each, through the
+        grouping order. Under ``fallback="error"`` only the steps before the
+        earliest step of a cold bucket run, then that step raises.
         """
         if self._pairs is None:
             raise NotFittedError("predictor must be fitted before predicting")
@@ -255,22 +257,46 @@ class SeasonalWindowPredictor(ParamsMixin):
                         if (region, flow, h) not in pairs), default=stop)
             if stop < len(hours):
                 order, bucket_hours, bounds = self._by_hour(hours[:stop])
-        levels = (self.alpha / 2.0, 1.0 - self.alpha / 2.0)
+        keys = [(region, flow, h) for h in bucket_hours]
+        # A cold bucket's steps start from the fallback pair.
+        firsts = [pairs.get(key) or self._pair_for(*key) for key in keys]
         lo, hi = np.empty(len(hours)), np.empty(len(hours))
-        for h, a, b in zip(bucket_hours, bounds, bounds[1:]):
-            key = (region, flow, h)
-            steps = order[a:b]
-            first = pairs.get(key) or self._pair_for(region, flow, h)  # cold: the fallback
-            if ys is None:
-                lo[steps], hi[steps] = first
-                continue
-            q_lo, q_hi = self._window(key).push_series(ys[steps], levels)
-            lo[steps] = [first[0], *q_lo[:-1]]
-            hi[steps] = [first[1], *q_hi[:-1]]
-            pairs[key] = (q_lo[-1], q_hi[-1])
+        if ys is None:  # each bucket's pair, repeated over its steps
+            first_lo, first_hi = np.array(firsts, dtype=np.float64).reshape(-1, 2).T
+            counts = np.diff(bounds)
+            lo[order], hi[order] = np.repeat(first_lo, counts), np.repeat(first_hi, counts)
+        else:
+            lo[order], hi[order] = self._learn(keys, firsts, bounds, ys[order])
         if stop < len(hours):
             self._pair_for(region, flow, hours[stop])  # raises NotFittedError
         return lo, hi
+
+    def _learn(self, keys, firsts, bounds, demand):
+        """Push each bucket's demand; return the forecasts, in hour order.
+
+        ``demand`` is the cell's demand grouped by hour, so bucket ``k`` holds
+        ``demand[bounds[k]:bounds[k + 1]]``. One ``quantile_ranks`` call over
+        every bucket's window sizes gives the positions of both levels.
+        """
+        pairs = self._pairs
+        windows = [self._window(key) for key in keys]
+        # Push p (p in [bounds[k], bounds[k + 1])) leaves bucket k's window at
+        # its size now plus p - bounds[k] + 1, at most the capacity.
+        shift = np.subtract([len(win) for win in windows], bounds[:-1])
+        sizes = np.minimum(np.arange(1, len(demand) + 1) + np.repeat(shift, np.diff(bounds)),
+                           self._capacity)
+        levels = (self.alpha / 2.0, 1.0 - self.alpha / 2.0)
+        index = quantile_ranks(levels, sizes) - 1
+        los, his = [], []
+        for key, win, first, a, b in zip(keys, windows, firsts, bounds, bounds[1:]):
+            q_lo, q_hi = win.push_series(demand[a:b], index[:, a:b])
+            # A step's forecast is its bucket's pair before its push.
+            los.append(first[0])
+            los += q_lo
+            his.append(first[1])
+            his += q_hi
+            pairs[key] = los.pop(), his.pop()
+        return los, his
 
     def update(self, obs: Observation) -> None:
         """Append the realized demand to its bucket and refresh its quantiles."""

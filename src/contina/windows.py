@@ -73,7 +73,8 @@ class CalibrationWindow:
         head = values[: self._capacity]
         self._fifo: deque[float] = deque(head.tolist())
         self._sorted: list[float] = np.sort(head, kind="stable").tolist()
-        self.push_series(values[self._capacity :])
+        if len(values) > self._capacity:
+            self.push_series(values[self._capacity :])
 
     @property
     def capacity(self) -> int:
@@ -102,40 +103,49 @@ class CalibrationWindow:
         """Append a score, evicting the oldest one at capacity."""
         self.push_series((score,))
 
-    def push_series(self, scores, levels=()) -> list[list[float]]:
-        """Push scores in order, reading each level's quantile after each push.
+    def push_series(self, scores, index=None) -> tuple[list[float], list[float]]:
+        """Push scores in order, reading two stored scores after each push.
 
-        Every score is checked finite before any state changes. Each push
-        appends the score and, at capacity, first evicts the oldest one.
-        Returns one list per level in ``levels`` (each in [0, 1]) holding that
-        level's quantile, as :meth:`quantile` gives it, after each push. The
-        ranks depend only on the window size, so they are worked out for the
-        sizes the window passes through before any score is pushed.
+        Every score is checked finite, and ``index`` checked, before any state
+        changes. Each push appends the score and, at capacity, first evicts
+        the oldest one. ``index`` is a ``(2, len(scores))`` integer array of
+        0-based positions in the sorted window: after push ``p`` the scores at
+        ``index[0, p]`` and ``index[1, p]`` are read, so both must be below the
+        window's size after that push. ``quantile_ranks(levels, sizes) - 1``,
+        over the sizes the window passes through, gives the positions that
+        :meth:`quantile` reads. Returns the two lists of reads; without
+        ``index`` both read the smallest score.
         """
         values = np.asarray(scores, dtype=np.float64).tolist()
         if not all(map(math.isfinite, values)):
             raise _not_finite(values)
         fifo, srt, cap = self._fifo, self._sorted, self._capacity
-        n = len(fifo)
-        quantiles, readers = [], []
-        if levels:
-            if not all(0.0 <= level <= 1.0 for level in levels):
-                raise ValueError(f"levels must be in [0, 1], got {levels}")
-            sizes = np.minimum(np.arange(n + 1, n + len(values) + 1), cap)
-            for index in (quantile_ranks(levels, sizes) - 1).tolist():
-                out = []
-                quantiles.append(out)
-                readers.append((out.append, index))
-        for p, s in enumerate(values):
+        n, k = len(fifo), len(values)
+        if index is None:
+            lo = hi = [0] * k
+        else:
+            at = np.asarray(index)
+            # Negative positions turn huge as uint64, so one comparison checks
+            # 0 <= position < min(n + p + 1, cap), the size after push p.
+            if at.shape != (2, k) or k and (at.dtype.kind not in "iu" or not np.less(
+                    at.astype(np.int64, copy=False).view(np.uint64),
+                    np.minimum(np.arange(n + 1, n + k + 1, dtype=np.uint64), cap)).all()):
+                raise ValueError(f"index must hold two integer positions per score, each below "
+                                 f"the window's size after that push (size {n} before, "
+                                 f"capacity {cap})")
+            lo, hi = at.tolist()
+        q_lo, q_hi = [], []
+        read_lo, read_hi = q_lo.append, q_hi.append
+        for s, i, j in zip(values, lo, hi):
             if n < cap:
                 n += 1
             else:
                 del srt[bisect_left(srt, fifo.popleft())]
             fifo.append(s)
             insort(srt, s)
-            for append, index in readers:
-                append(srt[index[p]])
-        return quantiles
+            read_lo(srt[i])
+            read_hi(srt[j])
+        return q_lo, q_hi
 
     def quantile(self, level: float) -> float:
         """The m-th smallest score, m = clamp(ceil(level * n), 1, n)."""

@@ -570,6 +570,30 @@ class TestSeriesWithUpdatesMatchesObjectPath:
         self.check(lambda: SeasonalWindowPredictor(
             alpha=0.2, window_len=window_len, by_hour=by_hour, steps_per_day=24), seed=seed)
 
+    @pytest.mark.parametrize("window_len", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.002, 0.98])
+    def test_seasonal_rank_clamps(self, window_len, alpha):
+        # alpha 0.002 reads the ends of each window (ranks 1 and n); at 0.98
+        # both levels sit near the median, and both ranks are 1 at n = 1.
+        self.check(lambda: SeasonalWindowPredictor(
+            alpha=alpha, window_len=window_len, by_hour=True, steps_per_day=24))
+
+    def test_seasonal_one_call_over_empty_partial_and_full_buckets(self):
+        # Training sees hours 0..5 on four days and hours 6..11 once: with
+        # window_len 3 their windows start full and with one value, and hours
+        # 12..23 start empty, from the fallback pair.
+        train = [d * 24 + h for d in range(4) for h in range(6)] + [96 + h for h in range(6, 12)]
+        times = np.array(train + list(range(120, 270)))
+        fit_on, cells, times, lags, ys = deployment(train=len(train), times=times)
+        reference, fast = (SeasonalWindowPredictor(alpha=0.3, window_len=3).fit(fit_on)
+                           for _ in range(2))
+        assert {len(fast._values.get((0, "in", h), ())) for h in range(24)} == {0, 1, 3}
+        want = stepwise(reference, cells, times, lags, ys)
+        for cell in cells:
+            lo, hi = fast.predict_series(*cell, times, lags[cell], y=ys[cell])
+            assert (bits(lo), bits(hi)) == (bits(want[cell][0]), bits(want[cell][1]))
+        assert predictor_state(fast) == predictor_state(reference)
+
     def test_seasonal_cold_buckets_fall_back_then_learn(self):
         # Ten training steps leave hours 10..23 without a bucket.
         pred = self.check(lambda: SeasonalWindowPredictor(

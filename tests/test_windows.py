@@ -216,7 +216,8 @@ def window_bits(w):
 class TestPushSeries:
     """``push_series`` equals ``push`` then ``quantile`` per score, bit for bit."""
 
-    LEVELS = (0.0, 0.05, 0.95, 1.0)  # 0, alpha/2, 1 - alpha/2 and 1 at alpha = 0.1
+    # (0, 1) reads the two ends; (alpha/2, 1 - alpha/2) at alpha = 0.1 the inside.
+    PAIRS = [(0.0, 1.0), (0.05, 0.95)]
 
     @staticmethod
     def signed_scores(n, seed):
@@ -226,18 +227,25 @@ class TestPushSeries:
         scores[(scores == 0.0) & (rng.random(n) < 0.5)] = -0.0
         return scores
 
+    @staticmethod
+    def index(w, levels, length):
+        """The positions ``quantile`` reads at each level after each of ``length`` pushes."""
+        sizes = np.minimum(np.arange(len(w) + 1, len(w) + length + 1), w.capacity)
+        return quantile_ranks(levels, sizes) - 1
+
+    @pytest.mark.parametrize("levels", PAIRS, ids=["ends", "inside"])
     @pytest.mark.parametrize("capacity", [1, 12, 200])  # below and above the series length
     @pytest.mark.parametrize("start", [0, 5, 300])  # scores in the window beforehand
     @pytest.mark.parametrize("length", [0, 1, 60])
-    def test_equals_push_then_quantile(self, capacity, start, length):
+    def test_equals_push_then_quantile(self, levels, capacity, start, length):
         scores = self.signed_scores(start + length, seed=capacity * 1000 + start + length)
         bulk = CalibrationWindow(capacity, scores[:start])
         model = CalibrationWindow(capacity, scores[:start])
-        got = bulk.push_series(scores[start:], self.LEVELS)
-        want = [[] for _ in self.LEVELS]
+        got = bulk.push_series(scores[start:], self.index(bulk, levels, length))
+        want = ([], [])
         for s in scores[start:]:
             model.push(s)
-            for out, level in zip(want, self.LEVELS):
+            for out, level in zip(want, levels):
                 out.append(model.quantile(level))
         assert [bits(out) for out in got] == [bits(out) for out in want]
         assert window_bits(bulk) == window_bits(model)
@@ -245,10 +253,23 @@ class TestPushSeries:
         fifo, srt = bulk.buffers()
         assert bits(srt) == bits(sorted(fifo))
 
+    def test_without_index_both_reads_are_the_minimum(self):
+        scores = self.signed_scores(40, seed=4)
+        bulk, model = CalibrationWindow(12, scores[:5]), CalibrationWindow(12, scores[:5])
+        got = bulk.push_series(scores[5:])
+        want = []
+        for s in scores[5:]:
+            model.push(s)
+            want.append(model.quantile(0.0))
+        assert bits(got[0]) == bits(got[1]) == bits(want)
+        assert window_bits(bulk) == window_bits(model)
+
     def test_empty_series_changes_nothing(self):
         w = CalibrationWindow(4, [1.0, -0.0])
         before = window_bits(w)
-        assert w.push_series([], self.LEVELS) == [[], [], [], []]
+        assert w.push_series([], self.index(w, self.PAIRS[1], 0)) == ([], [])
+        assert w.push_series([], ((), ())) == ([], [])
+        assert w.push_series([]) == ([], [])
         assert window_bits(w) == before
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -256,15 +277,31 @@ class TestPushSeries:
         w = CalibrationWindow(3, [1.0, 2.0, 3.0])
         before = window_bits(w)
         with pytest.raises(ValueError, match="finite"):
-            w.push_series([4.0, 5.0, bad, 6.0], self.LEVELS)
+            w.push_series([4.0, 5.0, bad, 6.0], self.index(w, self.PAIRS[1], 4))
         assert window_bits(w) == before
 
-    @pytest.mark.parametrize("level", [-0.1, 1.1, float("nan")])
-    def test_level_outside_unit_interval_raises_before_any_push(self, level):
-        w = CalibrationWindow(3, [1.0, 2.0, 3.0])
+    # A window of capacity 4 holding two scores takes three pushes: its sizes
+    # after them are 3, 4 and 4, so positions 2, 3 and 3 are the largest.
+    def test_largest_positions_read_the_maximum(self):
+        w = CalibrationWindow(4, [1.0, 2.0])
+        got = w.push_series([3.0, 0.0, -1.0], [[0, 0, 0], [2, 3, 3]])
+        assert got == ([1.0, 0.0, -1.0], [3.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize("index", [
+        [[0, -1, 0], [2, 3, 3]],  # negative
+        [[0, 0, 0], [3, 3, 3]],  # at the size after the first push
+        [[0, 0, 0], [2, 4, 3]],  # at the capacity
+        [[0, 0, 0], [2, 3, 2 ** 63 - 1]],
+        [[0, 0, 0]],  # one row
+        [[0, 0], [2, 3]],  # one position short
+        [[0.0, 0.0, 0.0], [2.0, 3.0, 3.0]],  # not integers
+    ], ids=["negative", "past-the-size", "past-the-capacity", "huge", "one-row", "short",
+            "floats"])
+    def test_bad_index_raises_before_any_push(self, index):
+        w = CalibrationWindow(4, [1.0, 2.0])
         before = window_bits(w)
-        with pytest.raises(ValueError, match="level"):
-            w.push_series([4.0], (0.5, level))
+        with pytest.raises(ValueError, match="index must hold two integer positions per score"):
+            w.push_series([3.0, 0.0, -1.0], index)
         assert window_bits(w) == before
 
     def test_ranks_match_quantile_rank(self):
