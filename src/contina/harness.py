@@ -6,8 +6,9 @@ flow) calibration windows from the calibration segment, then run the
 deployment segment's interval -> observe -> score -> adapt cycle for every
 region. Each region's whole deployment is one
 ``ConformalIntervalTracker.observe_series`` call, and its outcomes fill its own
-slice of the dense (region, step, flow) ledger. The forecasts are computed
-before that call, by one ``predict_series`` call per flow. With
+slice of the ledger's dense (region, step, flow) grids: covered (bool), length
+(float64) and empty (bool). The forecasts are computed before that call, by
+one ``predict_series`` call per flow. With
 ``predictor_updates`` that call also updates the predictor on each step's
 demand, in time order, right after forecasting the step. Predictor state is
 per (region, flow) cell, and neither forecasts nor updates depend on alpha_t,
@@ -16,11 +17,11 @@ forecast.
 
 Regions never read each other's state, so they are replayed in contiguous
 shares (``shares.share_ranges``) through ``shares.run_shares``: this process
-replays the first share, and a forked child replays each other share and
-sends its results back through a pipe. With one share (one usable CPU, fork
-unavailable or unsafe, or too few region-steps) every region is replayed in
-this process. The results, and so every output byte, are those
-of a replay of one region after another.
+replays the first share into the grids, and a forked child replays each
+other share into arrays of its own and sends them back through a pipe, 10
+bytes a cell. With one share (one usable CPU, fork unavailable or unsafe, or
+too few region-steps) every region is replayed in this process. The results,
+and so every output byte, are those of a replay of one region after another.
 
 ``oracle_replay`` runs the same protocol one step at a time through the
 object-path API, as the reference the engine is checked against, for every
@@ -248,13 +249,14 @@ def _prepare(config: ExperimentConfig):
     return stream, dropped, calib, deploy, predictor
 
 
-def _replay_region(i, stream, calib, deploy, predictor, config):
-    """Replay one region's deployment.
+def _replay_region(i, stream, calib, deploy, predictor, config, out):
+    """Replay one region's deployment into ``out``; return its final state and
+    its window capacity.
 
-    Returns the region's (step, flow, outcome) float64 grid (covered, length
-    and empty, as 0/1 for the flags), its final state and its window
-    capacity. The grid is filled column by column from ``observe_series``'
-    lists: the flags through ``bytes`` and the lengths through ``array("d")``.
+    ``out`` holds the region's covered (bool), length (float64) and empty
+    (bool) arrays, each of shape (step, flow). Each flow's column is filled
+    from ``observe_series``' lists: the flags through ``bytes`` and the
+    lengths through ``array("d")``.
     """
     region = stream.region_ids[i]
     tracker = config.tracker()
@@ -274,60 +276,82 @@ def _replay_region(i, stream, calib, deploy, predictor, config):
     forecasts = (*cell_forecasts(deploy, 0, y1 if updates else None),
                  *cell_forecasts(deploy, 1, y2 if updates else None))
     cov1, len1, emp1, cov2, len2, emp2 = tracker.observe_series(*forecasts, y1, y2)
-    out = np.empty((deploy.horizon, 2, 3))
-    for j, (covered, length, empty) in enumerate(((cov1, len1, emp1), (cov2, len2, emp2))):
-        out[:, j, 0] = np.frombuffer(bytes(covered), dtype=np.bool_)
-        out[:, j, 1] = np.frombuffer(array("d", length))
-        out[:, j, 2] = np.frombuffer(bytes(empty), dtype=np.bool_)
-    return out, RegionFinalState.of(region, tracker), tracker.windows_[0].capacity
+    covered, length, empty = out
+    for j, (c, l, e) in enumerate(((cov1, len1, emp1), (cov2, len2, emp2))):
+        covered[:, j] = np.frombuffer(bytes(c), dtype=np.bool_)
+        length[:, j] = np.frombuffer(array("d", l))
+        empty[:, j] = np.frombuffer(bytes(e), dtype=np.bool_)
+    return RegionFinalState.of(region, tracker), tracker.windows_[0].capacity
 
 
 def _replay_regions(stream, calib, deploy, predictor, config):
-    """Replay every region; return the results in region order and the crossings.
+    """Replay every region; return the ledger's covered, length and empty
+    (region, step, flow) grids, the regions' results in region order and the
+    crossings.
 
     The regions are cut into contiguous shares (``share_ranges``, with the
-    ``REPLAY_SHARE_MIN_STEPS`` floor) and run by ``run_shares``. A forked
+    ``REPLAY_SHARE_MIN_STEPS`` floor) and run by ``run_shares``. The first
+    share runs in this process and fills its slice of the grids in place.
+    Each other share fills arrays of its own, which its child sends back
+    (10 bytes a cell), and they are copied into the grids here. A forked
     share's predictor is the fitted one, and so is every cell of its share
     when a serial loop reaches it, because predictor state is per cell. Each
-    share returns its results and the crossings its predictor counted; the
-    run's crossings are those counted before the replay plus each share's. If
-    shares fail, the first failing share's error is raised, the one a replay
-    of one region after another would raise.
+    share also returns its regions' final states and window capacities and the
+    crossings its predictor counted; the run's crossings are those counted
+    before the replay plus each share's. If shares fail, the first failing
+    share's error is raised, the one a replay of one region after another
+    would raise.
     """
-    def replay(regions):
+    shape = (stream.n_regions, deploy.horizon, 2)
+    grids = (np.empty(shape, bool), np.empty(shape, np.float64), np.empty(shape, bool))
+
+    def replay(regions, here):
+        if here:
+            out = tuple(g[regions.start:regions.stop] for g in grids)
+        else:
+            out = tuple(np.empty((len(regions), *shape[1:]), g.dtype) for g in grids)
         before = predictor.crossings
-        results = [_replay_region(i, stream, calib, deploy, predictor, config) for i in regions]
-        return results, predictor.crossings - before
+        results = [_replay_region(i, stream, calib, deploy, predictor, config,
+                                  [a[k] for a in out]) for k, i in enumerate(regions)]
+        return None if here else out, results, predictor.crossings - before
 
     crossings = predictor.crossings
-    shares = run_shares([functools.partial(replay, regions) for regions in share_ranges(
-        stream.n_regions, stream.n_regions * deploy.horizon, REPLAY_SHARE_MIN_STEPS)])
-    return [r for results, _ in shares for r in results], crossings + sum(d for _, d in shares)
+    ranges = share_ranges(stream.n_regions, stream.n_regions * deploy.horizon,
+                          REPLAY_SHARE_MIN_STEPS)
+    shares = run_shares([functools.partial(replay, regions, k == 0)
+                         for k, regions in enumerate(ranges)])
+    results = []
+    for k, regions in enumerate(ranges):
+        out, share_results, count = shares[k]
+        shares[k] = None  # each share's arrays go once they are copied
+        if out is not None:
+            for g, a in zip(grids, out):
+                g[regions.start:regions.stop] = a
+        results += share_results
+        crossings += count
+    return grids, results, crossings
 
 
 def run_replay(config: ExperimentConfig, audit: bool = False) -> RunResult:
-    """Execute one experiment end to end and return its ledger and states."""
+    """Execute one experiment end to end and return its ledger and states.
+
+    The ledger holds the grids that ``_replay_regions`` fills, without a copy.
+    """
     stream, dropped, calib, deploy, predictor = _prepare(config)
     audit_region = None
     if audit:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xA0D17]))
         audit_region = stream.region_ids[int(rng.integers(stream.n_regions))]
 
-    results, crossings = _replay_regions(stream, calib, deploy, predictor, config)
-
-    grid = np.stack([r[0] for r in results])  # (region, step, flow, outcome)
-    ledger = RunLedger(
-        region_ids=stream.region_ids,
-        times=deploy.window_times(),
-        covered=grid[..., 0] != 0.0,
-        length=grid[..., 1],
-        empty=grid[..., 2] != 0.0,
-    )
+    (covered, length, empty), results, crossings = _replay_regions(stream, calib, deploy,
+                                                                   predictor, config)
+    ledger = RunLedger(region_ids=stream.region_ids, times=deploy.window_times(),
+                       covered=covered, length=length, empty=empty)
     return RunResult(
         config=config,
         ledger=ledger,
-        states=[r[1] for r in results],
-        window_capacity=results[0][2],
+        states=[state for state, _ in results],
+        window_capacity=results[0][1],
         crossings=crossings,
         dropped_regions=dropped,
         audit=audit_region,
@@ -679,8 +703,9 @@ def _write_summary(ledger: RunLedger, config: ExperimentConfig, path) -> None:
 
 
 def _write_daily(ledger: RunLedger, steps_per_day: int, path) -> None:
-    """Write ``daily_coverage.csv``: the rows of ``metrics.daily_regional_coverage``
-    spelled as ``csv.writer`` spells them.
+    """Write ``daily_coverage.csv``: one ``day,region,coverage`` row per cell of
+    ``metrics.daily_coverage_grid``, day by day, spelled as ``csv.writer``
+    spells it.
 
     A day's coverage takes at most ``2 * steps_per_day + 1`` values, so each
     distinct value is spelled once, as each region label is.

@@ -5,9 +5,10 @@ covered the realized demand, its length, and whether it was the empty set.
 The cells form dense (region, step, flow) arrays, so every metric is an axis
 reduction and every period a slice along the step axis.
 ``average_coverage``, ``min_regional_coverage`` and ``mean_length`` are the
-three headline metrics; ``daily_regional_coverage`` supports dispersion plots
-of per-region coverage; ``coverage_gap_constant`` and ``worst_region_bound``
-evaluate the guarantees the adaptive method is expected to satisfy:
+three headline metrics; ``daily_coverage_grid`` gives per-region coverage day
+by day for dispersion plots, and ``daily_coverage.csv`` spells it;
+``coverage_gap_constant`` and ``worst_region_bound`` evaluate the guarantees
+the adaptive method is expected to satisfy:
 
 * |cov - (1 - alpha)| <= c / T with
   c = 1/gamma1 + 2 / (alpha * sqrt((1 - beta) * k) + epsilon);

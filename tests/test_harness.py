@@ -18,6 +18,7 @@ import os
 import pathlib
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -328,6 +329,30 @@ class TestRegionShares:
             run_replay(share_configs(tmp_path)["contina"]())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_one_share_traces_less_than_a_float64_outcome_grid(self, monkeypatch):
+        # 20 regions x 2000 deployment steps in this process: the replay's
+        # traced peak, stream and fitted predictor included, stays below the
+        # bytes of two float64 (region, step, flow, outcome) grids of the run,
+        # the per-region grids and their stack that outcomes once took at once.
+        use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+
+        def config(n_regions, horizon):
+            return ExperimentConfig(method="contina", seed=5, train_frac=0.1, calib_frac=0.1,
+                                    synthetic=StreamSpec(n_regions=n_regions, horizon=horizon,
+                                                         seed=5, regime="heterogeneous"))
+
+        run_replay(config(2, 250))  # a first run imports numpy.random; that is not the replay
+        tracemalloc.start()
+        try:
+            result = run_replay(config(20, 2500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_regions, steps, n_flows = result.ledger.covered_grid.shape
+        assert (n_regions, steps, n_flows) == (20, 2000, 2)
+        assert peak < 2 * n_regions * steps * n_flows * 3 * np.dtype(np.float64).itemsize
 
     def test_no_fork_while_another_thread_is_alive(self, tmp_path, monkeypatch):
         config = share_configs(tmp_path)["seasonal_updates"]

@@ -2,10 +2,12 @@
 
 The plan tests fake 64 usable CPUs and count the shares that each user plans,
 without forking: the CSV reader's cuts, and the tasks that the ledger writer
-and the region replay hand to ``run_shares``.
+and the region replay hand to ``run_shares``. The payload test runs a region
+replay's share tasks in this process and sizes what each would send back.
 """
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -62,16 +64,20 @@ class Planned(Exception):
     """Raised in place of running a planned set of shares."""
 
 
-def counted_run_shares(monkeypatch, module, run=True):
+def counted_run_shares(monkeypatch, module, run=True, sent=None):
     """Make ``module.run_shares`` record its task count and run the tasks here, in
-    order (or, without ``run``, raise ``Planned``); return the recorded counts."""
+    order (or, without ``run``, raise ``Planned``); return the recorded counts.
+    Given a list ``sent``, each task's result is appended to it."""
     counts = []
 
     def run_here(tasks):
         counts.append(len(tasks))
         if not run:
             raise Planned
-        return [task() for task in tasks]
+        results = [task() for task in tasks]
+        if sent is not None:
+            sent.extend(results)
+        return results
 
     monkeypatch.setattr(module, "run_shares", run_here)
     return counts
@@ -116,3 +122,47 @@ class TestPlansAt64Cpus:
         with pytest.raises(Planned):
             run_replay(config)
         assert counts == [min(50, 50 * 2000 // harness.REPLAY_SHARE_MIN_STEPS)]
+
+
+def arrays_in(payload):
+    """The numpy arrays in ``payload``, through tuples and lists."""
+    if isinstance(payload, np.ndarray):
+        return [payload]
+    if isinstance(payload, (tuple, list)):
+        return [a for item in payload for a in arrays_in(item)]
+    return []
+
+
+class TestRegionSharePayloads:
+    def test_a_share_sends_10_bytes_a_cell_and_the_ledger_keeps_its_grids(self, monkeypatch):
+        # Three shares of 20 regions x 2000 deployment steps, run here. Each
+        # result is what a forked share pickles into its pipe: a bool, a
+        # float64 and a bool per cell, plus at most OVERHEAD bytes for the
+        # arrays' headers, the regions' final states and the crossings.
+        OVERHEAD = 1024
+        use_cpus(monkeypatch, 3)
+        sent, handed = [], []
+        counts = counted_run_shares(monkeypatch, harness, sent=sent)
+
+        def run_ledger(**kwargs):
+            handed.append(kwargs)
+            return metrics.RunLedger(**kwargs)
+
+        monkeypatch.setattr(harness, "RunLedger", run_ledger)
+        config = ExperimentConfig(method="contina", seed=5, train_frac=0.1, calib_frac=0.1,
+                                  synthetic=StreamSpec(n_regions=20, horizon=2500, seed=5,
+                                                       regime="heterogeneous"))
+        ledger = run_replay(config).ledger
+        steps = ledger.horizon
+        ranges = shares.share_ranges(20, 20 * steps, harness.REPLAY_SHARE_MIN_STEPS)
+        assert counts == [len(ranges)] == [3]
+        grids = (ledger.covered_grid, ledger.length_grid, ledger.empty_grid)
+        assert all(grid is handed[0][key] for grid, key in zip(grids, ("covered", "length",
+                                                                       "empty")))
+        for k, (regions, payload) in enumerate(zip(ranges, sent)):
+            cells = len(regions) * steps * 2
+            assert len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)) <= 10 * cells + OVERHEAD
+            arrays = arrays_in(payload)
+            # The first share runs in the parent and fills the grids in place.
+            assert len(arrays) == (0 if k == 0 else 3)
+            assert not any(np.shares_memory(a, grid) for a in arrays for grid in grids)
