@@ -249,6 +249,14 @@ def _prepare(config: ExperimentConfig):
     return stream, dropped, calib, deploy, predictor
 
 
+def _in_region(region, call, *args):
+    """``call(*args)``, a tracker call whose DataFormatError names a flow; name ``region`` too."""
+    try:
+        return call(*args)
+    except DataFormatError as e:
+        raise DataFormatError(f"region {region!r}, {e}") from None
+
+
 def _replay_region(i, stream, calib, deploy, predictor, config, out):
     """Replay one region's deployment into ``out``; return its final state and
     its window capacity.
@@ -265,8 +273,8 @@ def _replay_region(i, stream, calib, deploy, predictor, config, out):
         return predictor.predict_series(region, FLOWS[j], segment.window_times(),
                                         segment.lags_matrix(i, j), y=y)
 
-    tracker.fit(*(tracker.scores(*cell_forecasts(calib, j), calib.cell_series(i, j))
-                  for j in (0, 1)))
+    _in_region(region, tracker.fit, *(tracker.scores(*cell_forecasts(calib, j),
+                                                     calib.cell_series(i, j)) for j in (0, 1)))
 
     y1 = deploy.cell_series(i, 0)
     y2 = deploy.cell_series(i, 1)
@@ -275,7 +283,8 @@ def _replay_region(i, stream, calib, deploy, predictor, config, out):
     updates = config.predictor_updates
     forecasts = (*cell_forecasts(deploy, 0, y1 if updates else None),
                  *cell_forecasts(deploy, 1, y2 if updates else None))
-    cov1, len1, emp1, cov2, len2, emp2 = tracker.observe_series(*forecasts, y1, y2)
+    cov1, len1, emp1, cov2, len2, emp2 = _in_region(region, tracker.observe_series,
+                                                    *forecasts, y1, y2)
     covered, length, empty = out
     for j, (c, l, e) in enumerate(((cov1, len1, emp1), (cov2, len2, emp2))):
         covered[:, j] = np.frombuffer(bytes(c), dtype=np.bool_)
@@ -386,9 +395,9 @@ def oracle_replay(config: ExperimentConfig, region=None) -> RunResult:
         for _, forecasts, ys, _ in _object_steps(predictor, calib, i):
             for flow_scores, fc, y in zip(scores, tracker._effective_pair(forecasts), ys):
                 flow_scores.append(conformity_score(y, fc))
-        tracker.fit(*scores)
+        _in_region(region, tracker.fit, *scores)
         for t, forecasts, ys, lags in _object_steps(predictor, deploy, i):
-            out = tracker.observe(forecasts, ys)
+            out = _in_region(region, tracker.observe, forecasts, ys)
             for flow, band, hit in zip(FLOWS, out.intervals, out.covered):
                 records.append((t, region, flow, hit, interval_length(band), band.empty))
             if config.predictor_updates:

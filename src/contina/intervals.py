@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import DataFormatError
 from .validation import check_finite
 
 
@@ -27,8 +28,11 @@ class QuantileForecast:
     crossed: bool = False
 
     def __post_init__(self):
-        lo = check_finite(self.lo, "lo")
-        hi = check_finite(self.hi, "hi")
+        try:
+            lo = check_finite(self.lo, "lo")
+            hi = check_finite(self.hi, "hi")
+        except ValueError as e:
+            raise DataFormatError(str(e)) from None
         if lo > hi:
             lo, hi = hi, lo
             object.__setattr__(self, "crossed", True)

@@ -38,9 +38,9 @@ class RunLedger:
     step labels in increasing order. A ledger built from the grids is
     complete by construction.
 
-    ``t``, ``region_idx``, ``flow_idx``, ``covered``, ``length`` and
-    ``empty`` are long-format views in (region, t, flow) order, the row order
-    of ``ledger.csv``. Long-format records enter only through
+    ``t``, ``region_idx``, ``covered``, ``length`` and ``empty`` are
+    long-format views in (region, t, flow) order, the row order of
+    ``ledger.csv``. Long-format records enter only through
     ``from_records``, which keeps an incomplete or duplicated record set as
     an error that ``validate_complete`` (and so every metric) raises.
     """
@@ -133,10 +133,6 @@ class RunLedger:
         return np.repeat(np.arange(self.n_regions, dtype=np.intp), 2 * self.horizon)
 
     @property
-    def flow_idx(self) -> np.ndarray:
-        return np.tile(np.arange(2, dtype=np.intp), self.n_regions * self.horizon)
-
-    @property
     def covered(self) -> np.ndarray:
         return self.covered_grid.reshape(-1)
 
@@ -187,23 +183,13 @@ class RegionalCoverage(NamedTuple):
     region: object
 
 
-def _per_region(ledger: RunLedger) -> np.ndarray:
-    """Coverage of each region over the ledger's steps."""
-    ledger.validate_complete()
-    return ledger.covered_grid.sum(axis=(1, 2)) / (2.0 * ledger.horizon)
-
-
 def min_regional_coverage(ledger: RunLedger) -> RegionalCoverage:
     """Worst per-region coverage; ties break toward the smallest region id."""
-    per_region = _per_region(ledger)
+    ledger.validate_complete()
+    per_region = ledger.covered_grid.sum(axis=(1, 2)) / (2.0 * ledger.horizon)
     ids = ledger.region_ids
     best = min(range(len(ids)), key=lambda i: (per_region[i], region_sort_key(ids[i])))
     return RegionalCoverage(float(per_region[best]), ids[best])
-
-
-def regional_coverages(ledger: RunLedger) -> dict:
-    """Per-region coverage over the whole ledger."""
-    return dict(zip(ledger.region_ids, _per_region(ledger).tolist()))
 
 
 def mean_length(ledger: RunLedger) -> float:

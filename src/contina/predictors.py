@@ -33,7 +33,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from ._params import ParamsMixin
-from .errors import MissingForecastError, NotFittedError
+from .errors import DataFormatError, MissingForecastError, NotFittedError
 from .intervals import QuantileForecast
 from .streams import (
     FLOWS,
@@ -336,10 +336,11 @@ class OnlinePinballLinearPredictor(ParamsMixin):
         self._cells = None
         self.crossings = 0
 
-    def _features(self, cell, t, lags):
+    def _features(self, cell, times, lags):
+        """The eight feature columns, at one step (an int ``times``) or at an array of steps."""
         z = (np.asarray(lags, dtype=np.float64) - cell["mu"]) / cell["sd"]
-        angle = 2.0 * np.pi * (int(t) % self.steps_per_day) / self.steps_per_day
-        return np.concatenate([z, [np.sin(angle), np.cos(angle)]])
+        angle = 2.0 * np.pi * (np.asarray(times) % self.steps_per_day) / self.steps_per_day
+        return [*z.T, np.sin(angle), np.cos(angle)]
 
     def fit(self, stream: DemandStream):
         _check_training_demand(stream)
@@ -359,10 +360,10 @@ class OnlinePinballLinearPredictor(ParamsMixin):
                     "b_hi": b_hi,
                 }
                 self._cells[(region, flow)] = cell
-                lags = stream.lags_matrix(i, j)
+                rows = list(np.column_stack(self._features(cell, times, stream.lags_matrix(i, j))))
                 for _ in range(self.epochs):
-                    for p in range(len(ys)):
-                        self._step(cell, times[p], lags[p], ys[p])
+                    for x, y in zip(rows, ys.tolist()):
+                        self._step(cell, x, y, self._heads(cell, x.tolist()))
         return self
 
     def _cell(self, region, flow):
@@ -370,9 +371,12 @@ class OnlinePinballLinearPredictor(ParamsMixin):
             raise NotFittedError("predictor must be fitted before use")
         return self._cells[(region, flow)]
 
-    def _step(self, cell, t, lags, y):
-        x = self._features(cell, t, lags)
-        g_lo, g_hi = self._head_gradients(cell, x, y)
+    def _step(self, cell, x, y, heads):
+        """One pinball subgradient step on feature row ``x``, its ``heads``, and demand ``y``."""
+        tau_lo = self.alpha / 2.0
+        tau_hi = 1.0 - self.alpha / 2.0
+        g_lo = (1.0 - tau_lo) if y <= heads[0] else -tau_lo
+        g_hi = (1.0 - tau_hi) if y <= heads[1] else -tau_hi
         cell["w_lo"] -= self.step_size * g_lo * x
         cell["b_lo"] -= self.step_size * g_lo
         cell["w_hi"] -= self.step_size * g_hi * x
@@ -380,57 +384,50 @@ class OnlinePinballLinearPredictor(ParamsMixin):
 
     @staticmethod
     def _heads(cell, x):
-        """Both heads' outputs on one step's features ``x``."""
-        x = x.tolist()
+        """Both heads' outputs on the features ``x``: one step's floats, or a series' columns."""
         return (_head(cell["b_lo"], cell["w_lo"].tolist(), x),
                 _head(cell["b_hi"], cell["w_hi"].tolist(), x))
 
-    def _head_gradients(self, cell, x, y):
-        """Subgradients of the two pinball losses w.r.t. each head's output."""
-        tau_lo = self.alpha / 2.0
-        tau_hi = 1.0 - self.alpha / 2.0
-        q_lo, q_hi = self._heads(cell, x)
-        g_lo = (1.0 - tau_lo) if y <= q_lo else -tau_lo
-        g_hi = (1.0 - tau_hi) if y <= q_hi else -tau_hi
-        return g_lo, g_hi
+    def _forecast(self, region, flow, t, heads) -> QuantileForecast:
+        """The forecast of ``heads``, its crossing counted; its error names the cell and ``t``."""
+        try:
+            fc = QuantileForecast(*heads)
+        except DataFormatError as e:
+            raise DataFormatError(f"region {region!r}, flow {flow}, t {t}: {e}") from None
+        self.crossings += fc.crossed
+        return fc
 
     def predict(self, region, flow, t, lags) -> QuantileForecast:
         cell = self._cell(region, flow)
-        fc = QuantileForecast(*self._heads(cell, self._features(cell, t, lags)))
-        if fc.crossed:
-            self.crossings += 1
-        return fc
+        x = np.array(self._features(cell, t, lags)).tolist()
+        return self._forecast(region, flow, t, self._heads(cell, x))
 
     def predict_series(self, region, flow, times, lags, y=None):
-        if y is not None:
-            return self._predict_update_series(region, flow, times, lags, y)
+        """Frozen, both heads run over the feature columns at once. With ``y``, each
+        step's row gives its heads, they make its forecast (:meth:`_forecast`), then it learns."""
         cell = self._cell(region, flow)
-        z = (np.asarray(lags, dtype=np.float64) - cell["mu"]) / cell["sd"]
-        angle = 2.0 * np.pi * (np.asarray(times) % self.steps_per_day) / self.steps_per_day
-        x = [*z.T, np.sin(angle), np.cos(angle)]
-        lo = _head(cell["b_lo"], cell["w_lo"].tolist(), x)
-        hi = _head(cell["b_hi"], cell["w_hi"].tolist(), x)
+        x = self._features(cell, times, lags)
+        if y is not None:
+            los, his = [], []
+            for t, row, v in zip(times, np.column_stack(x), _demand(y, times).tolist()):
+                heads = self._heads(cell, row.tolist())
+                fc = self._forecast(region, flow, t, heads)
+                los.append(fc.lo)
+                his.append(fc.hi)
+                self._step(cell, row, v, heads)
+            return np.array(los, dtype=np.float64), np.array(his, dtype=np.float64)
+        lo, hi = self._heads(cell, x)
         crossed = lo > hi
         if crossed.any():
             self.crossings += int(crossed.sum())
             lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         return lo, hi
 
-    def _predict_update_series(self, region, flow, times, lags, y):
-        """``predict`` then one ``_step`` on the demand, at each step in time order."""
-        cell = self._cell(region, flow)
-        los, his = [], []
-        for t, x, v in zip(np.asarray(times, dtype=np.int64).tolist(), lags,
-                           _demand(y, times).tolist()):
-            fc = self.predict(region, flow, t, x)
-            los.append(fc.lo)
-            his.append(fc.hi)
-            self._step(cell, t, x, v)
-        return np.array(los, dtype=np.float64), np.array(his, dtype=np.float64)
-
     def update(self, obs: Observation) -> None:
         """One subgradient step on the observed cell."""
-        self._step(self._cell(obs.region, obs.flow), obs.t, obs.lags, obs.y)
+        cell = self._cell(obs.region, obs.flow)
+        x = np.array(self._features(cell, obs.t, obs.lags))
+        self._step(cell, x, obs.y, self._heads(cell, x.tolist()))
 
 
 class FileBackedForecasts(ParamsMixin):

@@ -43,7 +43,7 @@ import numpy as np
 
 from ._params import ParamsMixin
 from .adaptation import AdaptHyperParams, alpha_step, coverage_error, learning_rate
-from .errors import EmptyCalibrationError, NotFittedError
+from .errors import DataFormatError, EmptyCalibrationError, NotFittedError
 from .intervals import (
     QuantileForecast,
     build_interval_qcp,
@@ -117,12 +117,15 @@ class ConformalIntervalTracker(ParamsMixin):
         """Seed the two calibration windows and reset the adaptive state."""
         scores = (np.asarray(calib_scores_in, dtype=np.float64),
                   np.asarray(calib_scores_out, dtype=np.float64))
+        windows = []
         for flow, s in zip(("in", "out"), scores):
             if not s.size:
                 raise EmptyCalibrationError(f"no calibration scores for flow {flow!r}")
-        self.windows_ = tuple(
-            CalibrationWindow(self.window or len(s), s) for s in scores
-        )
+            try:
+                windows.append(CalibrationWindow(self.window or len(s), s))
+            except DataFormatError as e:
+                raise DataFormatError(f"flow {flow}: {e}") from None
+        self.windows_ = tuple(windows)
         self.alpha_t_ = float(self.alpha)
         self.moment_ = 0.0
         self.update_sum_ = 0.0
@@ -178,16 +181,16 @@ class ConformalIntervalTracker(ParamsMixin):
 
         The object-path specification of a step, built without the segment
         engine. Both flows' scores are checked before either is pushed, so a
-        non-finite score raises ValueError and changes no state.
+        non-finite score raises DataFormatError and changes no state.
         """
         self._check_fitted()
         intervals = self.predict(forecasts)
         covered = tuple(bool(contains(band, y)) for band, y in zip(intervals, ys))
         scores = tuple(conformity_score(y, fc)
                        for y, fc in zip(ys, self._effective_pair(forecasts)))
-        for s in scores:
+        for flow, s in zip(("in", "out"), scores):
             if not math.isfinite(s):
-                raise ValueError(f"score must be finite, got {s!r}")
+                raise DataFormatError(f"flow {flow}: score must be finite, got {s!r}")
         for win, s in zip(self.windows_, scores):
             win.push(s)
         err = coverage_error(covered[0], covered[1])
@@ -227,7 +230,7 @@ class ConformalIntervalTracker(ParamsMixin):
         Scores are computed up front for the whole segment: they depend on
         the base forecast and the demand, never on alpha_t, and are pushed
         whether or not the emitted interval was empty. A non-finite score
-        raises ValueError before any state changes.
+        raises DataFormatError before any state changes.
         """
         self._check_fitted()
         segment = (lo1, hi1, lo2, hi2, y1, y2)
@@ -240,9 +243,9 @@ class ConformalIntervalTracker(ParamsMixin):
         scores = conformity_scores(lo, hi, data[4:])
         finite = np.isfinite(scores)
         if not finite.all():
-            k = int(np.argmin(finite.all(axis=0)))
-            bad = scores[0, k] if not finite[0, k] else scores[1, k]
-            raise ValueError(f"score must be finite, got {float(bad)!r}")
+            k, j = divmod(int(np.argmin(finite.T)), 2)  # the first bad step, inflow first
+            raise DataFormatError(f"flow {('in', 'out')[j]}: score must be finite, "
+                                  f"got {float(scores[j, k])!r}")
         (lo1, lo2), (hi1, hi2), (y1, y2) = lo.tolist(), hi.tolist(), data[4:].tolist()
         s1, s2 = scores.tolist()
 

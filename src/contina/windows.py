@@ -21,7 +21,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import EmptyCalibrationError
+from .errors import DataFormatError, EmptyCalibrationError
 from .validation import check_positive_int
 
 # Levels are often computed as 1 - alpha_t from accumulated floats; a product
@@ -46,10 +46,10 @@ def quantile_ranks(levels, sizes: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(m, 1), sizes).astype(np.int64)
 
 
-def _not_finite(values: list) -> ValueError:
+def _not_finite(values: list) -> DataFormatError:
     """The error naming the first non-finite score of ``values``."""
     bad = next(v for v in values if not math.isfinite(v))
-    return ValueError(f"score must be finite, got {bad!r}")
+    return DataFormatError(f"score must be finite, got {bad!r}")
 
 
 class CalibrationWindow:

@@ -6,10 +6,13 @@ import re
 import tracemalloc
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from contina.cli import main
+from contina.errors import DataFormatError
+from contina.harness import ExperimentConfig, oracle_replay, run_replay
 from contina.predictors import PREDICTOR_KINDS, write_forecast_csv
 from contina.streams import (
     FLOWS, GAP_POLICIES, NOISES, REGIMES, DemandStream, StreamSpec, generate, write_demand_csv,
@@ -461,6 +464,47 @@ class TestMalformedInputs:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 2
         assert f"error: {missing}: input file '{gone}' does not exist" in result.output
+
+    def check_non_finite(self, runner, raw, args, message, oracle_message):
+        """The run exits 3 with the engine's ``message``; the oracle raises the same type."""
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflows are the point
+            result = runner.invoke(main, args)
+            assert isinstance(result.exception, SystemExit), result.exception
+            assert result.exit_code == 3
+            assert result.output == f"error: {message}\n"
+            for replay, want in ((run_replay, message), (oracle_replay, oracle_message)):
+                with pytest.raises(DataFormatError) as error:
+                    replay(ExperimentConfig.from_dict(raw))
+                assert str(error.value) == want
+
+    def test_overflowing_score_is_a_format_error(self, runner, tmp_path):
+        # Demand 1.7e308 against the band (-1.7e308, -1.7e308) scores inf.
+        demand, forecasts = tmp_path / "demand.csv", tmp_path / "forecast.csv"
+        demand.write_text("t,region,inflow,outflow\n" + "".join(
+            f"{t},{r},{'1.7e+308' if (t, r) == (50, 0) else '10.0'},5.0\n"
+            for t in range(100) for r in (0, 1)))
+        forecasts.write_text("t,region,flow,q_lo,q_hi\n" + "".join(
+            f"{t},{r},{f},{'-1.7e+308,-1.7e+308' if (t, r, f) == (50, 0, 'in') else '1.0,20.0'}\n"
+            for t in range(100) for r in (0, 1) for f in FLOWS))
+        raw = {"demand_csv": str(demand), "forecast_csv": str(forecasts), "train_frac": 0.3,
+               "calib_frac": 0.3}
+        message = "region 0, flow in: score must be finite, got inf"
+        self.check_non_finite(runner, raw, [
+            "run", "--demand-csv", str(demand), "--forecast-csv", str(forecasts),
+            "--train-frac", "0.3", "--calib-frac", "0.3"], message, message)
+
+    @pytest.mark.parametrize("updates", [False, True], ids=["frozen", "updates"])
+    def test_overflowing_pinball_head_is_a_format_error(self, runner, tmp_path, updates):
+        # Training steps this large leave the heads NaN: the engine's frozen
+        # calibration forecasts score NaN, and the oracle's first predict refuses them.
+        raw = {"predictor_updates": updates,
+               "predictor": {"kind": "online_pinball_linear", "step_size": 1.7e308},
+               "synthetic": {"n_regions": 2, "horizon": 300}}
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(json.dumps(raw))  # YAML reads JSON
+        self.check_non_finite(runner, raw, ["run", "--config", str(cfg)],
+                              "region 0, flow in: score must be finite, got nan",
+                              "region 0, flow in, t 150: lo must be finite, got nan")
 
     def test_report_without_manifest_is_not_a_run_directory(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path)])

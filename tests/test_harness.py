@@ -700,8 +700,8 @@ class TestLedgerLayout:
         n, steps = ledger.n_regions, ledger.horizon
         assert np.array_equal(ledger.t, np.tile(np.repeat(ledger.times, 2), n))
         assert np.array_equal(ledger.region_idx, np.repeat(np.arange(n), 2 * steps))
-        assert np.array_equal(ledger.flow_idx, np.tile([0, 1], n * steps))
         rows = records(ledger)
+        assert [r[2] for r in rows] == list(FLOWS) * (n * steps)
         for k, name in ((3, "covered"), (4, "length"), (5, "empty")):
             column = getattr(ledger, name)
             assert column.tolist() == [r[k] for r in rows]

@@ -9,6 +9,7 @@ equivalence can be asserted without tolerances.
 import numpy as np
 import pytest
 
+from contina.errors import DataFormatError
 from contina.intervals import (
     PredictionInterval,
     QuantileForecast,
@@ -67,6 +68,12 @@ class TestQuantileForecast:
 
     def test_midpoint(self):
         assert QuantileForecast(2, 8).midpoint == 5
+
+    @pytest.mark.parametrize("lo, hi, bad", [(float("nan"), 1.0, "lo must be finite, got nan"),
+                                             (0.0, float("-inf"), "hi must be finite, got -inf")])
+    def test_non_finite_bound_is_a_format_error(self, lo, hi, bad):
+        with pytest.raises(DataFormatError, match=f"^{bad}$"):
+            QuantileForecast(lo, hi)
 
 
 class TestBuildIntervals:

@@ -22,7 +22,6 @@ from contina.metrics import (
     empty_rate,
     mean_length,
     min_regional_coverage,
-    regional_coverages,
     worst_region_bound,
 )
 
@@ -179,7 +178,9 @@ class TestIdentitiesAndInvariance:
             lhs = Fraction(sum(hits.values()), 2 * len(hits) * T)
             rhs = sum(Fraction(h, 2 * T) for h in hits.values()) / len(hits)
             assert lhs == rhs
-            float_mean = np.mean(list(regional_coverages(ledger).values()))
+            per_region = ledger.covered_grid.sum(axis=(1, 2)) / (2.0 * T)
+            assert per_region.tolist() == [hits[r] / (2 * T) for r in ledger.region_ids]
+            float_mean = np.mean(per_region)
             assert average_coverage(ledger) == pytest.approx(float_mean, rel=1e-12)
             assert average_coverage(ledger) == float(lhs)
 

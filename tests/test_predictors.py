@@ -27,9 +27,14 @@ def flat_stream(values, n_regions=1):
     return DemandStream(region_ids=tuple(range(n_regions)), history=y)
 
 
+def features(pred, cell, t, lags):
+    """One step's feature row, as ``predict`` and ``update`` build it."""
+    return np.array(pred._features(cell, t, lags))
+
+
 def pinball_loss(pred, cell, t, lags, y):
     """Both heads' pinball loss, at levels alpha/2 and 1 - alpha/2, on one point."""
-    q_lo, q_hi = pred._heads(cell, pred._features(cell, t, lags))
+    q_lo, q_hi = pred._heads(cell, features(pred, cell, t, lags))
     loss = 0.0
     for q, tau in ((q_lo, pred.alpha / 2.0), (q_hi, 1.0 - pred.alpha / 2.0)):
         u = y - q
@@ -304,7 +309,7 @@ class TestOnlinePinballLinear:
         w_before = cell["w_hi"].copy()
         obs = Observation(40, 0, "in", 500.0, (10.0,) * 6)
         pred.update(obs)
-        x = pred._features(cell, 40, obs.lags)
+        x = features(pred, cell, 40, obs.lags)
         assert cell["b_hi"] > before
         moved = cell["w_hi"] - w_before
         assert np.allclose(np.sign(moved[x != 0]), np.sign(x[x != 0]))
@@ -321,7 +326,12 @@ class TestOnlinePinballLinear:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_finite_difference_matches_subgradient(self):
-        """Numerical gradient of the total loss agrees away from kinks."""
+        """Numerical gradient of the total loss agrees away from kinks.
+
+        One ``update`` moves each head's weights by ``-step_size * g * x``, so
+        the subgradient ``g * x`` it took is read off that move; the cell's
+        state is then put back.
+        """
         rng = np.random.default_rng(11)
         stream = flat_stream(rng.uniform(5, 15, size=80))
         pred = OnlinePinballLinearPredictor(alpha=0.1, step_size=0.01, epochs=2).fit(stream)
@@ -331,15 +341,21 @@ class TestOnlinePinballLinear:
             lags = tuple(rng.uniform(5, 15, size=6))
             t = int(rng.integers(0, 24))
             y = float(rng.uniform(0, 30))
-            x = pred._features(cell, t, lags)
+            x = features(pred, cell, t, lags)
             q_lo = cell["b_lo"] + cell["w_lo"] @ x
             q_hi = cell["b_hi"] + cell["w_hi"] @ x
             if min(abs(y - q_lo), abs(y - q_hi)) < 1e-3:
                 continue
             checked += 1
-            g_lo, g_hi = pred._head_gradients(cell, x, y)
+            saved = {key: value.copy() for key, value in cell.items()
+                     if isinstance(value, np.ndarray)}
+            biases = cell["b_lo"], cell["b_hi"]
+            pred.update(Observation(t, 0, "out", y, lags))
+            grads = {head: (saved[head] - cell[head]) / pred.step_size for head in saved}
+            cell.update(saved)
+            cell["b_lo"], cell["b_hi"] = biases
             h = 1e-7
-            for head, g in (("w_lo", g_lo), ("w_hi", g_hi)):
+            for head, g_x in grads.items():
                 for k in range(len(x)):
                     cell[head][k] += h
                     up = pinball_loss(pred, cell, t, lags, y)
@@ -347,7 +363,7 @@ class TestOnlinePinballLinear:
                     down = pinball_loss(pred, cell, t, lags, y)
                     cell[head][k] += h
                     fd = (up - down) / (2 * h)
-                    assert fd == pytest.approx(g * x[k], abs=1e-6)
+                    assert fd == pytest.approx(g_x[k], abs=1e-6)
         assert checked > 100
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -366,6 +382,28 @@ class TestOnlinePinballLinear:
                 fcs = [pred.predict(i, flow, t, x) for t, x in zip(times.tolist(), lags)]
                 assert bits(lo) == bits([fc.lo for fc in fcs])
                 assert bits(hi) == bits([fc.hi for fc in fcs])
+
+    @pytest.mark.parametrize("step_size", [0.05, 3.0])
+    def test_fit_epochs_are_updates_over_the_training_steps(self, step_size):
+        # The second epoch equals one update(Observation) per training step,
+        # in time order, with the cells in lockstep.
+        rng = np.random.default_rng(3)
+        stream = DemandStream(region_ids=(0, 1), history=rng.gamma(2.0, 10.0, size=(2, 2, 300)),
+                              stop=200)
+        def make(epochs):
+            return OnlinePinballLinearPredictor(alpha=0.2, step_size=step_size, epochs=epochs)
+
+        want = make(1).fit(stream)
+        cells = [(i, j) for i in range(stream.n_regions) for j in range(len(FLOWS))]
+        lags = {cell: stream.lags_matrix(*cell) for cell in cells}
+        ys = {cell: stream.cell_series(*cell).tolist() for cell in cells}
+        for p, t in enumerate(stream.window_times().tolist()):
+            for i, j in cells:
+                want.update(Observation(t, stream.region_ids[i], FLOWS[j], ys[i, j][p],
+                                        tuple(lags[i, j][p])))
+        got = make(2).fit(stream)
+        assert predictor_state(got) == predictor_state(want)
+        assert predictor_state(got) != predictor_state(make(1).fit(stream))
 
     def test_forecasts_in_original_units(self):
         stream = flat_stream(np.full(100, 42.0))
@@ -643,6 +681,21 @@ class TestSeriesWithUpdatesMatchesObjectPath:
             alpha=0.2, step_size=step_size, epochs=1), seed=seed)
         if step_size > 1:
             assert pred.crossings > 0  # large steps cross the heads
+
+    def test_pinball_non_finite_head_raises_at_the_same_step(self):
+        # Steps this large overflow a head to -inf 24 steps into the deployment.
+        fit_on, cells, times, lags, ys = deployment(train=20)
+        cell = cells[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference, fast = (OnlinePinballLinearPredictor(alpha=0.2, step_size=2e307, epochs=1)
+                               .fit(fit_on) for _ in range(2))
+            with pytest.raises(DataFormatError) as want:
+                stepwise(reference, [cell], times, lags, ys)
+            with pytest.raises(DataFormatError) as got:
+                fast.predict_series(*cell, times, lags[cell], y=ys[cell])
+        assert str(got.value) == str(want.value) == \
+            "region 0, flow in, t 44: lo must be finite, got -inf"
+        assert predictor_state(fast) == predictor_state(reference)
 
     def test_file_backed_ignores_y(self, tmp_path):
         fit_on, cells, times, lags, ys = deployment()

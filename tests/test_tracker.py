@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from contina.adaptation import AdaptHyperParams, alpha_drift_bounds, alpha_step, learning_rate
-from contina.errors import EmptyCalibrationError, NotFittedError
+from contina.errors import DataFormatError, EmptyCalibrationError, NotFittedError
 from contina.intervals import QuantileForecast, contains, interval_length
 from contina.tracker import ConformalIntervalTracker
 from contina.windows import CalibrationWindow
@@ -65,6 +65,13 @@ class TestEstimatorProtocol:
     def test_empty_numpy_calibration_rejected(self):
         with pytest.raises(EmptyCalibrationError, match="'in'"):
             ConformalIntervalTracker().fit(np.array([]), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_calibration_score_names_its_flow(self, bad):
+        tracker = ConformalIntervalTracker()
+        with pytest.raises(DataFormatError, match=f"^flow out: score must be finite, got {bad}$"):
+            tracker.fit([1.0, 2.0], [1.0, bad])
+        assert tracker.windows_ is None
 
     def test_window_capacity_default_is_calibration_size(self):
         tr = ConformalIntervalTracker().fit([1.0] * 7, [1.0] * 7)
@@ -246,7 +253,7 @@ class TestSeriesAgainstObjectPath:
     def test_non_finite_score_raises_before_any_step(self, bad):
         tracker = ConformalIntervalTracker(method="contina").fit([0.5] * 5, [0.5] * 5)
         before = (tracker.alpha_t_, tracker.windows_[1].scores)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DataFormatError, match="^flow out: score must be finite"):
             tracker.observe_series([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
                                    [0.5, 0.5], [0.5, bad])
         assert (tracker.alpha_t_, tracker.windows_[1].scores) == before
@@ -273,7 +280,7 @@ class TestObserveIsTheSpecPath:
         before = (tr.windows_[0].scores, tr.windows_[1].scores, tr.alpha_t_, tr.moment_,
                   tr.update_sum_)
         fcs = (QuantileForecast(0.0, 1.0), QuantileForecast(-1.7e308, -1.7e308))
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DataFormatError, match="^flow out: score must be finite, got inf$"):
             tr.observe(fcs, (0.7, 1.7e308))
         after = (tr.windows_[0].scores, tr.windows_[1].scores, tr.alpha_t_, tr.moment_,
                  tr.update_sum_)

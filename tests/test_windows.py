@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from contina.errors import EmptyCalibrationError
+from contina.errors import DataFormatError, EmptyCalibrationError
 from contina.windows import CalibrationWindow, quantile_rank, quantile_ranks
 
 
@@ -44,7 +44,7 @@ class TestPush:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
         w = CalibrationWindow(2)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DataFormatError, match="score must be finite"):
             w.push(bad)
         assert len(w) == 0
 
@@ -97,7 +97,7 @@ class TestPush:
             assert np.asarray(b).tobytes() == np.asarray(m).tobytes()
 
     def test_bulk_build_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DataFormatError, match="score must be finite"):
             CalibrationWindow(4, [1.0, float("nan")])
 
 
@@ -276,7 +276,7 @@ class TestPushSeries:
     def test_non_finite_score_raises_before_any_push(self, bad):
         w = CalibrationWindow(3, [1.0, 2.0, 3.0])
         before = window_bits(w)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DataFormatError, match="score must be finite"):
             w.push_series([4.0, 5.0, bad, 6.0], self.index(w, self.PAIRS[1], 4))
         assert window_bits(w) == before
 
