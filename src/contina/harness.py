@@ -31,7 +31,8 @@ reference on the run's sampled region, without running the engine.
 ``write_report`` emits the summary table (per-epoch coverage / minRC / length),
 a per-day per-region coverage file for dispersion plots, the full per-step
 ledger, final per-region states, and a manifest that allows an exact re-run.
-A large ledger's rows are formatted in region shares too.
+A large ledger's rows are formatted in region shares too, and each share
+writes them to disk one region at a time (``_write_ledger``).
 It also writes ``ledger.bin``, a binary mirror of the ledger that records the
 sha256 of the ``ledger.csv`` bytes it mirrors.
 ``read_ledger_csv`` reads a ledger file back through ``streams.read_csv_table``
@@ -44,6 +45,7 @@ its regions and steps are found to be the manifest's.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import functools
 import hashlib
@@ -527,32 +529,87 @@ def _write_ledger(ledger: RunLedger, path) -> str:
 
     Rows are spelled exactly as ``csv.writer`` spells them: only the region
     label can need quoting, and ``csv_field`` spells it once per region. The
-    rows are formatted in contiguous region shares of at least
-    ``LEDGER_SHARE_MIN_ROWS`` rows (``share_ranges``), side by side
-    (``run_shares``); with one share, in this process. The file is opened
-    only once every share has returned its bytes, so a failing share raises
-    before ``ledger.csv`` is created. The bytes are hashed as they are written.
+    rows are formatted one region at a time, in contiguous region shares of at
+    least ``LEDGER_SHARE_MIN_ROWS`` rows (``share_ranges``), side by side
+    (``run_shares``); with one share, in this process. This process writes the
+    header and the first share's rows into a new file next to ``path``, and
+    each other share writes its rows into a part file of its own, made before
+    the shares fork, so no share holds more than one region's rows and none
+    sends rows through a pipe. Once every share has returned, the parts are
+    appended to the new file in 1 MiB blocks, and it replaces ``path``
+    (``os.replace``). The bytes are hashed as they are written. Every part,
+    and the new file on failure, is removed, so a failing share leaves no new
+    file behind and an existing ``ledger.csv`` as it was. An OSError on any of
+    these files names ``path``.
     """
     t_flow = [(f"{t},", f",{flow},") for t in ledger.times.tolist() for flow in FLOWS]
     n = ledger.n_regions
-    parts = run_shares([functools.partial(_ledger_rows, ledger, t_flow, r)
-                        for r in share_ranges(n, n * len(t_flow), LEDGER_SHARE_MIN_ROWS)])
-    header = (",".join(LEDGER_COLUMNS) + "\r\n").encode()  # as csv.writer spells it
+    shares = share_ranges(n, n * len(t_flow), LEDGER_SHARE_MIN_ROWS)
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for part in (header, *parts):
-            fh.write(part)
-            digest.update(part)
+    names = []  # the file that becomes path, then one part per further share
+    try:
+        for _ in shares:
+            names.append(_new_file(path))
+        with open(names[0], "wb") as fh:
+
+            def write(data):
+                fh.write(data)
+                digest.update(data)
+
+            write((",".join(LEDGER_COLUMNS) + "\r\n").encode())  # as csv.writer spells it
+            # A child inherits fh's buffer unflushed and leaves it so: it ends in os._exit.
+            run_shares([functools.partial(_ledger_rows, ledger, t_flow, shares[0], write)]
+                       + [functools.partial(_write_part, ledger, t_flow, r, name)
+                          for r, name in zip(shares[1:], names[1:])])
+            for name in names[1:]:
+                _read_blocks(name, write)
+        os.replace(names[0], path)
+        del names[0]  # it is path now
+    except OSError as e:
+        if e.filename is None:  # not about a path, such as a share's ChildProcessError
+            raise
+        # An error on a file next to path names path, as writing it in place would.
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+    finally:
+        for name in names:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
     return digest.hexdigest()
 
 
-def _ledger_rows(ledger: RunLedger, t_flow, regions) -> bytes:
-    """The UTF-8 ``ledger.csv`` rows of the regions at the indices ``regions``."""
+def _new_file(path) -> str:
+    """Create an empty file next to ``path``, under a name not in use; return the name.
+
+    ``open(name, "xb")`` refuses a name in use, and gives the file the mode
+    that ``open(path, "wb")`` gives a new file (0666 less the umask), not
+    ``tempfile.mkstemp``'s 0600.
+    """
+    name = f"{path}.{os.urandom(6).hex()}.tmp"
+    open(name, "xb").close()
+    return name
+
+
+def _read_blocks(path, consume) -> None:
+    """Pass the bytes of the file ``path`` to ``consume`` through one reused 1 MiB buffer."""
+    block = bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as fh, memoryview(block) as view:
+        while k := fh.readinto(block):
+            consume(view[:k])
+
+
+def _write_part(ledger: RunLedger, t_flow, regions, name) -> None:
+    """Write the ``ledger.csv`` rows of the regions at the indices ``regions`` into ``name``."""
+    with open(name, "wb") as fh:
+        _ledger_rows(ledger, t_flow, regions, fh.write)
+
+
+def _ledger_rows(ledger: RunLedger, t_flow, regions, write) -> None:
+    """Pass the UTF-8 ``ledger.csv`` rows of the regions at the indices ``regions``
+    to ``write``, one region's rows at a time."""
     bit = ("0", "1")
-    parts = []
     for i in regions:
         label = csv_field(ledger.region_ids[i])
-        parts.append("".join([
+        write("".join([
             f"{t}{label}{flow}{bit[c]},{length!r},{bit[e]}\r\n"
             for (t, flow), c, length, e in zip(
                 t_flow,
@@ -561,7 +618,6 @@ def _ledger_rows(ledger: RunLedger, t_flow, regions) -> bytes:
                 ledger.empty_grid[i].reshape(-1).view(np.uint8).tolist(),
             )
         ]).encode())
-    return b"".join(parts)
 
 
 def _mirror_layout(n_regions: int, horizon: int):
@@ -639,11 +695,8 @@ def _read_mirror(out_dir):
         digest.update(memoryview(payload)[:size])
         if digest.hexdigest() != head["payload_sha256"]:
             return None
-        digest, block = hashlib.sha256(), bytearray(1 << 20)
-        with open(os.path.join(out_dir, "ledger.csv"), "rb", buffering=0) as fh, \
-                memoryview(block) as view:
-            while n := fh.readinto(block):
-                digest.update(view[:n])
+        digest = hashlib.sha256()
+        _read_blocks(os.path.join(out_dir, "ledger.csv"), digest.update)
         if digest.hexdigest() != meta["ledger_sha256"]:
             return None
     except (OSError, ValueError, TypeError, KeyError, AttributeError):  # a header of another shape

@@ -27,6 +27,7 @@ bits as ``predict`` at each step.
 from __future__ import annotations
 
 import csv
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass, asdict
 
@@ -125,6 +126,22 @@ def _head(b, w, x):
     return q
 
 
+def _quiet_overflow(method):
+    """``method`` run under ``np.errstate(over="ignore", invalid="ignore")``, once per call.
+
+    A head that overflows is refused by ``QuantileForecast`` (or by the
+    calibration windows) with the cell named, so numpy's warnings about the
+    same arithmetic would only print ahead of that error.
+    """
+
+    @functools.wraps(method)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return method(*args, **kwargs)
+
+    return quiet
+
+
 def _empirical_pair(values, alpha: float) -> tuple[float, float]:
     """The alpha/2 and 1 - alpha/2 quantiles of ``values``, as a stable sort orders them.
 
@@ -148,12 +165,14 @@ class SeasonalWindowPredictor(ParamsMixin):
 
     History is bucketed by (region, flow, hour-of-day); with ``by_hour``
     disabled a single bucket per (region, flow) is used. ``fit`` keeps each
-    bucket's last ``window_len`` training values and reads its quantile pair
-    off one stable sort of them. A bucket becomes a :class:`CalibrationWindow`
-    of those values on its first update, so a frozen predictor builds no
-    window; its pairs are bit for bit those of eagerly built windows. Cold
-    buckets fall back to per-flow quantiles over the whole training window
-    (or raise, per ``fallback``); one that learns starts from an empty window.
+    bucket's last ``window_len`` training steps and reads its quantile pair
+    off one stable sort of their values. A bucket becomes a
+    :class:`CalibrationWindow` of those values, read from the training
+    history then, on its first update, so a frozen predictor builds no window
+    and holds no copy of the values; its pairs are bit for bit those of
+    eagerly built windows. Cold buckets fall back to per-flow quantiles over
+    the whole training window (or raise, per ``fallback``); one that learns
+    starts from an empty window.
     """
 
     def __init__(self, alpha=0.1, window_len=168, by_hour=True, steps_per_day=24,
@@ -167,7 +186,8 @@ class SeasonalWindowPredictor(ParamsMixin):
         self.fallback = fallback
         self._capacity = None
         self._buckets = None  # the buckets that have learned, as windows
-        self._values = None  # the fit values of the buckets that have not
+        self._rows = None  # (region, flow) -> its training history row
+        self._steps = None  # hour -> the history columns of its bucket's fit values
         self._pairs = None
         self._fallback_pair = None
         self.crossings = 0
@@ -194,10 +214,14 @@ class SeasonalWindowPredictor(ParamsMixin):
         _check_training_demand(stream)
         order, bucket_hours, bounds = self._by_hour(self._hours(stream.window_times()))
         self._capacity = self.window_len
-        self._buckets, self._values, self._pairs = {}, {}, {}
+        self._buckets, self._pairs = {}, {}
+        self._rows = {(region, flow): stream.history[i, j]
+                      for i, region in enumerate(stream.region_ids)
+                      for j, flow in enumerate(FLOWS)}
+        self._steps = {}
         for h, a, b in zip(bucket_hours, bounds, bounds[1:]):
             # Every cell's last window_len values of hour h, shape (regions, flows, n).
-            steps = stream.start + order[max(a, b - self.window_len) : b]
+            steps = self._steps[h] = stream.start + order[max(a, b - self.window_len) : b]
             values = stream.history[:, :, steps].astype(np.float64, copy=False)
             # Stable, so tied -0.0 and 0.0 keep arrival order, as in a CalibrationWindow.
             srt = np.sort(values, kind="stable")
@@ -206,9 +230,7 @@ class SeasonalWindowPredictor(ParamsMixin):
             hi = srt[..., quantile_rank(1.0 - self.alpha / 2.0, n) - 1].tolist()
             for i, region in enumerate(stream.region_ids):
                 for j, flow in enumerate(FLOWS):
-                    key = (region, flow, h)
-                    self._values[key] = values[i, j]
-                    self._pairs[key] = (lo[i][j], hi[i][j])
+                    self._pairs[region, flow, h] = (lo[i][j], hi[i][j])
         self._fallback_pair = {}
         for j, flow in enumerate(FLOWS):
             self._fallback_pair[flow] = _empirical_pair(
@@ -310,9 +332,15 @@ class SeasonalWindowPredictor(ParamsMixin):
     def _window(self, key) -> CalibrationWindow:
         win = self._buckets.get(key)
         if win is None:  # the bucket's first update: a window of its fit values, or empty
-            win = self._buckets[key] = CalibrationWindow(self._capacity,
-                                                         self._values.pop(key, ()))
+            win = self._buckets[key] = CalibrationWindow(self._capacity, self._fit_values(key))
         return win
+
+    def _fit_values(self, key):
+        """The fit values of bucket ``key``, in time order, read from the training
+        history; empty for a cold bucket."""
+        region, flow, hour = key
+        steps, row = self._steps.get(hour), self._rows.get((region, flow))
+        return () if steps is None or row is None else row[steps]
 
 
 class OnlinePinballLinearPredictor(ParamsMixin):
@@ -342,6 +370,7 @@ class OnlinePinballLinearPredictor(ParamsMixin):
         angle = 2.0 * np.pi * (np.asarray(times) % self.steps_per_day) / self.steps_per_day
         return [*z.T, np.sin(angle), np.cos(angle)]
 
+    @_quiet_overflow
     def fit(self, stream: DemandStream):
         _check_training_demand(stream)
         self._cells = {}
@@ -397,11 +426,13 @@ class OnlinePinballLinearPredictor(ParamsMixin):
         self.crossings += fc.crossed
         return fc
 
+    @_quiet_overflow
     def predict(self, region, flow, t, lags) -> QuantileForecast:
         cell = self._cell(region, flow)
         x = np.array(self._features(cell, t, lags)).tolist()
         return self._forecast(region, flow, t, self._heads(cell, x))
 
+    @_quiet_overflow
     def predict_series(self, region, flow, times, lags, y=None):
         """Frozen, both heads run over the feature columns at once. With ``y``, each
         step's row gives its heads, they make its forecast (:meth:`_forecast`), then it learns."""
@@ -423,6 +454,7 @@ class OnlinePinballLinearPredictor(ParamsMixin):
             lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         return lo, hi
 
+    @_quiet_overflow
     def update(self, obs: Observation) -> None:
         """One subgradient step on the observed cell."""
         cell = self._cell(obs.region, obs.flow)

@@ -2,7 +2,10 @@
 
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import contina
 from contina.cli import main
 from contina.errors import DataFormatError
 from contina.harness import ExperimentConfig, oracle_replay, run_replay
@@ -505,6 +509,23 @@ class TestMalformedInputs:
         self.check_non_finite(runner, raw, ["run", "--config", str(cfg)],
                               "region 0, flow in: score must be finite, got nan",
                               "region 0, flow in, t 150: lo must be finite, got nan")
+
+    @pytest.mark.parametrize("updates", [False, True], ids=["frozen", "updates"])
+    def test_overflowing_pinball_head_prints_only_the_error(self, tmp_path, updates):
+        # A fresh interpreter that shows every RuntimeWarning: numpy's overflow
+        # warnings from the heads and steps would print ahead of the error line.
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(json.dumps({
+            "predictor_updates": updates,
+            "predictor": {"kind": "online_pinball_linear", "step_size": 1.7e308},
+            "synthetic": {"n_regions": 2, "horizon": 300}}))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(contina.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m", "contina.cli", "run",
+             "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "error: region 0, flow in: score must be finite, got nan\n"
 
     def test_report_without_manifest_is_not_a_run_directory(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path)])

@@ -16,6 +16,7 @@ import os
 import random
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -523,25 +524,103 @@ class TestLedgerShares:
         assert len(forks) == 1
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
-    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["parent", "middle", "last"])
-    def test_failing_share_raises_before_the_ledger_exists(self, tmp_path, monkeypatch, big,
-                                                           failing):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_only_the_ledger_is_left_with_the_mode_of_a_new_file(self, tmp_path, monkeypatch,
+                                                                 big, k):
+        use_cpus(monkeypatch, k)
+        with open(tmp_path / "plain", "wb"):
+            pass
+        harness._write_ledger(big, tmp_path / "ledger.csv")
+        assert sorted(os.listdir(tmp_path)) == ["ledger.csv", "plain"]
+        assert os.stat(tmp_path / "ledger.csv").st_mode == os.stat(tmp_path / "plain").st_mode
+
+    def test_error_on_replacing_the_ledger_names_it(self, tmp_path, monkeypatch, big):
         use_cpus(monkeypatch, 3)
-        starts = [r.start for r in shares.share_ranges(big.n_regions, rows_of(big),
+        path = tmp_path / "ledger.csv"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as error:
+            harness._write_ledger(big, path)
+        assert error.value.filename == str(path)
+        assert os.listdir(tmp_path) == ["ledger.csv"]
+        assert os.listdir(path) == []
+
+    def test_traced_peak_holds_one_region_at_a_time(self, tmp_path, monkeypatch):
+        # One share, so every row is formatted in this process, where tracemalloc sees it.
+        use_cpus(monkeypatch, 1)
+        peaks, sizes = [], []
+        for n in (10, 100):
+            shape = (n, 500, 2)
+            k = np.arange(np.prod(shape)).reshape(shape)
+            ledger = metrics.RunLedger(tuple(range(n)), np.arange(500), k % 2 == 0,
+                                       np.resize(FLOATS, shape), k % 3 == 0)
+            tracemalloc.start()
+            try:
+                harness._write_ledger(ledger, tmp_path / "ledger.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(os.path.getsize(tmp_path / "ledger.csv"))
+        region = sizes[1] / 100  # one region's ledger.csv bytes
+        assert peaks[1] <= peaks[0] + region
+        assert peaks[1] < 20 * region
+
+    @staticmethod
+    def fail_share(monkeypatch, ledger, failing, fail):
+        """Run three shares, the ``failing``-th of which (0 runs here) calls
+        ``fail(regions)`` before it writes its rows; return the shares' first regions."""
+        use_cpus(monkeypatch, 3)
+        starts = [r.start for r in shares.share_ranges(ledger.n_regions, rows_of(ledger),
                                                         harness.LEDGER_SHARE_MIN_ROWS)]
         rows = harness._ledger_rows
 
-        def fail_one(ledger, t_flow, regions):
+        def fail_one(ledger, t_flow, regions, write):
             if regions.start == starts[failing]:
-                raise ValueError(f"share at region {regions.start} failed")
-            return rows(ledger, t_flow, regions)
+                fail(regions)
+            return rows(ledger, t_flow, regions, write)
 
         monkeypatch.setattr(harness, "_ledger_rows", fail_one)
+        return starts
+
+    @staticmethod
+    def raise_error(regions):
+        raise ValueError(f"share at region {regions.start} failed")
+
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["parent", "middle", "last"])
+    def test_failing_share_raises_before_the_ledger_exists(self, tmp_path, monkeypatch, big,
+                                                           failing):
+        starts = self.fail_share(monkeypatch, big, failing, self.raise_error)
         with pytest.raises(ValueError, match=f"^share at region {starts[failing]} failed$"):
             harness._write_ledger(big, tmp_path / "ledger.csv")
         assert os.listdir(tmp_path) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["middle", "last"])
+    def test_share_that_exits_without_a_result_leaves_no_file(self, tmp_path, monkeypatch, big,
+                                                              failing):
+        parent = os.getpid()
+
+        def exit_child(regions):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        self.fail_share(monkeypatch, big, failing, exit_child)
+        with pytest.raises(ChildProcessError, match="exit status 1 and no result"):
+            harness._write_ledger(big, tmp_path / "ledger.csv")
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["parent", "middle", "last"])
+    def test_failing_share_leaves_an_existing_ledger_as_it_was(self, tmp_path, monkeypatch,
+                                                               big, failing):
+        path = tmp_path / "ledger.csv"
+        path.write_bytes(b"t,region\r\n")
+        self.fail_share(monkeypatch, big, failing, self.raise_error)
+        with pytest.raises(ValueError, match="failed$"):
+            harness._write_ledger(big, path)
+        assert os.listdir(tmp_path) == ["ledger.csv"]
+        assert path.read_bytes() == b"t,region\r\n"
 
 
 def test_long_flow_label_is_named_in_full(tmp_path):

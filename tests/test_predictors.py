@@ -182,7 +182,7 @@ class TestSeasonalFitMatchesEagerWindows:
         assert {key: bits(pair) for key, pair in pred._pairs.items()} == {
             key: bits([win.quantile(alpha / 2), win.quantile(1 - alpha / 2)])
             for key, win in eager.items()}
-        assert {key: bits(v) for key, v in pred._values.items()} == {
+        assert {key: bits(v) for key, v in unbuilt_values(pred).items()} == {
             key: bits(win.scores) for key, win in eager.items()}
         assert pred._buckets == {}  # no window is built before the first update
         return pred
@@ -220,7 +220,13 @@ class TestSeasonalFitMatchesEagerWindows:
         assert 9 not in stream.window_times()
         for window_len in (3, 500):
             pred = self.check(stream, window_len=window_len, steps_per_day=4)
-        assert sorted({len(v) for v in pred._values.values()}) == [5, 6]
+        assert sorted({len(v) for v in unbuilt_values(pred).values()}) == [5, 6]
+
+    def test_fit_holds_views_of_the_training_history_not_its_values(self):
+        stream = signed_demand(2, 250, 0)
+        pred = self.check(stream, window_len=3)
+        assert all(row.base is stream.history for row in pred._rows.values())
+        assert {steps.dtype.kind for steps in pred._steps.values()} == {"i"}
 
     def test_cold_hours_under_both_fallbacks(self):
         stream = signed_demand(2, 10, 0)  # hours 10..23 have no history
@@ -254,7 +260,7 @@ class TestSeasonalFitMatchesEagerWindows:
             fifo, srt = pred._buckets[key].buffers()
             assert (bits(fifo), bits(srt)) == tuple(bits(b) for b in win.buffers())
             assert bits(pred._pairs[key]) == bits([win.quantile(0.1), win.quantile(0.9)])
-        assert pred._values == {}
+        assert unbuilt_values(pred) == {}
 
     def test_first_update_of_a_cold_bucket_starts_empty(self):
         pred = SeasonalWindowPredictor(alpha=0.2, window_len=4).fit(signed_demand(1, 10, 0))
@@ -519,12 +525,17 @@ def bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def unbuilt_values(pred):
+    """A seasonal predictor's fit values of each fitted bucket that has no window yet."""
+    return {key: pred._fit_values(key) for key in pred._pairs if key not in pred._buckets}
+
+
 def predictor_state(pred):
     """Everything ``update`` and the forecasts may change, as comparable bytes."""
     if isinstance(pred, SeasonalWindowPredictor):
         buckets = {key: (bits(win.buffers()[0]), bits(win.buffers()[1]))
                    for key, win in pred._buckets.items()}
-        unbuilt = {key: bits(values) for key, values in pred._values.items()}
+        unbuilt = {key: bits(values) for key, values in unbuilt_values(pred).items()}
         pairs = {key: bits(pair) for key, pair in pred._pairs.items()}
         return buckets, unbuilt, pairs, pred.crossings
     if isinstance(pred, OnlinePinballLinearPredictor):
@@ -625,7 +636,7 @@ class TestSeriesWithUpdatesMatchesObjectPath:
         fit_on, cells, times, lags, ys = deployment(train=len(train), times=times)
         reference, fast = (SeasonalWindowPredictor(alpha=0.3, window_len=3).fit(fit_on)
                            for _ in range(2))
-        assert {len(fast._values.get((0, "in", h), ())) for h in range(24)} == {0, 1, 3}
+        assert {len(unbuilt_values(fast).get((0, "in", h), ())) for h in range(24)} == {0, 1, 3}
         want = stepwise(reference, cells, times, lags, ys)
         for cell in cells:
             lo, hi = fast.predict_series(*cell, times, lags[cell], y=ys[cell])
@@ -655,7 +666,7 @@ class TestSeriesWithUpdatesMatchesObjectPath:
         pred = self.check(lambda: SeasonalWindowPredictor(alpha=0.2, window_len=6), deploy=10)
         # Steps 200..209 touch hours 8..17; the other fourteen keep their fit values unbuilt.
         assert len(pred._buckets) == 2 * 2 * 10
-        assert len(pred._values) == 2 * 2 * 14
+        assert len(unbuilt_values(pred)) == 2 * 2 * 14
 
     def test_seasonal_cold_bucket_error_raises_at_the_same_step(self):
         fit_on, cells, times, lags, ys = deployment(train=10)
